@@ -55,8 +55,7 @@ from .single_user import (
     ao_single_user,
     init_from_single_irs,
     mrc_receive,
-    opt_theta1_closed_form,
-    opt_theta2_closed_form,
+    opt_theta_closed_form,
     random_init,
     sdr_benchmark_su,
     single_irs_opt,

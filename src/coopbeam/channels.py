@@ -1,8 +1,7 @@
 """Wireless link synthesis for the double-IRS assisted multi-user MIMO uplink.
 
 Builds all individual links (Rician or geometric scatterer models, power-law
-path loss, steering vectors), the cascaded channels that the beamforming
-optimizers consume, and the matched single-IRS baselines used for
+path loss, steering vectors) and the matched single-IRS baselines used for
 double-vs-single comparisons.
 
 Conventions (chosen once, documented here):
@@ -368,11 +367,16 @@ class ReflectPattern:
 
 @dataclass
 class ChannelSet:
-    """One realization of all raw links plus the derived cascaded channels.
+    """One realization of the five raw links.
 
-    Shapes: u1 (M1,K), u2 (M2,K), d (M2,M1), g1 (N,M1), g2 (N,M2);
-    cascades r1 (K,N,M1), r2 (K,N,M2), q (K,M1,N,M2).  Immutable by
-    convention after construction; safe to share across threads.
+    Shapes: u1 (M1,K), u2 (M2,K), d (M2,M1), g1 (N,M1), g2 (N,M2).  User k
+    reaches the BS through
+
+        h_k = G2 diag(theta2) (D diag(theta1) u1_k + u2_k) + G1 diag(theta1) u1_k,
+
+    which is affine in either reflect vector once the other is fixed; `affine`
+    returns that map.  Immutable by convention after construction; safe to
+    share across threads.
     """
 
     u1: np.ndarray
@@ -380,9 +384,6 @@ class ChannelSet:
     d: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    r1: np.ndarray = None
-    r2: np.ndarray = None
-    q: np.ndarray = None
 
     @classmethod
     def from_links(cls, u1, u2, d, g1, g2):
@@ -402,13 +403,7 @@ class ChannelSet:
         for name, arr in (("u1", u1), ("u2", u2), ("d", d), ("g1", g1), ("g2", g2)):
             if arr.size and not np.all(np.isfinite(arr)):
                 raise ValueError(f"link {name} contains non-finite entries")
-        # r1[k] = g1 diag(u1_k); r2[k] = g2 diag(u2_k)
-        r1 = np.einsum("nm,mk->knm", g1, u1)
-        r2 = np.einsum("np,pk->knp", g2, u2)
-        # q[k,m] = g2 diag(m-th column of d diag(u1_k))
-        dt = np.einsum("pm,mk->kpm", d, u1)  # (K,M2,M1) columns of D diag(u1_k)
-        q = np.einsum("np,kpm->kmnp", g2, dt)
-        return cls(u1, u2, d, g1, g2, r1, r2, q)
+        return cls(u1, u2, d, g1, g2)
 
     @property
     def n_bs(self):
@@ -426,15 +421,24 @@ class ChannelSet:
     def n_users(self):
         return self.u1.shape[1]
 
-    def validate(self, rtol=1e-10):
-        """Recompute the cascaded channels from the raw links and compare."""
-        ref = ChannelSet.from_links(self.u1, self.u2, self.d, self.g1, self.g2)
-        for name in ("r1", "r2", "q"):
-            a, b = getattr(self, name), getattr(ref, name)
-            scale = max(np.max(np.abs(b)), 1e-300) if b.size else 1.0
-            if a.shape != b.shape or (b.size and np.max(np.abs(a - b)) > rtol * scale):
-                raise ValueError(f"cascaded channel {name} inconsistent with raw links")
-        return True
+    def affine(self, block, theta_other):
+        """(A, c) with h_k = A[k] @ theta_block + c[:, k], the other IRS fixed.
+
+        A has shape (K, N, M_block) and c shape (N, K):
+          block 2: A_k = G2 diag(D Phi1 u1_k + u2_k),  c_k = G1 Phi1 u1_k;
+          block 1: A_k = (G2 Phi2 D + G1) diag(u1_k),  c_k = G2 Phi2 u2_k.
+        """
+        if block not in (1, 2):
+            raise ValueError(f"block must be 1 or 2, got {block!r}")
+        t = np.asarray(theta_other, dtype=complex).reshape(-1)
+        if t.size != (self.m2 if block == 1 else self.m1):
+            raise ValueError(f"theta{3 - block} length does not match the channel set")
+        if block == 2:
+            x1 = t[:, None] * self.u1
+            a = self.g2[None, :, :] * (self.d @ x1 + self.u2).T[:, None, :]
+            return a, self.g1 @ x1
+        b = self.g2 @ (t[:, None] * self.d) + self.g1
+        return b[None, :, :] * self.u1.T[:, None, :], self.g2 @ (t[:, None] * self.u2)
 
 
 def build_double_irs_scenario(scenario: SystemScenario, rng=None) -> ChannelSet:
@@ -509,13 +513,15 @@ def build_double_irs_scenario(scenario: SystemScenario, rng=None) -> ChannelSet:
 def build_single_irs_baseline_A1(double: ChannelSet) -> ChannelSet:
     """Single-IRS baseline whose cascaded channel is [R1, R2] (single user).
 
-    The result is represented as a ChannelSet with m1 = 0 whose combined IRS
-    carries all M subsurfaces, so every optimizer works on it unchanged.
+    R1 = G1 diag(u1) and R2 = G2 diag(u2) are the single-reflection cascades
+    of `double`.  The result is represented as a ChannelSet with m1 = 0 whose
+    combined IRS carries all M subsurfaces, so every optimizer works on it
+    unchanged.
     """
     if double.n_users != 1:
         raise ValueError("the concatenation baseline is defined for K = 1 only")
     n, m = double.n_bs, double.m1 + double.m2
-    rbar = np.concatenate([double.r1[0], double.r2[0]], axis=1)  # (N, M)
+    rbar = np.concatenate([double.g1 * double.u1[:, 0], double.g2 * double.u2[:, 0]], axis=1)
     return ChannelSet.from_links(
         u1=np.zeros((0, 1), dtype=complex),
         u2=np.ones((m, 1), dtype=complex),

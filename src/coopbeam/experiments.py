@@ -89,6 +89,8 @@ class ExperimentSpec:
         self.sweep = list(self.sweep)
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
+        # the draws build their scenarios through this path; fail here, not in a worker
+        _apply_overrides(SystemScenario(), self.scenario)
 
     def to_dict(self):
         return asdict(self)
@@ -299,7 +301,7 @@ def _draw_fig6(spec, point_rngs):
         m = int(m)
         row = {}
         for kdb in kappas:
-            sub = rng.spawn(1)[0] if hasattr(rng, "spawn") else rng
+            sub = rng.spawn(1)[0]
             scn = _apply_overrides(
                 su_scenario(kappa_far_db=float(kdb), m1=m // 2, m2=m - m // 2), spec.scenario
             )
@@ -394,7 +396,7 @@ def _draw_prop2(spec, point_rngs):
 def _draw_oracle(spec, point_rngs):
     from .metrics import sinr_per_user
     from .multi_user import mmse_receivers, zf_receivers
-    from .single_user import opt_theta2_closed_form
+    from .single_user import opt_theta_closed_form
 
     results = []
     for check, rng in zip(spec.sweep, point_rngs):
@@ -405,7 +407,7 @@ def _draw_oracle(spec, point_rngs):
             w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             w = w / np.linalg.norm(w)
             t1 = np.exp(1j * rng.uniform(0, 2 * math.pi, 3))
-            t2 = opt_theta2_closed_form(chs, t1, w)
+            t2 = opt_theta_closed_form(chs, 2, t1, w)
             grid = _grid_best_theta2(chs, t1, w, ctx, points=32)
             ok = float(snr_value(chs, w, t1, t2, ctx) >= grid * (1 - 1e-9))
         elif check == "homogenization":
@@ -446,9 +448,9 @@ def _grid_best_theta2(chs, t1, w, ctx, points=32):
     phases = 2 * math.pi * np.arange(points) / points
     grids = np.meshgrid(*([phases] * m2), indexing="ij")
     combos = np.exp(1j * np.stack([g.ravel() for g in grids], axis=1))
-    a = np.einsum("mnp,m->np", chs.q[0], t1) + chs.r2[0]
-    b = a.conj().T @ w
-    b0 = np.vdot(w, chs.r1[0] @ t1)
+    x1 = t1 * chs.u1[:, 0]
+    b = (chs.g2 * (chs.d @ x1 + chs.u2[:, 0])).conj().T @ w
+    b0 = np.vdot(w, chs.g1 @ x1)
     vals = np.abs(combos @ b.conj() + b0) ** 2
     return float(ctx.powers[0] * vals.max() / ctx.noise)
 

@@ -65,7 +65,7 @@ def load_matrices(path):
 
 
 def save_channel_set(path, chs):
-    """Dump the raw links of a ChannelSet; cascades are rebuilt on load."""
+    """Dump the five raw links of a ChannelSet."""
     save_matrices(
         path, {"u1": chs.u1, "u2": chs.u2, "d": chs.d, "g1": chs.g1, "g2": chs.g2}
     )

@@ -40,27 +40,18 @@ class EffectiveChannel:
     double_refl: np.ndarray  # via IRS1 -> IRS2
     single_refl: np.ndarray  # via IRS2 plus via IRS1
 
-    def per_user(self, k):
-        return self.h[:, k]
-
 
 def effective_channel(chs: ChannelSet, pat: ReflectPattern) -> EffectiveChannel:
-    """Compose h_k = sum_m Q_{k,m} theta2 theta1_m + R2_k theta2 + R1_k theta1.
-
-    The returned split recomputes the same matrix from the raw links as
-    G2 Phi2 D Phi1 U1 (double reflection) plus G2 Phi2 U2 + G1 Phi1 U1.
-    """
+    """Compose H = G2 Phi2 D Phi1 U1 (double reflection) + G2 Phi2 U2 + G1 Phi1 U1."""
     t1, t2 = pat.theta1, pat.theta2
     if t1.size != chs.m1 or t2.size != chs.m2:
         raise ValueError(
             f"pattern ({t1.size},{t2.size}) does not match channels ({chs.m1},{chs.m2})"
         )
-    h = np.einsum("kmnp,m,p->nk", chs.q, t1, t2, optimize=True)
-    h += np.einsum("knp,p->nk", chs.r2, t2)
-    h += np.einsum("knm,m->nk", chs.r1, t1)
-    h_d = chs.g2 @ (t2[:, None] * (chs.d @ (t1[:, None] * chs.u1)))
-    h_s = chs.g2 @ (t2[:, None] * chs.u2) + chs.g1 @ (t1[:, None] * chs.u1)
-    return EffectiveChannel(h=h, double_refl=h_d, single_refl=h_s)
+    x1 = t1[:, None] * chs.u1
+    h_d = chs.g2 @ (t2[:, None] * (chs.d @ x1))
+    h_s = chs.g2 @ (t2[:, None] * chs.u2) + chs.g1 @ x1
+    return EffectiveChannel(h=h_d + h_s, double_refl=h_d, single_refl=h_s)
 
 
 def sinr_per_user(eff, w, ctx: SinrContext):
@@ -129,18 +120,6 @@ class RankReport:
     bound: int = 0                 # min(rank g1, rank u1)
     raw_gain_holds: bool = False   # rank_h - rank_hbar >= bound
     clipped_gain_holds: bool = False
-
-    CSV_HEADER = (
-        "rank_h,rank_hbar,rank_hd,rank_hs,rank_u1,rank_u2,rank_d,rank_g1,rank_g2,"
-        "rank_gbar,rank_ubar,bound,raw_gain_holds,clipped_gain_holds"
-    )
-
-    def to_csv_row(self):
-        lr = self.link_ranks
-        vals = [self.rank_h, self.rank_hbar, self.rank_hd, self.rank_hs]
-        vals += [lr.get(k, "") for k in ("u1", "u2", "d", "g1", "g2", "gbar", "ubar")]
-        vals += [self.bound, int(self.raw_gain_holds), int(self.clipped_gain_holds)]
-        return ",".join(str(v) for v in vals)
 
 
 def _majority_rank(matrices):

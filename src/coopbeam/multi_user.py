@@ -82,43 +82,33 @@ def _receivers(h, ctx: SinrContext, mode):
     return rx, substituted
 
 
-def build_p31_instance(chs: ChannelSet, theta1, w, powers, noise) -> MaxMinSdpInstance:
-    """Subproblem data over theta2 for fixed theta1 and receivers W.
+def _build_instance(chs: ChannelSet, block, theta_other, w, powers, noise) -> MaxMinSdpInstance:
+    """Subproblem data over theta_block for the other IRS fixed and receivers W.
 
-    q_{k,j} = sqrt(P_j) (sum_m theta1_m Q_{j,m} + R2_j)^H w_k and
-    qbar_{k,j} = sqrt(P_j) w_k^H R1_j theta1; plugging any unit-modulus
-    theta2 into the instance reproduces the exact per-user SINRs.
+    With h_j = A_j theta_block + c_j from `ChannelSet.affine`,
+    q_{k,j} = sqrt(P_j) A_j^H w_k and qbar_{k,j} = sqrt(P_j) w_k^H c_j; plugging
+    any unit-modulus theta_block into the instance reproduces the exact
+    per-user SINRs.
     """
-    theta1 = np.asarray(theta1, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    if theta1.size != chs.m1:
-        raise ValueError("theta1 length does not match the channel set")
-    if w.shape[0] != chs.n_bs or w.shape[1] != chs.n_users:
+    a, c = chs.affine(block, theta_other)
+    if w.shape != (chs.n_bs, chs.n_users):
         raise ValueError("receive matrix does not match the channel set")
-    powers = np.atleast_1d(np.asarray(powers, dtype=float))
-    a = np.einsum("jmnp,m->jnp", chs.q, theta1, optimize=True) + chs.r2  # (K,N,M2)
-    q = np.einsum("jnp,nk->kjp", a.conj(), w) * np.sqrt(powers)[None, :, None]
-    r1t = np.einsum("jnm,m->jn", chs.r1, theta1)
-    qbar = np.einsum("nk,jn->kj", w.conj(), r1t) * np.sqrt(powers)[None, :]
+    sqrt_p = np.sqrt(np.atleast_1d(np.asarray(powers, dtype=float)))
+    q = np.einsum("jnm,nk->kjm", a.conj(), w) * sqrt_p[None, :, None]
+    qbar = (w.conj().T @ c) * sqrt_p[None, :]
     sig = noise * np.sum(np.abs(w) ** 2, axis=0)
     return MaxMinSdpInstance(q, qbar, sig)
 
 
+def build_p31_instance(chs: ChannelSet, theta1, w, powers, noise) -> MaxMinSdpInstance:
+    """(P3.1): subproblem over theta2 for fixed theta1 and receivers W."""
+    return _build_instance(chs, 2, theta1, w, powers, noise)
+
+
 def build_p34_instance(chs: ChannelSet, theta2, w, powers, noise) -> MaxMinSdpInstance:
-    """Mirror subproblem over theta1 for fixed theta2 and receivers W."""
-    theta2 = np.asarray(theta2, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if theta2.size != chs.m2:
-        raise ValueError("theta2 length does not match the channel set")
-    if w.shape[0] != chs.n_bs or w.shape[1] != chs.n_users:
-        raise ValueError("receive matrix does not match the channel set")
-    powers = np.atleast_1d(np.asarray(powers, dtype=float))
-    a = np.einsum("jmnp,p->jnm", chs.q, theta2, optimize=True) + chs.r1  # (K,N,M1)
-    p = np.einsum("jnm,nk->kjm", a.conj(), w) * np.sqrt(powers)[None, :, None]
-    r2t = np.einsum("jnp,p->jn", chs.r2, theta2)
-    pbar = np.einsum("nk,jn->kj", w.conj(), r2t) * np.sqrt(powers)[None, :]
-    sig = noise * np.sum(np.abs(w) ** 2, axis=0)
-    return MaxMinSdpInstance(p, pbar, sig)
+    """(P3.4): subproblem over theta1 for fixed theta2 and receivers W."""
+    return _build_instance(chs, 1, theta2, w, powers, noise)
 
 
 def dft_codebook(m):
@@ -179,26 +169,6 @@ class MuSolveState:
     def pattern(self):
         return ReflectPattern(self.theta1, self.theta2)
 
-    CSV_HEADER = "iterations,converged,min_sinr,zf_substituted,trace,accepts,sdr_steps"
-
-    def to_csv_row(self):
-        trace = ";".join(format(v, ".12g") for v in self.trace)
-        accepts = ";".join(f"{step}={int(flag)}" for step, flag in self.accept_flags)
-        sdr = ";".join(
-            f"{format(d, '.12g')}:{format(a, '.12g')}" for d, a in self.sdr_records
-        )
-        return ",".join(
-            [
-                str(self.iterations),
-                str(int(self.converged)),
-                format(self.min_sinr, ".12g"),
-                str(int(self.zf_substituted)),
-                trace,
-                accepts,
-                sdr,
-            ]
-        )
-
 
 def _min_sinr(chs, ctx, theta1, theta2, w):
     eff = effective_channel(chs, ReflectPattern(theta1, theta2))
@@ -243,38 +213,29 @@ def algorithm1(
     state.min_sinr = _min_sinr(chs, ctx, state.theta1, state.theta2, state.w)
     state.trace.append(state.min_sinr)
 
-    def theta_step(which):
-        if which == "theta2":
-            if chs.m2 == 0:
-                return
-            inst = build_p31_instance(chs, state.theta1, state.w, ctx.powers, ctx.noise)
-        else:
-            if chs.m1 == 0:
-                return
-            inst = build_p34_instance(chs, state.theta2, state.w, ctx.powers, ctx.noise)
+    def theta_step(block):
+        if (chs.m1, chs.m2)[block - 1] == 0:
+            return
+        thetas = [state.theta1, state.theta2]
+        build = build_p31_instance if block == 2 else build_p34_instance
+        inst = build(chs, thetas[2 - block], state.w, ctx.powers, ctx.noise)
         hi = max(matched_filter_bound(inst), 1e-12)
         bis = bisection_maxmin(inst, 0.0, hi, eps, feas_tol=feas_tol)
         rand = gaussian_randomization(bis.solution.psi, inst, n_rand, rng)
         state.sdr_records.append((bis.delta_star, rand.objective))
-        if which == "theta2":
-            cand = _min_sinr(chs, ctx, state.theta1, rand.theta, state.w)
-            accept = cand >= state.min_sinr
-            if accept:
-                state.theta2 = rand.theta
-                state.min_sinr = cand
-        else:
-            cand = _min_sinr(chs, ctx, rand.theta, state.theta2, state.w)
-            accept = cand >= state.min_sinr
-            if accept:
-                state.theta1 = rand.theta
-                state.min_sinr = cand
-        state.accept_flags.append((which, accept))
+        thetas[block - 1] = rand.theta
+        cand = _min_sinr(chs, ctx, *thetas, state.w)
+        accept = cand >= state.min_sinr
+        if accept:
+            state.theta1, state.theta2 = thetas
+            state.min_sinr = cand
+        state.accept_flags.append((f"theta{block}", accept))
 
     try:
         for it in range(max_iters):
             prev = state.min_sinr
-            theta_step("theta2")
-            theta_step("theta1")
+            theta_step(2)
+            theta_step(1)
             eff = effective_channel(chs, state.pattern())
             rx, subst = _receivers(eff.h, ctx, rx_mode)
             state.zf_substituted |= subst

@@ -1,4 +1,4 @@
-"""Solver run records with a flat CSV row encoding."""
+"""Solver run records."""
 
 from __future__ import annotations
 
@@ -15,18 +15,3 @@ class SolveReport:
     converged: bool = False
     iterations: int = 0
     wall_time_s: float = 0.0
-
-    CSV_HEADER = "method,objective,converged,iterations,wall_time_s,trace"
-
-    def to_csv_row(self):
-        trace = ";".join(format(v, ".12g") for v in self.trace)
-        return ",".join(
-            [
-                self.method,
-                format(self.objective, ".12g"),
-                str(int(self.converged)),
-                str(self.iterations),
-                format(self.wall_time_s, ".6g"),
-                trace,
-            ]
-        )

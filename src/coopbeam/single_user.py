@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelSet, ReflectPattern
-from .metrics import SinrContext
+from .metrics import SinrContext, effective_channel
 from .multi_user import build_p31_instance, build_p34_instance
 from .reports import SolveReport
 from .sdp import bisection_maxmin, gaussian_randomization, matched_filter_bound
@@ -50,10 +50,8 @@ def _require_single_user(chs: ChannelSet):
 
 
 def _channel_vector(chs, theta1, theta2):
-    h = np.einsum("mnp,m,p->n", chs.q[0], theta1, theta2, optimize=True)
-    h += chs.r2[0] @ theta2
-    h += chs.r1[0] @ theta1
-    return h
+    x1 = theta1 * chs.u1[:, 0]
+    return chs.g2 @ (theta2 * (chs.d @ x1 + chs.u2[:, 0])) + chs.g1 @ x1
 
 
 def snr_value(chs: ChannelSet, w, theta1, theta2, ctx: SinrContext):
@@ -64,35 +62,20 @@ def snr_value(chs: ChannelSet, w, theta1, theta2, ctx: SinrContext):
     return float(ctx.powers[0] * np.abs(np.vdot(w, h)) ** 2 / (ctx.noise * np.vdot(w, w).real))
 
 
-def opt_theta2_closed_form(chs: ChannelSet, theta1, w):
-    """Globally optimal theta2 for fixed theta1 and w.
+def opt_theta_closed_form(chs: ChannelSet, block, theta_other, w):
+    """Globally optimal theta_block for the other IRS and w fixed.
 
-    Aligns every term of b^H theta2 and matches its phase to the reference
-    term b0 = w^H R1 theta1 (phase 0 when b0 vanishes), which attains the
-    triangle-inequality upper bound.
+    With h = A theta_block + c (`ChannelSet.affine`), w^H h = (A^H w)^H theta_block
+    + w^H c.  Aligning every term of the first part with the reference w^H c
+    (phase 0 when it vanishes) attains the triangle-inequality upper bound:
+    theta_block = exp(j(angle(w^H c) + angle(A^H w))).
     """
     _require_single_user(chs)
-    theta1 = np.asarray(theta1, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    if theta1.size != chs.m1 or w.size != chs.n_bs:
+    if w.size != chs.n_bs:
         raise ValueError("dimension mismatch")
-    a = np.einsum("mnp,m->np", chs.q[0], theta1, optimize=True) + chs.r2[0]
-    b = a.conj().T @ w
-    b0 = np.vdot(w, chs.r1[0] @ theta1) if chs.m1 else 0.0
-    return np.exp(1j * (np.angle(b0) + np.angle(b)))
-
-
-def opt_theta1_closed_form(chs: ChannelSet, theta2, w):
-    """Globally optimal theta1 for fixed theta2 and w (mirror update)."""
-    _require_single_user(chs)
-    theta2 = np.asarray(theta2, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if theta2.size != chs.m2 or w.size != chs.n_bs:
-        raise ValueError("dimension mismatch")
-    qbar = np.einsum("mnp,p->nm", chs.q[0], theta2, optimize=True)  # (N, M1)
-    c = (qbar + chs.r1[0]).conj().T @ w
-    c0 = np.vdot(w, chs.r2[0] @ theta2) if chs.m2 else 0.0
-    return np.exp(1j * (np.angle(c0) + np.angle(c)))
+    a, c = chs.affine(block, theta_other)
+    return np.exp(1j * (np.angle(np.vdot(w, c[:, 0])) + np.angle(a[0].conj().T @ w)))
 
 
 def mrc_receive(chs: ChannelSet, theta1, theta2):
@@ -130,9 +113,9 @@ def ao_single_user(
     it = 0
     for it in range(1, max_iters + 1):
         prev = trace[-1]
-        t2 = opt_theta2_closed_form(chs, t1, w)
+        t2 = opt_theta_closed_form(chs, 2, t1, w)
         trace.append(snr_value(chs, w, t1, t2, ctx))
-        t1 = opt_theta1_closed_form(chs, t2, w)
+        t1 = opt_theta_closed_form(chs, 1, t2, w)
         trace.append(snr_value(chs, w, t1, t2, ctx))
         try:
             w = mrc_receive(chs, t1, t2)
@@ -190,8 +173,9 @@ def init_from_single_irs(chs: ChannelSet, baseline_state: SuSolveState) -> SuSol
         raise ValueError("baseline solution does not match the channel split")
     w = baseline_state.w
     part1, part2 = theta_star[: chs.m1], theta_star[chs.m1 :]
-    a1 = np.vdot(w, np.einsum("mnp,m,p->n", chs.q[0], part1, part2, optimize=True))
-    a2 = np.vdot(w, chs.r1[0] @ part1 + chs.r2[0] @ part2)
+    eff = effective_channel(chs, ReflectPattern(part1, part2))
+    a1 = np.vdot(w, eff.double_refl[:, 0])
+    a2 = np.vdot(w, eff.single_refl[:, 0])
     phi = np.angle(a2 / a1) if np.abs(a1) > 0 else 0.0
     rot = np.exp(1j * phi)
     return SuSolveState(w, rot * part1, rot * part2)
@@ -234,16 +218,15 @@ def sdr_benchmark_su(
     w = w / np.linalg.norm(w)
     if init_pattern is None:
         init_pattern = ReflectPattern.ones(chs.m1, chs.m2)
-    t1, t2 = init_pattern.theta1.copy(), init_pattern.theta2.copy()
-    snr = snr_value(chs, w, t1, t2, ctx)
+    thetas = [init_pattern.theta1.copy(), init_pattern.theta2.copy()]
+    snr = snr_value(chs, w, *thetas, ctx)
     trace = [snr]
     converged = False
+    blocks = [block for block in (2, 1) if (chs.m1, chs.m2)[block - 1]]
 
-    def subproblem(which, w_cur, t1_cur, t2_cur):
-        if which == "theta2":
-            inst = build_p31_instance(chs, t1_cur, w_cur[:, None], ctx.powers, ctx.noise)
-        else:
-            inst = build_p34_instance(chs, t2_cur, w_cur[:, None], ctx.powers, ctx.noise)
+    def subproblem(block):
+        build = build_p31_instance if block == 2 else build_p34_instance
+        inst = build(chs, thetas[2 - block], w[:, None], ctx.powers, ctx.noise)
         hi = max(matched_filter_bound(inst), 1e-12)
         bis = bisection_maxmin(inst, 0.0, hi, eps * hi)
         cand = gaussian_randomization(bis.solution.psi, inst, n_rand, rng).theta
@@ -251,29 +234,20 @@ def sdr_benchmark_su(
 
     for _ in range(max_iters):
         prev = snr
-        if chs.m2:
-            _b, cand = subproblem("theta2", w, t1, t2)
-            if snr_value(chs, w, t1, cand, ctx) >= snr:
-                t2 = cand
-                snr = snr_value(chs, w, t1, t2, ctx)
-        if chs.m1:
-            _b, cand = subproblem("theta1", w, t1, t2)
-            if snr_value(chs, w, cand, t2, ctx) >= snr:
-                t1 = cand
-                snr = snr_value(chs, w, t1, t2, ctx)
-        w = mrc_receive(chs, t1, t2)
-        snr = snr_value(chs, w, t1, t2, ctx)
+        for block in blocks:
+            trial = list(thetas)
+            trial[block - 1] = subproblem(block)[1]
+            if snr_value(chs, w, *trial, ctx) >= snr:
+                thetas = trial
+                snr = snr_value(chs, w, *thetas, ctx)
+        w = mrc_receive(chs, *thetas)
+        snr = snr_value(chs, w, *thetas, ctx)
         trace.append(snr)
         if snr - prev <= tol * max(prev, 1e-300):
             converged = True
             break
     # conditional bounds at the final iterate cover the final feasible SNR
-    final_bounds = []
-    if chs.m2:
-        final_bounds.append(subproblem("theta2", w, t1, t2)[0])
-    if chs.m1:
-        final_bounds.append(subproblem("theta1", w, t1, t2)[0])
-    bound = min(final_bounds) if final_bounds else snr
+    bound = min((subproblem(block)[0] for block in blocks), default=snr)
     report = SolveReport(
         method="su-sdr",
         objective=snr,
@@ -282,4 +256,4 @@ def sdr_benchmark_su(
         iterations=len(trace) - 1,
         wall_time_s=time.perf_counter() - t_start,
     )
-    return SdrBenchmark(t1, t2, snr, bound, report)
+    return SdrBenchmark(*thetas, snr, bound, report)

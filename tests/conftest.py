@@ -29,6 +29,24 @@ def random_channel_set(rng, n=4, m1=3, m2=3, k=2, scale=1.0):
     return cb.ChannelSet.from_links(c(m1, k), c(m2, k), c(m2, m1), c(n, m1), c(n, m2))
 
 
+def explicit_channel(chs, theta1, theta2):
+    """H = G2 diag(theta2) (D diag(theta1) U1 + U2) + G1 diag(theta1) U1, written out."""
+    phi1, phi2 = np.diag(theta1), np.diag(theta2)
+    return chs.g2 @ phi2 @ (chs.d @ phi1 @ chs.u1 + chs.u2) + chs.g1 @ phi1 @ chs.u1
+
+
+def explicit_su_terms(chs, block, theta_other, w):
+    """(b, b0) with w^H h = b^H theta_block + b0 for the single user, from the raw links."""
+    u1, u2 = chs.u1[:, 0], chs.u2[:, 0]
+    if block == 2:
+        phi1 = np.diag(theta_other)
+        mat, rest = chs.g2 @ np.diag(chs.d @ phi1 @ u1 + u2), chs.g1 @ phi1 @ u1
+    else:
+        phi2 = np.diag(theta_other)
+        mat, rest = (chs.g2 @ phi2 @ chs.d + chs.g1) @ np.diag(u1), chs.g2 @ phi2 @ u2
+    return mat.conj().T @ w, np.vdot(w, rest)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

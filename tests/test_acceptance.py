@@ -10,7 +10,7 @@ import pytest
 
 import coopbeam as cb
 from coopbeam.experiments import mu_scenario, su_scenario
-from conftest import random_channel_set
+from conftest import explicit_su_terms, random_channel_set
 
 RESULTS = {}
 
@@ -106,12 +106,12 @@ def _tiny_grid_optimum(chs, power, noise, points=16):
     ph = np.exp(2j * np.pi * np.arange(points) / points)
     t2 = np.stack(np.meshgrid(ph, ph, indexing="ij"), -1).reshape(-1, 2)
     t1 = t2.copy()
-    h = []
+    h = []  # h[k][c, d] = G2 diag(t2[c]) (D diag(t1[d]) u1_k + u2_k) + G1 diag(t1[d]) u1_k
     for k in range(2):
-        part2 = np.einsum("mnp,cp->cnm", chs.q[k], t2)
-        r2 = np.einsum("np,cp->cn", chs.r2[k], t2)
-        hk = np.einsum("cnm,dm->cdn", part2, t1) + r2[:, None, :]
-        hk += np.einsum("nm,dm->dn", chs.r1[k], t1)[None, :, :]
+        x1 = t1 * chs.u1[:, k]                   # (d, M1)
+        inner = x1 @ chs.d.T + chs.u2[:, k]      # (d, M2)
+        hk = np.einsum("np,cp,dp->cdn", chs.g2, t2, inner)
+        hk += (x1 @ chs.g1.T)[None, :, :]
         h.append(hk)
     n11 = np.sum(np.abs(h[0]) ** 2, -1)
     n22 = np.sum(np.abs(h[1]) ** 2, -1)
@@ -193,22 +193,14 @@ def test_criterion_2_closed_forms_beat_phase_grid(capsys):
     grids = np.meshgrid(*([phases] * 3), indexing="ij")
     combos = np.exp(1j * np.stack([g.ravel() for g in grids], axis=1))
     failures = 0
-    for which in ("theta2", "theta1"):
+    for block in (2, 1):
         for _ in range(50):
             chs = random_channel_set(rng, n=2, m1=3, m2=3, k=1)
             other = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             w = w / np.linalg.norm(w)
-            if which == "theta2":
-                theta = cb.opt_theta2_closed_form(chs, other, w)
-                a = np.einsum("mnp,m->np", chs.q[0], other) + chs.r2[0]
-                vec = a.conj().T @ w
-                ref = np.vdot(w, chs.r1[0] @ other)
-            else:
-                theta = cb.opt_theta1_closed_form(chs, other, w)
-                qbar = np.einsum("mnp,p->nm", chs.q[0], other)
-                vec = (qbar + chs.r1[0]).conj().T @ w
-                ref = np.vdot(w, chs.r2[0] @ other)
+            theta = cb.opt_theta_closed_form(chs, block, other, w)
+            vec, ref = explicit_su_terms(chs, block, other, w)
             closed = abs(np.vdot(vec, theta) + ref) ** 2
             grid_max = float((np.abs(combos @ vec.conj() + ref) ** 2).max())
             slack = 2.0 * (np.abs(vec).sum() + abs(ref)) * np.abs(vec).sum() * (np.pi / 64)

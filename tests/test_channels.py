@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coopbeam as cb
 from coopbeam import io as cbio
-from coopbeam.channels import ura_shape
-from conftest import random_channel_set
+from coopbeam.channels import LINK_NAMES, ura_shape
+from conftest import explicit_channel, random_channel_set
 
 
 class TestPathLoss:
@@ -157,7 +157,7 @@ class TestScenarioBuild:
         scn = cb.SystemScenario(n_bs=3, m1=4, m2=4, n_users=2, seed=99)
         a = cb.build_double_irs_scenario(scn)
         b = cb.build_double_irs_scenario(scn)
-        for name in ("u1", "u2", "d", "g1", "g2", "r1", "r2", "q"):
+        for name in LINK_NAMES:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_m1_zero_degenerates_to_single_reflection(self):
@@ -166,50 +166,57 @@ class TestScenarioBuild:
         assert chs.u1.shape == (0, 1) and chs.g1.shape == (3, 0) and chs.d.shape == (5, 0)
         pat = cb.ReflectPattern.random(0, 5, np.random.default_rng(0))
         eff = cb.effective_channel(chs, pat)
-        assert np.allclose(eff.h[:, 0], chs.r2[0] @ pat.theta2)
+        assert np.allclose(eff.h[:, 0], chs.g2 @ (pat.theta2 * chs.u2[:, 0]))
 
     def test_coincident_nodes_rejected(self):
         scn = cb.SystemScenario(pos_irs1=(1.0, 0.0, 2.0), pos_bs=(1.0, 0.0, 2.0))
         with pytest.raises(ValueError):
             cb.build_double_irs_scenario(scn)
 
-    def test_cascade_validation_detects_tampering(self, small_su_channels):
-        assert small_su_channels.validate()
-        small_su_channels.q = small_su_channels.q + 1.0
-        with pytest.raises(ValueError):
-            small_su_channels.validate()
-
-    @given(seed=st.integers(0, 2**32 - 1), m1=st.integers(1, 4), m2=st.integers(1, 4))
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m1=st.integers(0, 4),
+        m2=st.integers(0, 4),
+        block=st.sampled_from([1, 2]),
+    )
+    @example(seed=1, m1=0, m2=3, block=1)
+    @example(seed=1, m1=0, m2=3, block=2)
+    @example(seed=2, m1=3, m2=0, block=1)
+    @example(seed=2, m1=3, m2=0, block=2)
     @settings(max_examples=15)
-    def test_cascaded_channel_identity(self, seed, m1, m2):
-        # Q-form equals the raw double-reflection product for every user
+    def test_cascaded_channel_identity(self, seed, m1, m2, block):
+        # the block-affine form reproduces the raw-link product for every user
         rng = np.random.default_rng(seed)
         chs = random_channel_set(rng, n=3, m1=m1, m2=m2, k=2)
         pat = cb.ReflectPattern.random(m1, m2, rng)
-        lhs = chs.g2 @ np.diag(pat.theta2) @ chs.d @ np.diag(pat.theta1) @ chs.u1
-        rhs = np.einsum("kmnp,m,p->nk", chs.q, pat.theta1, pat.theta2)
-        scale = max(np.max(np.abs(lhs)), 1e-30)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
+        own, other = (pat.theta2, pat.theta1) if block == 2 else (pat.theta1, pat.theta2)
+        a, c = chs.affine(block, other)
+        assert a.shape == (2, 3, own.size) and c.shape == (3, 2)
+        direct = explicit_channel(chs, pat.theta1, pat.theta2)
+        affine = np.stack([a[k] @ own + c[:, k] for k in range(2)], axis=1)
+        scale = max(np.max(np.abs(direct)), 1e-30)
+        assert np.max(np.abs(affine - direct)) <= 1e-10 * scale
 
 
 class TestBaselines:
     def test_a1_concatenation_columns(self, small_su_channels):
-        base = cb.build_single_irs_baseline_A1(small_su_channels)
-        rbar = base.r2[0]
-        m1 = small_su_channels.m1
-        assert np.array_equal(rbar[:, :m1], small_su_channels.r1[0])
-        assert np.array_equal(rbar[:, m1:], small_su_channels.r2[0])
+        chs = small_su_channels
+        base = cb.build_single_irs_baseline_A1(chs)
+        assert np.array_equal(base.u2, np.ones((chs.m1 + chs.m2, 1)))
+        assert np.array_equal(base.g2[:, : chs.m1], chs.g1 * chs.u1[:, 0])
+        assert np.array_equal(base.g2[:, chs.m1 :], chs.g2 * chs.u2[:, 0])
 
     def test_a1_m1_zero_is_r2(self):
         scn = cb.SystemScenario(n_bs=3, m1=0, m2=5, n_users=1, seed=2)
         chs = cb.build_double_irs_scenario(scn)
         base = cb.build_single_irs_baseline_A1(chs)
-        assert np.array_equal(base.r2[0], chs.r2[0])
+        assert np.array_equal(base.g2, chs.g2 * chs.u2[:, 0])
 
     def test_a1_rank_matches_svd_oracle(self, small_su_channels):
-        base = cb.build_single_irs_baseline_A1(small_su_channels)
-        stacked = np.concatenate([small_su_channels.r1[0], small_su_channels.r2[0]], axis=1)
-        assert cb.numerical_rank(base.r2[0]) == cb.numerical_rank(stacked)
+        chs = small_su_channels
+        base = cb.build_single_irs_baseline_A1(chs)
+        stacked = np.concatenate([chs.g1 * chs.u1[:, 0], chs.g2 * chs.u2[:, 0]], axis=1)
+        assert cb.numerical_rank(base.g2) == cb.numerical_rank(stacked)
 
     def test_a1_requires_single_user(self, rng):
         chs = random_channel_set(rng, k=2)
@@ -274,7 +281,8 @@ class TestSerialization:
         path = tmp_path / "chs.cbmx"
         cbio.save_channel_set(path, small_su_channels)
         back = cbio.load_channel_set(path)
-        assert np.array_equal(back.q, small_su_channels.q)
+        for name in LINK_NAMES:
+            assert np.array_equal(getattr(back, name), getattr(small_su_channels, name))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.cbmx"

@@ -183,6 +183,12 @@ class TestCli:
         assert cli.main(["validate", path]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_validate_rejects_unknown_scenario_field(self, tmp_path, capsys):
+        # run builds the scenario from these overrides, so validate must reject them too
+        path = write_spec(tmp_path, experiment="prop2-rank", sweep=[4], scenario={"bogus": 1})
+        assert cli.main(["validate", path]) == 2
+        assert "bogus" in capsys.readouterr().err
+
     def test_run_with_overrides(self, tmp_path, capsys):
         path = write_spec(
             tmp_path,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import coopbeam as cb
-from conftest import random_channel_set
+from conftest import explicit_channel, explicit_su_terms, random_channel_set
 
 
 @pytest.fixture
@@ -32,10 +32,8 @@ class TestThetaClosedForms:
         chs = random_channel_set(rng, n=3, m1=2, m2=1, k=1)
         t1 = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         w = unit(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        t2 = cb.opt_theta2_closed_form(chs, t1, w)
-        a = np.einsum("mnp,m->np", chs.q[0], t1) + chs.r2[0]
-        b = a.conj().T @ w
-        b0 = np.vdot(w, chs.r1[0] @ t1)
+        t2 = cb.opt_theta_closed_form(chs, 2, t1, w)
+        b, b0 = explicit_su_terms(chs, 2, t1, w)
         # phase of b^H theta2 equals phase of the reference term
         assert abs(np.angle(np.vdot(b, t2)) - np.angle(b0)) % (2 * np.pi) < 1e-10
 
@@ -43,12 +41,12 @@ class TestThetaClosedForms:
         chs = random_channel_set(rng, n=2, m1=3, m2=3, k=1)
         chs = cb.ChannelSet.from_links(
             np.zeros_like(chs.u1), chs.u2, chs.d, np.zeros_like(chs.g1), chs.g2
-        )  # r1 = 0 so b0 = 0
+        )  # u1 = 0 and G1 = 0, so b0 = 0
         t1 = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
         w = unit(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        t2 = cb.opt_theta2_closed_form(chs, t1, w)
-        a = np.einsum("mnp,m->np", chs.q[0], t1) + chs.r2[0]
-        b = a.conj().T @ w
+        t2 = cb.opt_theta_closed_form(chs, 2, t1, w)
+        b, b0 = explicit_su_terms(chs, 2, t1, w)
+        assert b0 == 0
         assert abs(np.vdot(b, t2)) == pytest.approx(np.sum(np.abs(b)), rel=1e-12)
 
     def test_triangle_equality_certificate(self, rng):
@@ -57,16 +55,14 @@ class TestThetaClosedForms:
             chs = random_channel_set(rng, n=3, m1=3, m2=4, k=1)
             t1 = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
             w = unit(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            t2 = cb.opt_theta2_closed_form(chs, t1, w)
-            a = np.einsum("mnp,m->np", chs.q[0], t1) + chs.r2[0]
-            b = a.conj().T @ w
-            b0 = np.vdot(w, chs.r1[0] @ t1)
+            t2 = cb.opt_theta_closed_form(chs, 2, t1, w)
+            b, b0 = explicit_su_terms(chs, 2, t1, w)
             if abs(b0) > 1e-12:
                 diff = (np.angle(np.vdot(b, t2)) - np.angle(b0)) % (2 * np.pi)
                 assert min(diff, 2 * np.pi - diff) < 1e-8
 
-    @pytest.mark.parametrize("which", ["theta2", "theta1"])
-    def test_beats_exhaustive_grid(self, rng, ctx, which):
+    @pytest.mark.parametrize("block", [2, 1], ids=["theta2", "theta1"])
+    def test_beats_exhaustive_grid(self, rng, ctx, block):
         # closed form is a global maximizer: never below the 64-point grid
         slack_hits = 0
         for _ in range(50):
@@ -74,25 +70,16 @@ class TestThetaClosedForms:
             other = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
             w = unit(rng.standard_normal(2) + 1j * rng.standard_normal(2))
             combos = grid_combos(3)
-            if which == "theta2":
-                best = cb.opt_theta2_closed_form(chs, other, w)
+            best = cb.opt_theta_closed_form(chs, block, other, w)
+            if block == 2:
                 closed = cb.snr_value(chs, w, other, best, ctx)
-                grid = max(cb.snr_value(chs, w, other, c, ctx) for c in combos[:: 64 ** 2])
-                a = np.einsum("mnp,m->np", chs.q[0], other) + chs.r2[0]
-                b = a.conj().T @ w
-                b0 = np.vdot(w, chs.r1[0] @ other)
-                vals = np.abs(combos @ b.conj() + b0) ** 2
             else:
-                best = cb.opt_theta1_closed_form(chs, other, w)
                 closed = cb.snr_value(chs, w, best, other, ctx)
-                qbar = np.einsum("mnp,p->nm", chs.q[0], other)
-                c = (qbar + chs.r1[0]).conj().T @ w
-                c0 = np.vdot(w, chs.r2[0] @ other)
-                vals = np.abs(combos @ c.conj() + c0) ** 2
+            b, b0 = explicit_su_terms(chs, block, other, w)
+            vals = np.abs(combos @ b.conj() + b0) ** 2
             grid_max = float(vals.max()) * ctx.powers[0] / ctx.noise
-            mags = np.abs(b if which == "theta2" else c)
-            ref = abs(b0 if which == "theta2" else c0)
-            lipschitz = 2.0 * (mags.sum() + ref) * mags.sum()
+            mags = np.abs(b)
+            lipschitz = 2.0 * (mags.sum() + abs(b0)) * mags.sum()
             slack = lipschitz * (np.pi / 64) * ctx.powers[0] / ctx.noise
             assert closed >= grid_max - slack
             slack_hits += closed >= grid_max - 1e-9 * max(grid_max, 1.0)
@@ -105,7 +92,7 @@ class TestMrc:
         t1 = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         t2 = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         w = cb.mrc_receive(chs, t1, t2)
-        h = chs.q[0][0] @ t2 * t1[0] + chs.q[0][1] @ t2 * t1[1] + chs.r2[0] @ t2 + chs.r1[0] @ t1
+        h = explicit_channel(chs, t1, t2)[:, 0]
         assert np.allclose(w, h / abs(h[0]))
         assert cb.snr_value(chs, w, t1, t2, ctx) == pytest.approx(
             ctx.powers[0] * abs(h[0]) ** 2 / ctx.noise, rel=1e-10
@@ -163,7 +150,8 @@ class TestAlternatingOptimization:
         state, _ = cb.ao_single_user(chs, ctx, cb.random_init(chs, rng))
         # MRC makes the objective P ||R2 theta2||^2 / noise; enumerate it
         best = max(
-            np.linalg.norm(chs.r2[0] @ c) ** 2 for c in grid_combos(3, points=64)
+            np.linalg.norm(chs.g2 @ np.diag(c) @ chs.u2[:, 0]) ** 2
+            for c in grid_combos(3, points=64)
         )
         assert state.snr >= ctx.powers[0] * best / ctx.noise * (1 - 1e-6)
 
@@ -188,7 +176,8 @@ class TestSingleIrsOpt:
     def test_single_antenna_closed_form(self, rng, ctx):
         chs = random_channel_set(rng, n=1, m1=0, m2=5, k=1)
         best = cb.single_irs_opt(chs, ctx, restarts=3, rng=rng)
-        expect = ctx.powers[0] * np.sum(np.abs(chs.r2[0])) ** 2 / ctx.noise
+        rbar = chs.g2 @ np.diag(chs.u2[:, 0])  # N = 1
+        expect = ctx.powers[0] * np.sum(np.abs(rbar)) ** 2 / ctx.noise
         assert best.snr == pytest.approx(expect, rel=1e-9)
 
     def test_rank_one_channel_closed_form(self, rng, ctx):
@@ -205,7 +194,7 @@ class TestSingleIrsOpt:
     def test_matches_exhaustive_grid(self, rng, ctx):
         # N=2, M=4: enumerate 64^4 phase combinations with MRC receivers
         chs = random_channel_set(rng, n=2, m1=0, m2=4, k=1)
-        rbar = chs.r2[0]
+        rbar = chs.g2 @ np.diag(chs.u2[:, 0])
         best = cb.single_irs_opt(chs, ctx, restarts=20, rng=rng)
         phases = phase_grid(64)
         grid_max = 0.0
@@ -255,8 +244,10 @@ class TestBaselineInitialization:
         init = cb.init_from_single_irs(chs, best)
         theta = best.pattern().theta
         part1, part2 = theta[: chs.m1], theta[chs.m1 :]
-        a1 = np.vdot(best.w, np.einsum("mnp,m,p->n", chs.q[0], part1, part2))
-        a2 = np.vdot(best.w, chs.r1[0] @ part1 + chs.r2[0] @ part2)
+        h_d = chs.g2 @ np.diag(part2) @ chs.d @ np.diag(part1) @ chs.u1[:, 0]
+        h = explicit_channel(chs, part1, part2)[:, 0]
+        a1 = np.vdot(best.w, h_d)
+        a2 = np.vdot(best.w, h - h_d)
         expect = ctx.powers[0] * (abs(a1) + abs(a2)) ** 2 / ctx.noise
         got = cb.snr_value(chs, init.w, init.theta1, init.theta2, ctx)
         assert got == pytest.approx(expect, rel=1e-10)
@@ -270,7 +261,7 @@ class TestSdrBenchmark:
         w = unit(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         bench = cb.sdr_benchmark_su(chs, ctx, w, rng=rng, eps=1e-5)
         w_fin = cb.mrc_receive(chs, np.zeros(0), bench.theta2)
-        b = chs.r2[0].conj().T @ w_fin
+        b = (chs.g2 @ np.diag(chs.u2[:, 0])).conj().T @ w_fin
         expect = ctx.powers[0] * np.sum(np.abs(b)) ** 2 / ctx.noise
         assert bench.snr == pytest.approx(expect, rel=1e-6)
         assert bench.bound >= bench.snr
