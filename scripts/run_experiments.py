@@ -7,6 +7,7 @@ Examples:
 """
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -30,12 +31,11 @@ def main():
     if not wanted:
         parser.error("give experiment ids or --all")
     for exp_id in wanted:
-        spec = load_spec(SPEC_DIR / f"{exp_id}.json")
-        spec.out_dir = args.out
-        if args.draws is not None:
-            spec.draws = args.draws
-        if args.seed is not None:
-            spec.seed = args.seed
+        overrides = {"out_dir": args.out, "draws": args.draws, "seed": args.seed}
+        spec = dataclasses.replace(
+            load_spec(SPEC_DIR / f"{exp_id}.json"),
+            **{k: v for k, v in overrides.items() if v is not None},
+        )
         print(f"== {exp_id} (draws={spec.draws}, seed={spec.seed}) ==", flush=True)
         summary = run_experiment(spec, threads=args.threads)
         summary["plotdata"] = emit_plotdata(summary["csv"])

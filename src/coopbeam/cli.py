@@ -3,26 +3,19 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .experiments import (
-    EXPERIMENT_IDS,
-    EXPERIMENT_DESCRIPTIONS,
-    emit_plotdata,
-    load_spec,
-    run_experiment,
-)
+from .experiments import EXPERIMENTS, emit_plotdata, load_spec, run_experiment
 
 
 def _cmd_run(args):
-    spec = load_spec(args.spec)
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.draws is not None:
-        spec.draws = args.draws
-    if args.out is not None:
-        spec.out_dir = args.out
+    overrides = {"seed": args.seed, "draws": args.draws, "out_dir": args.out}
+    # replace() re-runs the spec validation on the overridden values
+    spec = dataclasses.replace(
+        load_spec(args.spec), **{k: v for k, v in overrides.items() if v is not None}
+    )
     summary = run_experiment(spec, threads=args.threads)
     if args.plotdata:
         summary["plotdata"] = emit_plotdata(summary["csv"])
@@ -32,8 +25,12 @@ def _cmd_run(args):
 
 
 def _cmd_list(_args):
-    for exp_id in EXPERIMENT_IDS:
-        print(f"{exp_id:24s} {EXPERIMENT_DESCRIPTIONS[exp_id]}")
+    for exp_id, exp in EXPERIMENTS.items():
+        print(f"{exp_id:24s} {exp.description}")
+        for name, default in exp.options.items():
+            print(f"    {name} = {json.dumps(default)}")
+        if exp.methods:
+            print(f"    methods from: {' '.join(sorted(exp.methods))}")
     return 0
 
 

@@ -1,6 +1,11 @@
 """Experiment harness: scenario presets, Monte-Carlo sweep runners for the
 bundled rate/rank studies, CSV artifacts, and plot-ready series files.
 
+Each experiment is one row of ``EXPERIMENTS``: a description, a point
+function ``(spec, opts, value, rng, draw) -> row`` that evaluates one sweep
+value of one draw, the options it reads with their defaults, and the
+methods it accepts.  ``_run_one_draw`` holds the only sweep loop.
+
 Reproducibility contract: a run is a pure function of (spec, seed).  Draw
 seeds come from numpy SeedSequence spawning - the master sequence spawns one
 child per draw, and each draw spawns one grandchild per sweep point - so
@@ -17,10 +22,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channels import (
+    ChannelSet,
     LinkModel,
     ReflectPattern,
     SystemScenario,
@@ -30,113 +37,18 @@ from .channels import (
     db_to_linear,
     dbm_to_watt,
 )
-from .metrics import SinrContext, max_min_rate, rank_gain_report
-from .multi_user import algorithm1, dft_codebook_search
+from .metrics import SinrContext, max_min_rate, rank_gain_report, sinr_per_user
+from .multi_user import algorithm1, dft_codebook_search, mmse_receivers, zf_receivers
 from .sdp import MaxMinSdpInstance, SdpSolverError
 from .single_user import (
     SuSolveState,
     ao_single_user,
     init_from_single_irs,
+    opt_theta_closed_form,
     sdr_benchmark_su,
     single_irs_opt,
     snr_value,
 )
-
-EXPERIMENT_IDS = (
-    "fig4-rate-vs-power",
-    "fig5-rate-vs-M1-split",
-    "fig6-rate-vs-totalM",
-    "fig7-mu-alg",
-    "fig8-mu-vs-power",
-    "fig9-rate-vs-K",
-    "prop1-property",
-    "prop2-rank",
-    "oracle-suite",
-)
-
-EXPERIMENT_DESCRIPTIONS = {
-    "fig4-rate-vs-power": "single-user achievable rate vs transmit power for the AO/SDR/codebook designs",
-    "fig5-rate-vs-M1-split": "single-user rate vs subsurface split M1 under a fixed total budget",
-    "fig6-rate-vs-totalM": "single-user rate vs total subsurfaces for several Rician factors",
-    "fig7-mu-alg": "multi-user max-min rate vs power: alternating optimizer against codebook search",
-    "fig8-mu-vs-power": "multi-user max-min rate vs power: double-IRS against the single-IRS baseline",
-    "fig9-rate-vs-K": "multi-user max-min rate vs number of users at high power",
-    "prop1-property": "double-IRS-with-init SNR never below the single-IRS optimum",
-    "prop2-rank": "effective channel rank of the double/single systems",
-    "oracle-suite": "self-check batch of closed-form and identity oracles",
-}
-
-
-@dataclass
-class ExperimentSpec:
-    """One experiment request: id, sweep axis, draw count, seed, overrides."""
-
-    experiment: str
-    sweep: list
-    draws: int = 100
-    seed: int = 0
-    out_dir: str = "results"
-    scenario: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENT_IDS:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; known ids: {', '.join(EXPERIMENT_IDS)}"
-            )
-        if not isinstance(self.sweep, (list, tuple)) or len(self.sweep) == 0:
-            raise ValueError("sweep must be a non-empty list")
-        self.sweep = list(self.sweep)
-        if self.draws < 1:
-            raise ValueError("draws must be >= 1")
-        # the draws build their scenarios through this path; fail here, not in a worker
-        _apply_overrides(SystemScenario(), self.scenario)
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {"experiment", "sweep", "draws", "seed", "out_dir", "scenario", "options"}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown spec fields: {sorted(extra)}")
-        if "experiment" not in d or "sweep" not in d:
-            raise ValueError("spec requires at least 'experiment' and 'sweep'")
-        return cls(**d)
-
-
-def load_spec(path) -> ExperimentSpec:
-    """Parse a JSON experiment spec with line/column diagnostics."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
-    try:
-        return ExperimentSpec.from_dict(data)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{path}: {err}") from err
-
-
-def default_spec(experiment, **over) -> ExperimentSpec:
-    """Desk-scale default spec for one of the bundled experiments."""
-    defaults = {
-        "fig4-rate-vs-power": dict(sweep=[0, 5, 10, 15, 20, 25, 30], draws=10),
-        "fig5-rate-vs-M1-split": dict(sweep=[0, 4, 8, 12, 16, 20, 24, 28, 32], draws=20),
-        "fig6-rate-vs-totalM": dict(sweep=[16, 32, 64], draws=50),
-        "fig7-mu-alg": dict(sweep=[10, 15, 20, 25, 30], draws=10),
-        "fig8-mu-vs-power": dict(sweep=[20, 30], draws=20),
-        "fig9-rate-vs-K": dict(sweep=[1, 2, 3, 4, 5, 6], draws=10),
-        "prop1-property": dict(sweep=[-10.0, 0.0, 10.0], draws=67),
-        "prop2-rank": dict(sweep=[5], draws=100),
-        "oracle-suite": dict(sweep=["closed-form-grid", "homogenization", "receivers"], draws=20),
-    }
-    base = dict(defaults[experiment])
-    base.update(over)
-    return ExperimentSpec(experiment=experiment, **base)
-
 
 # ---------------------------------------------------------------------------
 # scenario presets
@@ -180,19 +92,20 @@ def _apply_overrides(scn: SystemScenario, overrides: dict) -> SystemScenario:
 
 
 # ---------------------------------------------------------------------------
-# per-draw workers (module level so process pools can pickle them)
+# point functions (module level so process pools can pickle them)
 
 
 def _su_solutions(chs, ctx, rng, methods, opts):
     """Rates of the requested single-user methods on one channel realization."""
     out = {}
-    i0 = int(opts.get("i0", 100))
-    restarts = int(opts.get("restarts", 20))
+    i0 = int(opts["i0"])
     needs_base = {"ao-ib", "init-ib", "single-irs"} & set(methods)
     base_state = None
     if needs_base:
         base = build_single_irs_baseline_A1(chs)
-        base_state = single_irs_opt(base, ctx, restarts=restarts, max_iters=i0, rng=rng)
+        base_state = single_irs_opt(
+            base, ctx, restarts=int(opts["restarts"]), max_iters=i0, rng=rng
+        )
     if "single-irs" in methods:
         out["single-irs"] = max_min_rate([base_state.snr])
     if "init-ib" in methods or "ao-ib" in methods:
@@ -214,229 +127,159 @@ def _su_solutions(chs, ctx, rng, methods, opts):
             out["ao-dft"] = max_min_rate([state.snr])
     if "sdr" in methods:
         w0 = np.ones(chs.n_bs, dtype=complex) / math.sqrt(chs.n_bs)
-        bench = sdr_benchmark_su(chs, ctx, w0, rng=rng, max_iters=int(opts.get("sdr_iters", 10)))
+        bench = sdr_benchmark_su(chs, ctx, w0, rng=rng, max_iters=int(opts["sdr_iters"]))
         out["sdr"] = max_min_rate([bench.snr])
     return out
 
 
-def _mu_point(scn, rng, methods, opts):
+def _mu_point(scn, rng, opts):
     """Max-min rates of the requested multi-user methods for one realization."""
     out = {}
+    methods = opts["methods"]
     ctx = SinrContext.from_scenario(scn)
-    i1 = int(opts.get("i1", 4))
-    xi = float(opts.get("xi", 1e-3))
-    eps = float(opts.get("eps", 0.1))
-    n_rand = int(opts.get("n_rand", 100))
     chs = build_double_irs_scenario(scn, rng) if any(m.startswith(("alg1", "dft", "double")) for m in methods) else None
     base = None
     if any(m.startswith("single") for m in methods):
         base = build_single_irs_baseline_A2(
             scn, rank_g=scn.links["g2"].paths, rank_u=min(scn.n_users, scn.m_total), rng=rng
         )
-
-    def run(system, mode):
-        target = chs if system == "double" else base
-        found = dft_codebook_search(target, ctx, rx_mode=mode)
-        state, _ = algorithm1(
-            target, ctx, init=found, max_iters=i1, xi=xi, rx_mode=mode,
-            eps=eps, n_rand=n_rand, rng=rng,
-        )
-        return state
-
     for method in methods:
-        mode = method.split("-", 1)[1]
-        if method.startswith("dft-"):
+        system, mode = method.split("-", 1)
+        if system == "dft":
             sinr = dft_codebook_search(chs, ctx, rx_mode=mode).objective
-        elif method.startswith(("alg1-", "double-")):
-            sinr = run("double", mode).min_sinr
-        elif method.startswith("single-"):
-            sinr = run("single", mode).min_sinr
         else:
-            raise ValueError(f"unknown method {method!r}")
+            target = base if system == "single" else chs
+            found = dft_codebook_search(target, ctx, rx_mode=mode)
+            state, _ = algorithm1(
+                target, ctx, init=found, max_iters=int(opts["i1"]), xi=float(opts["xi"]),
+                rx_mode=mode, eps=float(opts["eps"]), n_rand=int(opts["n_rand"]), rng=rng,
+            )
+            sinr = state.min_sinr
         out[method] = max_min_rate([sinr])
         out[f"_sinr:{method}"] = float(sinr)
     return out
 
 
-def _draw_fig4(spec, point_rngs):
-    opts = spec.options
-    methods = opts.get("methods", ["ao-ib", "ao-dft", "dft-search", "sdr", "single-irs"])
-    scn0 = _apply_overrides(
-        su_scenario(kappa_far_db=float(opts.get("kappa_far_db", -10.0))), spec.scenario
+def _fig4_point(spec, opts, p_dbm, rng, draw):
+    if "chs" not in draw:
+        # one channel realization per draw, drawn from the first point's generator
+        draw["scn"] = _apply_overrides(
+            su_scenario(kappa_far_db=float(opts["kappa_far_db"])), spec.scenario
+        )
+        draw["chs"] = build_double_irs_scenario(draw["scn"], rng)
+    scn = draw["scn"]
+    ctx = SinrContext(np.full(scn.n_users, dbm_to_watt(p_dbm)), scn.noise_w)
+    return _su_solutions(draw["chs"], ctx, rng, opts["methods"], opts)
+
+
+def _fig5_point(spec, opts, m1, rng, draw):
+    m1, m_total = int(m1), int(opts["m_total"])
+    if not 0 <= m1 <= m_total:
+        raise ValueError(f"split {m1} outside the budget {m_total}")
+    scn = _apply_overrides(
+        su_scenario(kappa_far_db=float(opts["kappa_far_db"]), m1=m1, m2=m_total - m1),
+        spec.scenario,
     )
-    # one channel realization per draw, swept over transmit power
-    chs = build_double_irs_scenario(scn0, point_rngs[0])
-    results = []
-    for p_dbm, rng in zip(spec.sweep, point_rngs):
-        ctx = SinrContext(np.full(scn0.n_users, dbm_to_watt(p_dbm)), scn0.noise_w)
-        results.append(_su_solutions(chs, ctx, rng, methods, opts))
-    return results
+    chs = build_double_irs_scenario(scn, rng)
+    return _su_solutions(chs, SinrContext.from_scenario(scn), rng, opts["methods"], opts)
 
-def _draw_fig5(spec, point_rngs):
-    opts = spec.options
-    methods = opts.get("methods", ["ao-ib", "init-ib", "single-irs"])
-    m_total = int(opts.get("m_total", 32))
-    results = []
-    for m1, rng in zip(spec.sweep, point_rngs):
-        m1 = int(m1)
-        if not 0 <= m1 <= m_total:
-            raise ValueError(f"split {m1} outside the budget {m_total}")
+
+def _fig6_point(spec, opts, m, rng, draw):
+    m = int(m)
+    row = {}
+    for kdb in opts["kappa_set_db"]:
+        sub = rng.spawn(1)[0]
         scn = _apply_overrides(
-            su_scenario(
-                kappa_far_db=float(opts.get("kappa_far_db", -10.0)), m1=m1, m2=m_total - m1
-            ),
-            spec.scenario,
+            su_scenario(kappa_far_db=float(kdb), m1=m // 2, m2=m - m // 2), spec.scenario
         )
-        chs = build_double_irs_scenario(scn, rng)
+        chs = build_double_irs_scenario(scn, sub)
         ctx = SinrContext.from_scenario(scn)
-        results.append(_su_solutions(chs, ctx, rng, methods, opts))
-    return results
+        vals = _su_solutions(chs, ctx, sub, ["ao-ib", "single-irs"], opts)
+        row[f"double-ao[k={kdb:g}dB]"] = vals["ao-ib"]
+        row[f"single-irs[k={kdb:g}dB]"] = vals["single-irs"]
+    return row
 
 
-def _draw_fig6(spec, point_rngs):
-    opts = spec.options
-    kappas = opts.get("kappa_set_db", [-10.0, 0.0, 10.0])
-    results = []
-    for m, rng in zip(spec.sweep, point_rngs):
-        m = int(m)
-        row = {}
-        for kdb in kappas:
-            sub = rng.spawn(1)[0]
-            scn = _apply_overrides(
-                su_scenario(kappa_far_db=float(kdb), m1=m // 2, m2=m - m // 2), spec.scenario
-            )
-            chs = build_double_irs_scenario(scn, sub)
-            ctx = SinrContext.from_scenario(scn)
-            vals = _su_solutions(chs, ctx, sub, ["ao-ib", "single-irs"], opts)
-            row[f"double-ao[k={kdb:g}dB]"] = vals["ao-ib"]
-            row[f"single-irs[k={kdb:g}dB]"] = vals["single-irs"]
-        results.append(row)
-    return results
+def _mu_power_point(spec, opts, p_dbm, rng, draw):
+    scn = _apply_overrides(
+        mu_scenario(k_users=int(opts["k_users"]), power_dbm=float(p_dbm)), spec.scenario
+    )
+    return _mu_point(scn, rng, opts)
 
 
-def _draw_mu_power(spec, point_rngs, methods):
-    opts = spec.options
-    results = []
-    for p_dbm, rng in zip(spec.sweep, point_rngs):
-        scn = _apply_overrides(
-            mu_scenario(k_users=int(opts.get("k_users", 5)), power_dbm=float(p_dbm)),
-            spec.scenario,
-        )
-        results.append(_mu_point(scn, rng, methods, opts))
-    return results
+def _fig9_point(spec, opts, k, rng, draw):
+    scn = _apply_overrides(
+        mu_scenario(k_users=int(k), power_dbm=float(opts["power_dbm"])), spec.scenario
+    )
+    return _mu_point(scn, rng, opts)
 
 
-def _draw_fig7(spec, point_rngs):
-    methods = spec.options.get("methods", ["alg1-zf", "alg1-mmse", "dft-zf", "dft-mmse"])
-    return _draw_mu_power(spec, point_rngs, methods)
+def _prop1_point(spec, opts, kdb, rng, draw):
+    scn = _apply_overrides(su_scenario(kappa_far_db=float(kdb)), spec.scenario)
+    chs = build_double_irs_scenario(scn, rng)
+    ctx = SinrContext.from_scenario(scn)
+    base = build_single_irs_baseline_A1(chs)
+    base_state = single_irs_opt(base, ctx, restarts=int(opts["restarts"]), rng=rng)
+    init = init_from_single_irs(chs, base_state)
+    init_snr = snr_value(chs, init.w, init.theta1, init.theta2, ctx)
+    state, _ = ao_single_user(chs, ctx, init)
+    return {
+        "ao-ib": max_min_rate([state.snr]),
+        "single-irs": max_min_rate([base_state.snr]),
+        "_violation": float(state.snr < base_state.snr * (1 - 1e-9)),
+        "_init_violation": float(init_snr < base_state.snr * (1 - 1e-9)),
+    }
 
 
-def _draw_fig8(spec, point_rngs):
-    methods = spec.options.get("methods", ["double-mmse", "single-mmse"])
-    return _draw_mu_power(spec, point_rngs, methods)
+def _prop2_point(spec, opts, k, rng, draw):
+    scn = _apply_overrides(mu_scenario(k_users=int(k)), spec.scenario)
+    chs = build_double_irs_scenario(scn, rng)
+    base = build_single_irs_baseline_A2(
+        scn, rank_g=scn.links["g2"].paths, rank_u=min(scn.n_users, scn.m_total), rng=rng
+    )
+    pat = ReflectPattern.random(scn.m1, scn.m2, rng)
+    rep = rank_gain_report(chs, base, pat, rng=rng)
+    return {
+        "rank-h": float(rep.rank_h),
+        "rank-hbar": float(rep.rank_hbar),
+        "_clipped_holds": float(rep.clipped_gain_holds),
+    }
 
 
-def _draw_fig9(spec, point_rngs):
-    opts = spec.options
-    methods = opts.get("methods", ["double-mmse", "double-zf", "single-mmse", "single-zf"])
-    results = []
-    for k, rng in zip(spec.sweep, point_rngs):
-        scn = _apply_overrides(
-            mu_scenario(k_users=int(k), power_dbm=float(opts.get("power_dbm", 30.0))),
-            spec.scenario,
-        )
-        results.append(_mu_point(scn, rng, methods, opts))
-    return results
-
-
-def _draw_prop1(spec, point_rngs):
-    opts = spec.options
-    results = []
-    for kdb, rng in zip(spec.sweep, point_rngs):
-        scn = _apply_overrides(su_scenario(kappa_far_db=float(kdb)), spec.scenario)
-        chs = build_double_irs_scenario(scn, rng)
-        ctx = SinrContext.from_scenario(scn)
-        base = build_single_irs_baseline_A1(chs)
-        base_state = single_irs_opt(base, ctx, restarts=int(opts.get("restarts", 20)), rng=rng)
-        init = init_from_single_irs(chs, base_state)
-        init_snr = snr_value(chs, init.w, init.theta1, init.theta2, ctx)
-        state, _ = ao_single_user(chs, ctx, init)
-        results.append(
-            {
-                "ao-ib": max_min_rate([state.snr]),
-                "single-irs": max_min_rate([base_state.snr]),
-                "_violation": float(state.snr < base_state.snr * (1 - 1e-9)),
-                "_init_violation": float(init_snr < base_state.snr * (1 - 1e-9)),
-            }
-        )
-    return results
-
-
-def _draw_prop2(spec, point_rngs):
-    opts = spec.options
-    results = []
-    for k, rng in zip(spec.sweep, point_rngs):
-        scn = _apply_overrides(mu_scenario(k_users=int(k)), spec.scenario)
-        chs = build_double_irs_scenario(scn, rng)
-        base = build_single_irs_baseline_A2(
-            scn, rank_g=scn.links["g2"].paths, rank_u=min(scn.n_users, scn.m_total), rng=rng
-        )
-        pat = ReflectPattern.random(scn.m1, scn.m2, rng)
-        rep = rank_gain_report(chs, base, pat, rng=rng)
-        results.append(
-            {
-                "rank-h": float(rep.rank_h),
-                "rank-hbar": float(rep.rank_hbar),
-                "_clipped_holds": float(rep.clipped_gain_holds),
-            }
-        )
-    return results
-
-
-def _draw_oracle(spec, point_rngs):
-    from .metrics import sinr_per_user
-    from .multi_user import mmse_receivers, zf_receivers
-    from .single_user import opt_theta_closed_form
-
-    results = []
-    for check, rng in zip(spec.sweep, point_rngs):
-        ok = 1.0
-        if check == "closed-form-grid":
-            chs = _random_channel_set(rng, n=3, m1=3, m2=3, k=1)
-            ctx = SinrContext(np.ones(1), 1.0)
-            w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            w = w / np.linalg.norm(w)
-            t1 = np.exp(1j * rng.uniform(0, 2 * math.pi, 3))
-            t2 = opt_theta_closed_form(chs, 2, t1, w)
-            grid = _grid_best_theta2(chs, t1, w, ctx, points=32)
-            ok = float(snr_value(chs, w, t1, t2, ctx) >= grid * (1 - 1e-9))
-        elif check == "homogenization":
-            inst = _random_instance(rng, k=2, m=4)
-            theta = np.exp(1j * rng.uniform(0, 2 * math.pi, 5))
-            lhs = np.real(
-                theta.conj() @ inst.constraint_matrix(0, 1) @ theta
-            ) + np.abs(inst.qbar[0, 1]) ** 2
-            rec = np.conj(theta[-1]) * theta[:-1]
-            rhs = np.abs(inst.q[0, 1].conj() @ rec + inst.qbar[0, 1]) ** 2
-            ok = float(abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0))
-        elif check == "receivers":
-            h = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-            ctx = SinrContext(np.ones(3), 0.5)
-            wz = zf_receivers(h, ctx.powers)
-            wm = mmse_receivers(h, ctx.powers, ctx.noise)
-            gz = sinr_per_user(h, wz.w, ctx)
-            gm = sinr_per_user(h, wm.w, ctx)
-            ident = np.max(np.abs(wz.w.conj().T @ h - np.eye(3)))
-            ok = float(ident <= 1e-9 and np.all(gm >= gz * (1 - 1e-10)))
-        else:
-            raise ValueError(f"unknown oracle check {check!r}")
-        results.append({str(check): ok})
-    return results
+def _oracle_point(spec, opts, check, rng, draw):
+    if check == "closed-form-grid":
+        chs = _random_channel_set(rng, n=3, m1=3, m2=3, k=1)
+        ctx = SinrContext(np.ones(1), 1.0)
+        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        w = w / np.linalg.norm(w)
+        t1 = np.exp(1j * rng.uniform(0, 2 * math.pi, 3))
+        t2 = opt_theta_closed_form(chs, 2, t1, w)
+        grid = _grid_best_theta2(chs, t1, w, ctx, points=32)
+        ok = float(snr_value(chs, w, t1, t2, ctx) >= grid * (1 - 1e-9))
+    elif check == "homogenization":
+        inst = _random_instance(rng, k=2, m=4)
+        theta = np.exp(1j * rng.uniform(0, 2 * math.pi, 5))
+        lhs = np.real(
+            theta.conj() @ inst.constraint_matrix(0, 1) @ theta
+        ) + np.abs(inst.qbar[0, 1]) ** 2
+        rec = np.conj(theta[-1]) * theta[:-1]
+        rhs = np.abs(inst.q[0, 1].conj() @ rec + inst.qbar[0, 1]) ** 2
+        ok = float(abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0))
+    elif check == "receivers":
+        h = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        ctx = SinrContext(np.ones(3), 0.5)
+        wz = zf_receivers(h, ctx.powers)
+        wm = mmse_receivers(h, ctx.powers, ctx.noise)
+        gz = sinr_per_user(h, wz.w, ctx)
+        gm = sinr_per_user(h, wm.w, ctx)
+        ident = np.max(np.abs(wz.w.conj().T @ h - np.eye(3)))
+        ok = float(ident <= 1e-9 and np.all(gm >= gz * (1 - 1e-10)))
+    else:
+        raise ValueError(f"unknown oracle check {check!r}")
+    return {str(check): ok}
 
 
 def _random_channel_set(rng, n, m1, m2, k):
-    from .channels import ChannelSet
-
     def c(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -461,41 +304,176 @@ def _random_instance(rng, k, m):
     return MaxMinSdpInstance(q, qb, np.ones(k))
 
 
-_DRAW_FNS = {
-    "fig4-rate-vs-power": _draw_fig4,
-    "fig5-rate-vs-M1-split": _draw_fig5,
-    "fig6-rate-vs-totalM": _draw_fig6,
-    "fig7-mu-alg": _draw_fig7,
-    "fig8-mu-vs-power": _draw_fig8,
-    "fig9-rate-vs-K": _draw_fig9,
-    "prop1-property": _draw_prop1,
-    "prop2-rank": _draw_prop2,
-    "oracle-suite": _draw_oracle,
+# ---------------------------------------------------------------------------
+# the experiment table
+
+
+class Experiment(NamedTuple):
+    description: str
+    point: Callable        # (spec, opts, sweep value, rng, draw dict) -> {method: value}
+    options: dict          # every option the point function reads, with its default
+    methods: frozenset     # accepted options["methods"] entries (empty: no methods option)
+
+
+_SU_METHODS = frozenset({"ao-ib", "init-ib", "single-irs", "dft-search", "ao-dft", "sdr"})
+_MU_METHODS = frozenset(
+    f"{system}-{rx}"
+    for system in ("alg1", "dft", "double", "single")
+    for rx in ("zf", "mmse", "mrc")
+)
+_SU_SOLVE = {"restarts": 20, "i0": 100}
+_SU_OPTS = {**_SU_SOLVE, "kappa_far_db": -10.0, "sdr_iters": 10}
+_MU_OPTS = {"i1": 4, "xi": 1e-3, "eps": 0.1, "n_rand": 100}
+
+EXPERIMENTS = {
+    "fig4-rate-vs-power": Experiment(
+        "single-user achievable rate vs transmit power for the AO/SDR/codebook designs",
+        _fig4_point,
+        {**_SU_OPTS, "methods": ["ao-ib", "ao-dft", "dft-search", "sdr", "single-irs"]},
+        _SU_METHODS),
+    "fig5-rate-vs-M1-split": Experiment(
+        "single-user rate vs subsurface split M1 under a fixed total budget",
+        _fig5_point,
+        {**_SU_OPTS, "m_total": 32, "methods": ["ao-ib", "init-ib", "single-irs"]},
+        _SU_METHODS),
+    "fig6-rate-vs-totalM": Experiment(
+        "single-user rate vs total subsurfaces for several Rician factors",
+        _fig6_point, {**_SU_SOLVE, "kappa_set_db": [-10.0, 0.0, 10.0]}, frozenset()),
+    "fig7-mu-alg": Experiment(
+        "multi-user max-min rate vs power: alternating optimizer against codebook search",
+        _mu_power_point,
+        {**_MU_OPTS, "k_users": 5, "methods": ["alg1-zf", "alg1-mmse", "dft-zf", "dft-mmse"]},
+        _MU_METHODS),
+    "fig8-mu-vs-power": Experiment(
+        "multi-user max-min rate vs power: double-IRS against the single-IRS baseline",
+        _mu_power_point,
+        {**_MU_OPTS, "k_users": 5, "methods": ["double-mmse", "single-mmse"]},
+        _MU_METHODS),
+    "fig9-rate-vs-K": Experiment(
+        "multi-user max-min rate vs number of users at high power",
+        _fig9_point,
+        {**_MU_OPTS, "power_dbm": 30.0,
+         "methods": ["double-mmse", "double-zf", "single-mmse", "single-zf"]},
+        _MU_METHODS),
+    "prop1-property": Experiment(
+        "double-IRS-with-init SNR never below the single-IRS optimum",
+        _prop1_point, {"restarts": _SU_SOLVE["restarts"]}, frozenset()),
+    "prop2-rank": Experiment(
+        "effective channel rank of the double/single systems", _prop2_point, {}, frozenset()),
+    "oracle-suite": Experiment(
+        "self-check batch of closed-form and identity oracles", _oracle_point, {}, frozenset()),
 }
 
+EXPERIMENT_IDS = tuple(EXPERIMENTS)
 
-def _run_one_draw(args):
-    spec_dict, draw_index, seed_seq = args
-    spec = ExperimentSpec.from_dict(spec_dict)
-    point_seqs = seed_seq.spawn(len(spec.sweep))
-    point_rngs = [np.random.default_rng(sq) for sq in point_seqs]
+
+@dataclass
+class ExperimentSpec:
+    """One experiment request: id, sweep axis, draw count, seed, overrides."""
+
+    experiment: str
+    sweep: list
+    draws: int = 100
+    seed: int = 0
+    out_dir: str = "results"
+    scenario: dict = field(default_factory=dict)
+    options: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(
+                f"unknown experiment {self.experiment!r}; known ids: {', '.join(EXPERIMENT_IDS)}"
+            )
+        if not isinstance(self.sweep, (list, tuple)) or len(self.sweep) == 0:
+            raise ValueError("sweep must be a non-empty list")
+        self.sweep = list(self.sweep)
+        if self.draws < 1:
+            raise ValueError("draws must be >= 1")
+        # the draws build their scenarios and read their options from these;
+        # fail here, not in a worker
+        _apply_overrides(SystemScenario(), self.scenario)
+        exp = EXPERIMENTS[self.experiment]
+        if not isinstance(self.options, dict):
+            raise ValueError("options must be an object")
+        unknown = sorted(set(self.options) - set(exp.options))
+        if unknown:
+            raise ValueError(
+                f"unknown options {unknown} for {self.experiment}; known: {', '.join(exp.options)}"
+            )
+        if "methods" in self.options:
+            methods = self.options["methods"]
+            if not isinstance(methods, list) or not methods:
+                raise ValueError("methods must be a non-empty list")
+            unknown = sorted(set(methods) - exp.methods)
+            if unknown:
+                raise ValueError(
+                    f"unknown methods {unknown} for {self.experiment}; "
+                    f"known: {', '.join(sorted(exp.methods))}"
+                )
+
+    def to_dict(self):
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d):
+        known = {"experiment", "sweep", "draws", "seed", "out_dir", "scenario", "options"}
+        extra = set(d) - known
+        if extra:
+            raise ValueError(f"unknown spec fields: {sorted(extra)}")
+        if "experiment" not in d or "sweep" not in d:
+            raise ValueError("spec requires at least 'experiment' and 'sweep'")
+        return cls(**d)
+
+
+def load_spec(path) -> ExperimentSpec:
+    """Parse a JSON experiment spec with line/column diagnostics."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        rows = _DRAW_FNS[spec.experiment](spec, point_rngs)
-        return draw_index, rows, None
-    except (SdpSolverError, np.linalg.LinAlgError) as err:
-        return draw_index, None, f"{type(err).__name__}: {err}"
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    try:
+        return ExperimentSpec.from_dict(data)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
 # driver
 
 
+def _run_one_draw(args):
+    """Evaluate every sweep point of one draw; a solver failure stays with its point.
+
+    Returns ``(draw_index, rows, errors)``: ``rows[i]`` is point i's row, or
+    None when it failed, and ``errors`` lists ``(point_index, message)``.
+    """
+    spec_dict, draw_index, seed_seq = args
+    spec = ExperimentSpec.from_dict(spec_dict)
+    exp = EXPERIMENTS[spec.experiment]
+    opts = {**exp.options, **spec.options}
+    point_rngs = [np.random.default_rng(sq) for sq in seed_seq.spawn(len(spec.sweep))]
+    draw = {}
+    rows, errors = [], []
+    for value, rng in zip(spec.sweep, point_rngs):
+        try:
+            rows.append(exp.point(spec, opts, value, rng, draw))
+        except (SdpSolverError, np.linalg.LinAlgError) as err:
+            errors.append((len(rows), f"{type(err).__name__}: {err}"))
+            rows.append(None)
+    return draw_index, rows, errors
+
+
 def run_experiment(spec: ExperimentSpec, threads=1):
     """Run one experiment; writes the CSV and summary artifacts.
 
-    Returns the summary dict (also stored as JSON next to the CSV).  Rows for
-    sweep points whose draws hit a solver failure are flushed with status
-    'failed' instead of aborting the whole run.
+    Returns the summary dict (also stored as JSON next to the CSV).  A solver
+    failure drops only the failed (draw, sweep point): the point's other
+    draws and every other point are kept.  Each CSV row's status is 'failed'
+    when its own point failed in some draw and 'ok' otherwise, and the
+    summary's ``failures`` lists one ``{"draw", "sweep", "error"}`` entry per
+    failed (draw, point).  A point that failed in every draw has no rows.
     """
     t_start = time.perf_counter()
     master = np.random.SeedSequence(spec.seed)
@@ -509,13 +487,14 @@ def run_experiment(spec: ExperimentSpec, threads=1):
     outcomes.sort(key=lambda o: o[0])
 
     per_point = [dict() for _ in spec.sweep]  # method -> list of values
+    failed_points = set()
     failures = []
-    for draw_index, rows, err in outcomes:
-        if err is not None:
-            failures.append({"draw": draw_index, "error": err})
-            continue
+    for draw_index, rows, errors in outcomes:
+        for point_idx, err in errors:
+            failed_points.add(point_idx)
+            failures.append({"draw": draw_index, "sweep": spec.sweep[point_idx], "error": err})
         for point_idx, row in enumerate(rows):
-            for method, value in row.items():
+            for method, value in (row or {}).items():
                 per_point[point_idx].setdefault(method, []).append(float(value))
 
     os.makedirs(spec.out_dir, exist_ok=True)
@@ -534,7 +513,7 @@ def run_experiment(spec: ExperimentSpec, threads=1):
                     "mean_rate": float(vals.mean()),
                     "stderr": stderr,
                     "draws": int(vals.size),
-                    "status": "ok" if not failures else "failed",
+                    "status": "failed" if point_idx in failed_points else "ok",
                 }
             )
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:

@@ -1,13 +1,19 @@
 """Experiment harness: specs, determinism, artifacts, CLI."""
 
+import dataclasses
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
 import coopbeam.cli as cli
 import coopbeam.experiments as ex
+from coopbeam.channels import SystemScenario
+from coopbeam.sdp import SdpSolverError
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def write_spec(tmp_path, **fields):
@@ -45,55 +51,60 @@ class TestSpecValidation:
         assert spec.experiment == "prop2-rank"
         assert spec.draws == 2
 
-    def test_default_specs_exist_for_all_ids(self):
+    def test_bundled_spec_exists_for_all_ids(self):
         for exp_id in ex.EXPERIMENT_IDS:
-            spec = ex.default_spec(exp_id)
-            assert spec.sweep
+            spec = ex.load_spec(ROOT / "scripts" / "specs" / f"{exp_id}.json")
+            assert spec.experiment == exp_id
+
+    def test_bundled_and_benchmark_specs_load(self):
+        paths = sorted((ROOT / "scripts" / "specs").glob("*.json"))
+        paths += sorted((ROOT / "perfbench" / "workloads").glob("*.json"))
+        assert paths
+        for path in paths:
+            ex.load_spec(path)
+
+    def test_scenario_schema_matches_dataclass(self):
+        schema = json.loads((ROOT / "docs" / "scenario.schema.json").read_text())
+        fields = {f.name for f in dataclasses.fields(SystemScenario)}
+        assert set(schema["properties"]) == fields
 
 
 class TestRunExperiment:
     def test_byte_identical_rerun(self, tmp_path):
-        spec = ex.default_spec(
-            "prop2-rank", sweep=[3], draws=1, seed=5, out_dir=str(tmp_path / "a")
-        )
-        spec.scenario = {"n_bs": 8, "m1": 4, "m2": 4}
+        kw = dict(sweep=[3], draws=1, seed=5, scenario={"n_bs": 8, "m1": 4, "m2": 4})
+        spec = ex.ExperimentSpec("prop2-rank", out_dir=str(tmp_path / "a"), **kw)
         ex.run_experiment(spec)
         first = (tmp_path / "a" / "prop2-rank.csv").read_bytes()
-        spec2 = ex.default_spec(
-            "prop2-rank", sweep=[3], draws=1, seed=5, out_dir=str(tmp_path / "b")
-        )
-        spec2.scenario = {"n_bs": 8, "m1": 4, "m2": 4}
+        spec2 = ex.ExperimentSpec("prop2-rank", out_dir=str(tmp_path / "b"), **kw)
         ex.run_experiment(spec2)
         second = (tmp_path / "b" / "prop2-rank.csv").read_bytes()
         assert first == second
 
     def test_thread_count_does_not_change_artifacts(self, tmp_path):
-        kw = dict(sweep=[-10.0], draws=3, seed=2)
-        spec = ex.default_spec("prop1-property", out_dir=str(tmp_path / "s"), **kw)
-        spec.scenario = {"n_bs": 3, "m1": 3, "m2": 3}
+        kw = dict(sweep=[-10.0], draws=3, seed=2, scenario={"n_bs": 3, "m1": 3, "m2": 3})
+        spec = ex.ExperimentSpec("prop1-property", out_dir=str(tmp_path / "s"), **kw)
         ex.run_experiment(spec, threads=1)
-        spec2 = ex.default_spec("prop1-property", out_dir=str(tmp_path / "t"), **kw)
-        spec2.scenario = {"n_bs": 3, "m1": 3, "m2": 3}
+        spec2 = ex.ExperimentSpec("prop1-property", out_dir=str(tmp_path / "t"), **kw)
         ex.run_experiment(spec2, threads=3)
         assert (tmp_path / "s" / "prop1-property.csv").read_bytes() == (
             tmp_path / "t" / "prop1-property.csv"
         ).read_bytes()
 
     def test_fig5_double_never_below_single(self, tmp_path):
-        spec = ex.default_spec(
+        spec = ex.ExperimentSpec(
             "fig5-rate-vs-M1-split",
             sweep=[0, 4, 8],
             draws=3,
             seed=11,
             out_dir=str(tmp_path),
+            scenario={"n_bs": 3},
+            options={"m_total": 8, "restarts": 8},
         )
-        spec.options = {"m_total": 8, "restarts": 8}
-        spec.scenario = {"n_bs": 3}
         summary = ex.run_experiment(spec)
         assert summary["assertions"]["double_ge_single_all_splits"]
 
     def test_prop2_summary_fractions(self, tmp_path):
-        spec = ex.default_spec("prop2-rank", sweep=[5], draws=5, seed=0, out_dir=str(tmp_path))
+        spec = ex.ExperimentSpec("prop2-rank", sweep=[5], draws=5, seed=0, out_dir=str(tmp_path))
         summary = ex.run_experiment(spec)
         asserts = summary["assertions"]
         assert asserts["frac_rank_h_full"] == 1.0
@@ -102,11 +113,15 @@ class TestRunExperiment:
 
     def test_fig9_single_rate_collapses_beyond_rank(self, tmp_path):
         # single-IRS max-min rate drops sharply once K exceeds rank(Gbar) = 2
-        spec = ex.default_spec(
-            "fig9-rate-vs-K", sweep=[2, 3], draws=2, seed=4, out_dir=str(tmp_path)
+        spec = ex.ExperimentSpec(
+            "fig9-rate-vs-K",
+            sweep=[2, 3],
+            draws=2,
+            seed=4,
+            out_dir=str(tmp_path),
+            scenario={"n_bs": 8, "m1": 4, "m2": 4},
+            options={"methods": ["double-mmse", "single-mmse"]},
         )
-        spec.scenario = {"n_bs": 8, "m1": 4, "m2": 4}
-        spec.options = {"methods": ["double-mmse", "single-mmse"]}
         summary = ex.run_experiment(spec)
         span = summary["assertions"]["rate_span[single-mmse]"]
         assert span["last"] < 0.6 * span["first"]
@@ -114,16 +129,51 @@ class TestRunExperiment:
         assert double_span["last"] > span["last"]
 
     def test_oracle_suite_passes(self, tmp_path):
-        spec = ex.default_spec("oracle-suite", draws=5, seed=1, out_dir=str(tmp_path))
+        spec = ex.ExperimentSpec(
+            "oracle-suite",
+            sweep=["closed-form-grid", "homogenization", "receivers"],
+            draws=5,
+            seed=1,
+            out_dir=str(tmp_path),
+        )
         summary = ex.run_experiment(spec)
         assert summary["assertions"]["pass"], summary["assertions"]
 
     def test_csv_columns(self, tmp_path):
-        spec = ex.default_spec("prop2-rank", sweep=[3], draws=1, seed=5, out_dir=str(tmp_path))
-        spec.scenario = {"n_bs": 8, "m1": 4, "m2": 4}
+        spec = ex.ExperimentSpec(
+            "prop2-rank", sweep=[3], draws=1, seed=5, out_dir=str(tmp_path),
+            scenario={"n_bs": 8, "m1": 4, "m2": 4},
+        )
         ex.run_experiment(spec)
         header = (tmp_path / "prop2-rank.csv").read_text().splitlines()[0]
         assert header == "sweep,method,mean_rate,stderr,draws,status"
+
+    def test_failure_stays_with_its_point(self, tmp_path, monkeypatch):
+        real = ex.rank_gain_report
+        calls = []
+
+        def fail_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise SdpSolverError("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "rank_gain_report", fail_first)
+        spec = ex.ExperimentSpec(
+            "prop2-rank", sweep=[3, 4], draws=2, seed=5, out_dir=str(tmp_path),
+            scenario={"n_bs": 8, "m1": 4, "m2": 4},
+        )
+        summary = ex.run_experiment(spec)
+        rows = (tmp_path / "prop2-rank.csv").read_text().splitlines()[1:]
+        by_point = {}
+        for line in rows:
+            sweep, _method, _mean, _stderr, draws, status = line.split(",")
+            by_point.setdefault(sweep, set()).add((draws, status))
+        assert by_point == {"3": {("1", "failed")}, "4": {("2", "ok")}}
+        assert len(summary["failures"]) == 1
+        failure = summary["failures"][0]
+        assert (failure["draw"], failure["sweep"]) == (0, 3)
+        assert failure["error"].startswith("SdpSolverError")
 
 
 class TestPlotData:
@@ -156,11 +206,15 @@ class TestPlotData:
 
     def test_fig6_series_count(self, tmp_path):
         # 2 methods x |kappa set| series files
-        spec = ex.default_spec(
-            "fig6-rate-vs-totalM", sweep=[4], draws=1, seed=3, out_dir=str(tmp_path)
+        spec = ex.ExperimentSpec(
+            "fig6-rate-vs-totalM",
+            sweep=[4],
+            draws=1,
+            seed=3,
+            out_dir=str(tmp_path),
+            scenario={"n_bs": 2},
+            options={"kappa_set_db": [-10.0, 10.0], "restarts": 4},
         )
-        spec.options = {"kappa_set_db": [-10.0, 10.0], "restarts": 4}
-        spec.scenario = {"n_bs": 2}
         summary = ex.run_experiment(spec)
         files = ex.emit_plotdata(summary["csv"])
         assert len(files) == 4
@@ -172,6 +226,8 @@ class TestCli:
         out = capsys.readouterr().out
         for exp_id in ex.EXPERIMENT_IDS:
             assert exp_id in out
+        assert "    restarts = 20" in out
+        assert "    kappa_set_db = [-10.0, 0.0, 10.0]" in out
 
     def test_validate_good_spec(self, tmp_path, capsys):
         path = write_spec(tmp_path, experiment="prop2-rank", sweep=[4], draws=1)
@@ -188,6 +244,32 @@ class TestCli:
         path = write_spec(tmp_path, experiment="prop2-rank", sweep=[4], scenario={"bogus": 1})
         assert cli.main(["validate", path]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_validate_rejects_unknown_option(self, tmp_path, capsys):
+        path = write_spec(
+            tmp_path, experiment="prop1-property", sweep=[0.0], options={"restart": 5}
+        )
+        assert cli.main(["validate", path]) == 2
+        assert "restart" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, methods, named",
+        [
+            ("fig5-rate-vs-M1-split", ["ao_ib"], "ao_ib"),
+            ("fig7-mu-alg", ["alg1-foo"], "alg1-foo"),
+            ("fig8-mu-vs-power", [], "methods"),
+        ],
+    )
+    def test_validate_rejects_bad_methods(self, tmp_path, capsys, experiment, methods, named):
+        path = write_spec(tmp_path, experiment=experiment, sweep=[8], options={"methods": methods})
+        assert cli.main(["validate", path]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_run_rejects_zero_draws_override(self, tmp_path, capsys):
+        path = write_spec(tmp_path, experiment="prop2-rank", sweep=[3], out_dir=str(tmp_path))
+        assert cli.main(["run", path, "--draws", "0"]) == 2
+        assert "draws" in capsys.readouterr().err
+        assert not (tmp_path / "prop2-rank.csv").exists()
 
     def test_run_with_overrides(self, tmp_path, capsys):
         path = write_spec(
