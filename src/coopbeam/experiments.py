@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -174,8 +175,6 @@ def _fig4_point(spec, opts, p_dbm, rng, draw):
 
 def _fig5_point(spec, opts, m1, rng, draw):
     m1, m_total = int(m1), int(opts["m_total"])
-    if not 0 <= m1 <= m_total:
-        raise ValueError(f"split {m1} outside the budget {m_total}")
     scn = _apply_overrides(
         su_scenario(kappa_far_db=float(opts["kappa_far_db"]), m1=m1, m2=m_total - m1),
         spec.scenario,
@@ -246,37 +245,48 @@ def _prop2_point(spec, opts, k, rng, draw):
     }
 
 
+def _oracle_closed_form_grid(rng):
+    chs = _random_channel_set(rng, n=3, m1=3, m2=3, k=1)
+    ctx = SinrContext(np.ones(1), 1.0)
+    w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    w = w / np.linalg.norm(w)
+    t1 = np.exp(1j * rng.uniform(0, 2 * math.pi, 3))
+    t2 = opt_theta_closed_form(chs, 2, t1, w)
+    grid = _grid_best_theta2(chs, t1, w, ctx, points=32)
+    return float(snr_value(chs, w, t1, t2, ctx) >= grid * (1 - 1e-9))
+
+
+def _oracle_homogenization(rng):
+    inst = _random_instance(rng, k=2, m=4)
+    theta = np.exp(1j * rng.uniform(0, 2 * math.pi, 5))
+    lhs = np.real(
+        theta.conj() @ inst.constraint_matrix(0, 1) @ theta
+    ) + np.abs(inst.qbar[0, 1]) ** 2
+    rec = np.conj(theta[-1]) * theta[:-1]
+    rhs = np.abs(inst.q[0, 1].conj() @ rec + inst.qbar[0, 1]) ** 2
+    return float(abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0))
+
+
+def _oracle_receivers(rng):
+    h = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    ctx = SinrContext(np.ones(3), 0.5)
+    wz = zf_receivers(h, ctx.powers)
+    wm = mmse_receivers(h, ctx.powers, ctx.noise)
+    gz = sinr_per_user(h, wz.w, ctx)
+    gm = sinr_per_user(h, wm.w, ctx)
+    ident = np.max(np.abs(wz.w.conj().T @ h - np.eye(3)))
+    return float(ident <= 1e-9 and np.all(gm >= gz * (1 - 1e-10)))
+
+
+_ORACLE_CHECKS = {
+    "closed-form-grid": _oracle_closed_form_grid,
+    "homogenization": _oracle_homogenization,
+    "receivers": _oracle_receivers,
+}
+
+
 def _oracle_point(spec, opts, check, rng, draw):
-    if check == "closed-form-grid":
-        chs = _random_channel_set(rng, n=3, m1=3, m2=3, k=1)
-        ctx = SinrContext(np.ones(1), 1.0)
-        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        w = w / np.linalg.norm(w)
-        t1 = np.exp(1j * rng.uniform(0, 2 * math.pi, 3))
-        t2 = opt_theta_closed_form(chs, 2, t1, w)
-        grid = _grid_best_theta2(chs, t1, w, ctx, points=32)
-        ok = float(snr_value(chs, w, t1, t2, ctx) >= grid * (1 - 1e-9))
-    elif check == "homogenization":
-        inst = _random_instance(rng, k=2, m=4)
-        theta = np.exp(1j * rng.uniform(0, 2 * math.pi, 5))
-        lhs = np.real(
-            theta.conj() @ inst.constraint_matrix(0, 1) @ theta
-        ) + np.abs(inst.qbar[0, 1]) ** 2
-        rec = np.conj(theta[-1]) * theta[:-1]
-        rhs = np.abs(inst.q[0, 1].conj() @ rec + inst.qbar[0, 1]) ** 2
-        ok = float(abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0))
-    elif check == "receivers":
-        h = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        ctx = SinrContext(np.ones(3), 0.5)
-        wz = zf_receivers(h, ctx.powers)
-        wm = mmse_receivers(h, ctx.powers, ctx.noise)
-        gz = sinr_per_user(h, wz.w, ctx)
-        gm = sinr_per_user(h, wm.w, ctx)
-        ident = np.max(np.abs(wz.w.conj().T @ h - np.eye(3)))
-        ok = float(ident <= 1e-9 and np.all(gm >= gz * (1 - 1e-10)))
-    else:
-        raise ValueError(f"unknown oracle check {check!r}")
-    return {str(check): ok}
+    return {check: _ORACLE_CHECKS[check](rng)}
 
 
 def _random_channel_set(rng, n, m1, m2, k):
@@ -313,6 +323,33 @@ class Experiment(NamedTuple):
     point: Callable        # (spec, opts, sweep value, rng, draw dict) -> {method: value}
     options: dict          # every option the point function reads, with its default
     methods: frozenset     # accepted options["methods"] entries (empty: no methods option)
+    sweep_check: Callable  # (opts, sweep value) -> None, raises ValueError on a bad value
+
+
+def _number(opts, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"sweep value {value!r} is not a number")
+
+
+def _split(opts, m1):
+    _number(opts, m1)
+    if not 0 <= m1 <= opts["m_total"]:
+        raise ValueError(f"split {m1} outside the budget {opts['m_total']}")
+
+
+def _oracle_check(opts, check):
+    if not isinstance(check, str) or check not in _ORACLE_CHECKS:
+        raise ValueError(f"unknown oracle check {check!r}; known: {', '.join(_ORACLE_CHECKS)}")
+
+
+_KINDS = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _same_kind(value, default):
+    """Whether an option value has its default's type; an integer may stand for a float."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_kind(v, default[0]) for v in value)
+    return isinstance(value, _KINDS[type(default)]) and not isinstance(value, bool)
 
 
 _SU_METHODS = frozenset({"ao-ib", "init-ib", "single-irs", "dft-search", "ao-dft", "sdr"})
@@ -330,38 +367,40 @@ EXPERIMENTS = {
         "single-user achievable rate vs transmit power for the AO/SDR/codebook designs",
         _fig4_point,
         {**_SU_OPTS, "methods": ["ao-ib", "ao-dft", "dft-search", "sdr", "single-irs"]},
-        _SU_METHODS),
+        _SU_METHODS, _number),
     "fig5-rate-vs-M1-split": Experiment(
         "single-user rate vs subsurface split M1 under a fixed total budget",
         _fig5_point,
         {**_SU_OPTS, "m_total": 32, "methods": ["ao-ib", "init-ib", "single-irs"]},
-        _SU_METHODS),
+        _SU_METHODS, _split),
     "fig6-rate-vs-totalM": Experiment(
         "single-user rate vs total subsurfaces for several Rician factors",
-        _fig6_point, {**_SU_SOLVE, "kappa_set_db": [-10.0, 0.0, 10.0]}, frozenset()),
+        _fig6_point, {**_SU_SOLVE, "kappa_set_db": [-10.0, 0.0, 10.0]}, frozenset(), _number),
     "fig7-mu-alg": Experiment(
         "multi-user max-min rate vs power: alternating optimizer against codebook search",
         _mu_power_point,
         {**_MU_OPTS, "k_users": 5, "methods": ["alg1-zf", "alg1-mmse", "dft-zf", "dft-mmse"]},
-        _MU_METHODS),
+        _MU_METHODS, _number),
     "fig8-mu-vs-power": Experiment(
         "multi-user max-min rate vs power: double-IRS against the single-IRS baseline",
         _mu_power_point,
         {**_MU_OPTS, "k_users": 5, "methods": ["double-mmse", "single-mmse"]},
-        _MU_METHODS),
+        _MU_METHODS, _number),
     "fig9-rate-vs-K": Experiment(
         "multi-user max-min rate vs number of users at high power",
         _fig9_point,
         {**_MU_OPTS, "power_dbm": 30.0,
          "methods": ["double-mmse", "double-zf", "single-mmse", "single-zf"]},
-        _MU_METHODS),
+        _MU_METHODS, _number),
     "prop1-property": Experiment(
         "double-IRS-with-init SNR never below the single-IRS optimum",
-        _prop1_point, {"restarts": _SU_SOLVE["restarts"]}, frozenset()),
+        _prop1_point, {"restarts": _SU_SOLVE["restarts"]}, frozenset(), _number),
     "prop2-rank": Experiment(
-        "effective channel rank of the double/single systems", _prop2_point, {}, frozenset()),
+        "effective channel rank of the double/single systems", _prop2_point, {}, frozenset(),
+        _number),
     "oracle-suite": Experiment(
-        "self-check batch of closed-form and identity oracles", _oracle_point, {}, frozenset()),
+        "self-check batch of closed-form and identity oracles", _oracle_point, {}, frozenset(),
+        _oracle_check),
 }
 
 EXPERIMENT_IDS = tuple(EXPERIMENTS)
@@ -400,9 +439,15 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown options {unknown} for {self.experiment}; known: {', '.join(exp.options)}"
             )
+        for name, value in self.options.items():
+            default = exp.options[name]
+            if not _same_kind(value, default):
+                raise ValueError(
+                    f"option {name!r} must have the type of its default {default!r}, got {value!r}"
+                )
         if "methods" in self.options:
             methods = self.options["methods"]
-            if not isinstance(methods, list) or not methods:
+            if not methods:
                 raise ValueError("methods must be a non-empty list")
             unknown = sorted(set(methods) - exp.methods)
             if unknown:
@@ -410,6 +455,14 @@ class ExperimentSpec:
                     f"unknown methods {unknown} for {self.experiment}; "
                     f"known: {', '.join(sorted(exp.methods))}"
                 )
+        opts = self.merged_options
+        for value in self.sweep:
+            exp.sweep_check(opts, value)
+
+    @property
+    def merged_options(self):
+        """The experiment's default options, overridden by this spec's."""
+        return {**EXPERIMENTS[self.experiment].options, **self.options}
 
     def to_dict(self):
         return asdict(self)
@@ -452,7 +505,7 @@ def _run_one_draw(args):
     spec_dict, draw_index, seed_seq = args
     spec = ExperimentSpec.from_dict(spec_dict)
     exp = EXPERIMENTS[spec.experiment]
-    opts = {**exp.options, **spec.options}
+    opts = spec.merged_options
     point_rngs = [np.random.default_rng(sq) for sq in seed_seq.spawn(len(spec.sweep))]
     draw = {}
     rows, errors = [], []

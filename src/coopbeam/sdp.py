@@ -5,9 +5,16 @@ exist meeting all SINR constraints?) is decided by maximizing the worst
 normalized constraint margin with a log-barrier path-following method over
 the complex Hermitian cone.  The margin sign at the certified optimum gives
 the feasibility verdict; a duality-gap certificate allows early exit on
-clearly feasible/infeasible targets.  Instances here are tiny (dimension
-M'+1 up to a few dozen), so each Newton step is assembled in closed form via
-the inverse-Hessian structure of the log-det barrier.
+clearly feasible/infeasible targets.
+
+Instances are tiny (dimension M'+1 up to a few dozen) and one bisection runs
+many checks, so each Newton step is a few BLAS calls.  The homogenized
+blocks B_{k,j} of an instance are built in one vectorized pass per check,
+and the K margin matrices C_k are flattened to the rows of one (K, n*n)
+array, so every trace tr(C_k X) and tr(C_k Psi C_l Psi) is a matrix
+product.  The step is assembled in closed form through the inverse Hessian
+of the log-det barrier, and one Cholesky factor of Psi per step serves both
+Psi^{-1} and the step-length bound that keeps the iterate positive definite.
 """
 
 from __future__ import annotations
@@ -62,23 +69,11 @@ class MaxMinSdpInstance:
 
     def constraint_matrix(self, k, j):
         """Homogenized Hermitian B_{k,j} with zero bottom-right entry."""
-        q = self.q[k, j]
-        qb = self.qbar[k, j]
-        n = self.dim + 1
-        b = np.zeros((n, n), dtype=complex)
-        b[:-1, :-1] = np.outer(q, q.conj())
-        b[:-1, -1] = qb * q
-        b[-1, :-1] = np.conj(qb) * q.conj()
-        return b
+        return _homogenized(self.q[k, j], self.qbar[k, j])
 
     def all_constraint_matrices(self):
-        k = self.n_users
-        n = self.dim + 1
-        out = np.zeros((k, k, n, n), dtype=complex)
-        for a in range(k):
-            for b in range(k):
-                out[a, b] = self.constraint_matrix(a, b)
-        return out
+        """Every B_{k,j} at once, shape (K, K, M'+1, M'+1)."""
+        return _homogenized(self.q, self.qbar)
 
     def term_powers(self, theta):
         """|q_{k,j}^H theta + qbar_{k,j}|^2 for one theta or a batch (C, M')."""
@@ -113,6 +108,17 @@ class MaxMinSdpInstance:
         return cls(mats["q"], mats["qbar"], mats["noise"])
 
 
+def _homogenized(q, qbar):
+    """[[q q^H, qbar q], [conj(qbar) q^H, 0]] for q (..., M') and qbar (...)."""
+    n = q.shape[-1] + 1
+    qc = q.conj()
+    b = np.zeros(q.shape[:-1] + (n, n), dtype=complex)
+    b[..., :-1, :-1] = q[..., :, None] * qc[..., None, :]
+    b[..., :-1, -1] = qbar[..., None] * q
+    b[..., -1, :-1] = np.conj(qbar)[..., None] * qc
+    return b
+
+
 @dataclass
 class PsdSolution:
     """Result of one feasibility check at a fixed SINR target."""
@@ -134,13 +140,12 @@ def _constraint_data(inst: MaxMinSdpInstance, delta):
     """Margin data: constraint k reads tr(C_k Psi) + e_k >= 0."""
     b = inst.all_constraint_matrices()
     k = inst.n_users
+    users = np.arange(k)
+    others = users[:, None] != users[None, :]  # row k picks j != k in index order
     qb2 = np.abs(inst.qbar) ** 2
-    c_mats = np.empty_like(b[:, 0])
-    e = np.empty(k)
-    for a in range(k):
-        others = [j for j in range(k) if j != a]
-        c_mats[a] = b[a, a] - delta * b[a, others].sum(axis=0)
-        e[a] = qb2[a, a] - delta * (qb2[a, others].sum() + inst.noise[a])
+    interf = b[others].reshape((k, k - 1) + b.shape[2:]).sum(axis=1)
+    c_mats = b[users, users] - delta * interf
+    e = qb2[users, users] - delta * (qb2[others].reshape(k, k - 1).sum(axis=1) + inst.noise)
     return c_mats, e
 
 
@@ -161,8 +166,7 @@ def feasibility_check(
     )
     c_hat = c_mats / scales[:, None, None]
     e_hat = e / scales
-    s, psi, iters, ok, msg = _solve_max_margin(c_hat, e_hat, feas_tol, max_newton)
-    margins = np.real(np.einsum("kij,ji->k", c_hat, psi)) + e_hat
+    s, psi, margins, iters, ok, msg = _solve_max_margin(c_hat, e_hat, feas_tol, max_newton)
     if not ok:
         return PsdSolution(psi, "numerical-failure", margins, s, float(delta), iters, msg)
     status = "feasible" if s >= -feas_tol else "infeasible"
@@ -172,95 +176,107 @@ def feasibility_check(
 def _solve_max_margin(c_hat, e_hat, feas_tol, max_newton=60):
     """maximize s  s.t.  tr(c_k Psi) + e_k >= s,  diag(Psi) = 1,  Psi >= 0.
 
-    Log-barrier path following; the Newton step is computed by reducing the
-    KKT system to a dense (K + 1 + n)-dimensional solve through the
-    closed-form inverse of the log-det Hessian.  Returns (s, Psi, iterations,
-    ok, message); `s` is certified to within the final duality gap.
+    Log-barrier path following.  The Newton step reduces the KKT system to a
+    dense (K + 1 + n)-dimensional solve through the closed-form inverse of
+    the log-det Hessian, Psi (.) Psi.  With the constraints flattened to rows
+    of `c_flat` (K, n*n), every trace is a matrix product:
+    tr(C_k X) = c_flat @ vec(X^T), and tr(C_k S_l) = c_flat @ conj(s_flat)^T
+    for the Hermitian S_l = Psi C_l Psi.  One Cholesky factor L of Psi per
+    step gives both Psi^{-1} = L^{-H} L^{-1} and the step-length bound from
+    the eigenvalues of L^{-1} Delta L^{-H}.  The barrier value of an accepted
+    point is carried into the next step at the same t.  Returns (s, Psi,
+    margins at Psi, iterations, ok, message); `s` is certified to within the
+    final duality gap.
     """
     kk, n = c_hat.shape[0], c_hat.shape[1]
     nu = n + kk  # barrier complexity
     gap_target = max(1e-3 * feas_tol, 1e-12)
+    c_flat = c_hat.reshape(kk, n * n)
 
-    psi = np.eye(n, dtype=complex)
-    margins = np.real(np.einsum("kij,ji->k", c_hat, psi)) + e_hat
-    s = float(margins.min()) - 1.0
-    t = 1.0
-    total_newton = 0
+    def tr_c(x):
+        """tr(C_k X) for every k."""
+        return (c_flat @ x.T.ravel()).real
 
     def objective(psi_m, s_v, g_v, t_v):
         sign, logdet = np.linalg.slogdet(psi_m)
         if sign.real <= 0:
             return np.inf
-        return -t_v * s_v - logdet - np.sum(np.log(g_v))
+        return -t_v * s_v - logdet - np.log(g_v).sum()
+
+    # Newton system [[C + diag(g^2), 1, P], [1^T, 0, 0], [P^T, 0, |Psi|^2]];
+    # the constant blocks are set once, the rest refilled every step
+    users = np.arange(kk)
+    a_sys = np.zeros((kk + 1 + n, kk + 1 + n))
+    rhs = np.zeros(kk + 1 + n)
+    a_sys[:kk, kk] = 1.0
+    a_sys[kk, :kk] = 1.0
+
+    psi = np.eye(n, dtype=complex)
+    margins = tr_c(psi) + e_hat
+    s = float(margins.min()) - 1.0
+    t = 1.0
+    total_newton = 0
 
     for _outer in range(80):
+        f_cur = None  # barrier value at (psi, s) for this t
         for _ in range(max_newton):
             total_newton += 1
             g = margins - s
-            if np.any(g <= 0):  # safeguard, should not happen
-                return s, psi, total_newton, False, "left the barrier domain"
+            if (g <= 0).any():  # safeguard, should not happen
+                return s, psi, margins, total_newton, False, "left the barrier domain"
             inv_g = 1.0 / g
-            psi_inv = np.linalg.inv(psi)
-            s_mats = np.einsum("ij,kjl,lm->kim", psi, c_hat, psi, optimize=True)
-            c_cross = np.real(np.einsum("kij,lji->kl", c_hat, s_mats))
-            p_mat = np.real(np.einsum("kii->ki", s_mats))
-            t_mat = np.abs(psi) ** 2
-            tr_cpsi = np.real(np.einsum("kij,ji->k", c_hat, psi))
-            b_vec = tr_cpsi + c_cross @ inv_g
-            d0 = 1.0 + inv_g @ p_mat
+            try:
+                lo_inv = np.linalg.inv(np.linalg.cholesky(psi))
+            except np.linalg.LinAlgError:
+                return s, psi, margins, total_newton, False, "iterate left the PSD cone"
+            s_mats = psi @ c_hat @ psi
+            s_flat = s_mats.reshape(kk, n * n)
+            c_cross = (c_flat @ s_flat.conj().T).real
+            p_mat = np.diagonal(s_mats, axis1=1, axis2=2).real
 
-            dim = kk + 1 + n
-            a_sys = np.zeros((dim, dim))
-            rhs = np.zeros(dim)
-            a_sys[:kk, :kk] = c_cross + np.diag(g**2)
-            a_sys[:kk, kk] = 1.0
+            a_sys[:kk, :kk] = c_cross
+            a_sys[users, users] += g**2
             a_sys[:kk, kk + 1 :] = p_mat
-            rhs[:kk] = b_vec
-            a_sys[kk, :kk] = 1.0
-            rhs[kk] = inv_g.sum() - t
             a_sys[kk + 1 :, :kk] = p_mat.T
-            a_sys[kk + 1 :, kk + 1 :] = t_mat
-            rhs[kk + 1 :] = d0
+            a_sys[kk + 1 :, kk + 1 :] = np.abs(psi) ** 2
+            rhs[:kk] = tr_c(psi) + c_cross @ inv_g
+            rhs[kk] = inv_g.sum() - t
+            rhs[kk + 1 :] = 1.0 + inv_g @ p_mat
             try:
                 sol = np.linalg.solve(a_sys, rhs)
             except np.linalg.LinAlgError:
-                return s, psi, total_newton, False, "singular Newton system"
+                return s, psi, margins, total_newton, False, "singular Newton system"
             alpha, ds, nu_mult = sol[:kk], sol[kk], sol[kk + 1 :]
 
-            delta = psi + np.einsum("k,kij->ij", inv_g, s_mats)
-            delta -= np.einsum("k,kij->ij", alpha, s_mats)
-            delta -= (psi * nu_mult[None, :]) @ psi
+            delta = psi + ((inv_g - alpha) @ s_flat).reshape(n, n) - (psi * nu_mult) @ psi
             delta = 0.5 * (delta + delta.conj().T)
             np.fill_diagonal(delta, 0.0)
 
-            r_psi = psi_inv + np.einsum("k,kij->ij", inv_g, c_hat)
+            r_psi = lo_inv.conj().T @ lo_inv + (inv_g @ c_flat).reshape(n, n)
             r_s = t - inv_g.sum()
-            dec2 = float(np.real(np.vdot(r_psi, delta))) + r_s * ds
+            dec2 = np.vdot(r_psi, delta).real + r_s * ds
             if dec2 <= 1e-10:
                 break
 
-            dg = np.real(np.einsum("kij,ji->k", c_hat, delta)) - ds
+            dg = tr_c(delta) - ds
             beta = 1.0
-            try:
-                lo = np.linalg.cholesky(psi)
-            except np.linalg.LinAlgError:
-                return s, psi, total_newton, False, "iterate left the PSD cone"
-            mid = np.linalg.solve(lo, np.linalg.solve(lo, delta).conj().T).conj().T
+            mid = lo_inv @ delta @ lo_inv.conj().T
             lam_min = float(np.linalg.eigvalsh(0.5 * (mid + mid.conj().T)).min())
             if lam_min < 0:
                 beta = min(beta, -0.99 / lam_min)
             neg = dg < 0
-            if np.any(neg):
+            if neg.any():
                 beta = min(beta, 0.99 * float(np.min(g[neg] / -dg[neg])))
 
-            f_cur = objective(psi, s, g, t)
+            if f_cur is None:
+                f_cur = objective(psi, s, g, t)
             accepted = False
             for _bt in range(50):
                 psi_new = psi + beta * delta
                 s_new = s + beta * ds
-                m_new = np.real(np.einsum("kij,ji->k", c_hat, psi_new)) + e_hat
+                m_new = tr_c(psi_new) + e_hat
                 g_new = m_new - s_new
-                if np.all(g_new > 0):
+                if (g_new > 0).all():
                     f_new = objective(psi_new, s_new, g_new, t)
                     if f_new <= f_cur - 1e-4 * beta * dec2:
                         accepted = True
@@ -269,19 +285,19 @@ def _solve_max_margin(c_hat, e_hat, feas_tol, max_newton=60):
             if not accepted:
                 # stalled: decide with what we have if the gap already allows
                 break
-            psi, s, margins = psi_new, s_new, m_new
+            psi, s, margins, f_cur = psi_new, s_new, m_new, f_new
             if s >= feas_tol:
-                return s, psi, total_newton, True, "early feasible"
+                return s, psi, margins, total_newton, True, "early feasible"
 
         gap = nu / t
         if s >= feas_tol:
-            return s, psi, total_newton, True, "feasible margin"
+            return s, psi, margins, total_newton, True, "feasible margin"
         if s + 2.0 * gap < -feas_tol:
-            return s, psi, total_newton, True, "infeasibility certificate"
+            return s, psi, margins, total_newton, True, "infeasibility certificate"
         if gap <= gap_target:
-            return s, psi, total_newton, True, "path converged"
+            return s, psi, margins, total_newton, True, "path converged"
         t *= 10.0
-    return s, psi, total_newton, False, "barrier iteration cap"
+    return s, psi, margins, total_newton, False, "barrier iteration cap"
 
 
 def matched_filter_bound(inst: MaxMinSdpInstance):

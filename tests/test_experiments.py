@@ -265,6 +265,28 @@ class TestCli:
         assert cli.main(["validate", path]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, sweep, options, named",
+        [
+            ("oracle-suite", ["bogus"], {}, "bogus"),
+            ("fig5-rate-vs-M1-split", [40], {}, "split 40"),
+            ("fig5-rate-vs-M1-split", [12], {"m_total": 8}, "split 12"),
+            ("prop1-property", [0.0], {"restarts": "x"}, "restarts"),
+            ("fig7-mu-alg", ["x"], {}, "not a number"),
+        ],
+        ids=[
+            "oracle-check", "split-over-default-budget", "split-over-given-budget",
+            "option-type", "sweep-type",
+        ],
+    )
+    def test_validate_rejects_what_run_rejects(
+        self, tmp_path, capsys, experiment, sweep, options, named
+    ):
+        # each of these passed validate and then stopped run after the draws had started
+        path = write_spec(tmp_path, experiment=experiment, sweep=sweep, options=options)
+        assert cli.main(["validate", path]) == 2
+        assert named in capsys.readouterr().err
+
     def test_run_rejects_zero_draws_override(self, tmp_path, capsys):
         path = write_spec(tmp_path, experiment="prop2-rank", sweep=[3], out_dir=str(tmp_path))
         assert cli.main(["run", path, "--draws", "0"]) == 2

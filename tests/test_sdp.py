@@ -26,6 +26,47 @@ def scalar_instance(rng):
     return inst, float((abs(q[0, 0, 0]) + abs(qb[0, 0])) ** 2 / noise[0])
 
 
+def phase_grid_optimum(inst, points=64):
+    """Best min SINR over a uniform phase grid of unit-modulus theta (M' = 2)."""
+    phases = np.exp(2j * np.pi * np.arange(points) / points)
+    grid = np.stack(np.meshgrid(phases, phases, indexing="ij"), axis=-1).reshape(-1, 2)
+    return float(inst.min_sinr(grid).max())
+
+
+def oracle_margins(inst, delta, psi):
+    """Normalized margins of Psi at target delta, rebuilt from the B_{k,j} one by one.
+
+    Constraint k is tr(C_k Psi) + e_k >= 0 with C_k = B_kk - delta sum_{j!=k} B_kj and
+    e_k = |qbar_kk|^2 - delta (sum_{j!=k} |qbar_kj|^2 + noise_k), divided by
+    max(||C_k||_F, |e_k|).
+    """
+    k = inst.n_users
+    out = np.empty(k)
+    for a in range(k):
+        others = [j for j in range(k) if j != a]
+        c = inst.constraint_matrix(a, a) - delta * sum(inst.constraint_matrix(a, j) for j in others)
+        e = abs(inst.qbar[a, a]) ** 2 - delta * (
+            sum(abs(inst.qbar[a, j]) ** 2 for j in others) + inst.noise[a]
+        )
+        out[a] = (np.real(np.einsum("ij,ji->", c, psi)) + e) / max(np.linalg.norm(c), abs(e))
+    return out
+
+
+def assert_certified(inst, res):
+    """The returned Psi is a valid relaxation point and its reported margins are its own."""
+    psi = res.psi
+    assert np.allclose(psi, psi.conj().T, rtol=0, atol=1e-12)
+    assert np.max(np.abs(np.diag(psi) - 1.0)) <= 1e-9
+    assert np.linalg.eigvalsh(psi).min() >= 0.0
+    expect = oracle_margins(inst, res.delta, psi)
+    assert np.allclose(res.margins, expect, rtol=1e-9, atol=1e-12)
+    # s is the epigraph variable of a strictly interior point
+    assert res.s < expect.min()
+    assert res.feasible == (res.s >= -FEAS_TOL)
+    if res.feasible:
+        assert np.all(expect >= -FEAS_TOL)
+
+
 class TestInstance:
     def test_constraint_matrix_structure(self, rng):
         inst = random_instance(rng, k=3, m=5)
@@ -92,6 +133,48 @@ class TestFeasibility:
         assert sol.feasible
         assert np.all(sol.margins >= -FEAS_TOL)
         assert np.linalg.eigvalsh(sol.psi).min() >= -1e-7 * np.linalg.norm(sol.psi, 2)
+
+
+class TestBenchmarkShapes:
+    """The Newton kernel at the two shapes the benchmark runs: 3x3 and 17x17 Psi."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_small_feasible_below_grid_optimum(self, seed):
+        inst = random_instance(np.random.default_rng(seed), k=2, m=2)
+        opt = phase_grid_optimum(inst)
+        for frac in (0.5, 0.9, 0.999):
+            res = cb.feasibility_check(inst, frac * opt)
+            assert res.feasible, (frac, res.s, res.message)
+            assert_certified(inst, res)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_large_feasible_below_unit_modulus_value(self, seed):
+        # any unit-modulus theta gives a feasible rank-one Psi
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, k=5, m=16)
+        thetas = np.exp(1j * rng.uniform(0, 2 * np.pi, (256, 16)))
+        res = cb.feasibility_check(inst, 0.999 * float(inst.min_sinr(thetas).max()))
+        assert res.feasible, (res.s, res.message)
+        assert_certified(inst, res)
+
+    @pytest.mark.parametrize("k, m", [(2, 2), (5, 16)])
+    def test_above_matched_filter_bound_infeasible(self, k, m):
+        for seed in range(2):
+            inst = random_instance(np.random.default_rng(seed), k=k, m=m)
+            res = cb.feasibility_check(inst, 1.001 * cb.matched_filter_bound(inst))
+            assert res.status == "infeasible", (res.s, res.message)
+            assert_certified(inst, res)
+
+    @pytest.mark.parametrize("k, m", [(2, 2), (5, 16)])
+    def test_margins_match_oracle_on_bisection_path(self, k, m):
+        # every target a bisection visits, feasible or not
+        inst = random_instance(np.random.default_rng(3), k=k, m=m)
+        hi = cb.matched_filter_bound(inst)
+        res = cb.bisection_maxmin(inst, 0.0, hi, eps=hi / 16)
+        for delta, status in res.history:
+            sol = cb.feasibility_check(inst, delta)
+            assert sol.status == status
+            assert_certified(inst, sol)
 
 
 class TestBisection:
