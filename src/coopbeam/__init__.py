@@ -57,7 +57,6 @@ from .single_user import (
     mrc_receive,
     opt_theta_closed_form,
     random_init,
-    sdr_benchmark_su,
     single_irs_opt,
     snr_value,
 )

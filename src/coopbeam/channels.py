@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -111,6 +112,10 @@ class SystemScenario:
     irs2_azimuth: float = 3 * math.pi / 4
 
     def __post_init__(self):
+        for name in ("n_bs", "m1", "m2", "n_users"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_bs < 1 or self.n_users < 1:
             raise ValueError("need at least one BS antenna and one user")
         if self.m1 < 0 or self.m2 < 0:

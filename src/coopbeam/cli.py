@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .experiments import EXPERIMENTS, emit_plotdata, load_spec, run_experiment
@@ -12,15 +13,19 @@ from .experiments import EXPERIMENTS, emit_plotdata, load_spec, run_experiment
 
 def _cmd_run(args):
     overrides = {"seed": args.seed, "draws": args.draws, "out_dir": args.out}
-    # replace() re-runs the spec validation on the overridden values
-    spec = dataclasses.replace(
-        load_spec(args.spec), **{k: v for k, v in overrides.items() if v is not None}
-    )
-    summary = run_experiment(spec, threads=args.threads)
-    if args.plotdata:
-        summary["plotdata"] = emit_plotdata(summary["csv"])
-    json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    # replace() re-runs the spec validation on the overridden values; every
+    # spec is checked before the first one runs
+    specs = [dataclasses.replace(load_spec(path), **overrides) for path in args.specs]
+    targets = [(os.path.normpath(spec.out_dir), spec.experiment) for spec in specs]
+    if len(set(targets)) < len(targets):
+        raise ValueError("two specs would write the same <out_dir>/<experiment>.csv")
+    for spec in specs:
+        summary = run_experiment(spec, threads=args.threads)
+        if args.plotdata:
+            summary["plotdata"] = emit_plotdata(summary["csv"])
+        json.dump(summary, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     return 0
 
 
@@ -49,8 +54,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment spec (JSON)")
-    run_p.add_argument("spec", help="path to the experiment spec file")
+    run_p = sub.add_parser("run", help="run experiment specs (JSON), one after another")
+    run_p.add_argument("specs", nargs="+", metavar="spec", help="paths to experiment spec files")
     run_p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     run_p.add_argument("--draws", type=int, default=None, help="override draws per point")
     run_p.add_argument("--out", default=None, help="override the output directory")

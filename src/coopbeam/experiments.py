@@ -46,7 +46,6 @@ from .single_user import (
     ao_single_user,
     init_from_single_irs,
     opt_theta_closed_form,
-    sdr_benchmark_su,
     single_irs_opt,
     snr_value,
 )
@@ -128,9 +127,26 @@ def _su_solutions(chs, ctx, rng, methods, opts):
             out["ao-dft"] = max_min_rate([state.snr])
     if "sdr" in methods:
         w0 = np.ones(chs.n_bs, dtype=complex) / math.sqrt(chs.n_bs)
-        bench = sdr_benchmark_su(chs, ctx, w0, rng=rng, max_iters=int(opts["sdr_iters"]))
-        out["sdr"] = max_min_rate([bench.snr])
+        init = (np.ones(chs.m1, complex), np.ones(chs.m2, complex), w0[:, None])
+        state, _ = algorithm1(
+            chs, ctx, init=init, rx_mode="mrc", max_iters=int(opts["sdr_iters"]), xi=1e-6,
+            eps=1e-3 * _su_snr_bound(chs, ctx), rng=rng,
+        )
+        out["sdr"] = max_min_rate([state.min_sinr])
     return out
+
+
+def _su_snr_bound(chs, ctx):
+    """Upper bound on the single-user SNR over every reflect pattern and receiver.
+
+    Triangle inequality on h = G2 Phi2 (D Phi1 u1 + u2) + G1 Phi1 u1 with
+    |w^H h| <= ||h||.  Bisection accuracy relative to it keeps the check count
+    per subproblem independent of the transmit power.
+    """
+    norm = np.linalg.norm  # Frobenius norm for the matrices
+    u1 = norm(chs.u1)
+    amp = norm(chs.g2) * (norm(chs.d) * u1 + norm(chs.u2)) + norm(chs.g1) * u1
+    return float(ctx.powers[0] * amp**2 / ctx.noise)
 
 
 def _mu_point(scn, rng, opts):
@@ -345,6 +361,10 @@ def _oracle_check(opts, check):
 _KINDS = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
+def _integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _same_kind(value, default):
     """Whether an option value has its default's type; an integer may stand for a float."""
     if isinstance(default, list):
@@ -426,8 +446,12 @@ class ExperimentSpec:
         if not isinstance(self.sweep, (list, tuple)) or len(self.sweep) == 0:
             raise ValueError("sweep must be a non-empty list")
         self.sweep = list(self.sweep)
-        if self.draws < 1:
-            raise ValueError("draws must be >= 1")
+        if not _integer(self.draws) or self.draws < 1:
+            raise ValueError(f"draws must be an integer >= 1, got {self.draws!r}")
+        if not _integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         # the draws build their scenarios and read their options from these;
         # fail here, not in a worker
         _apply_overrides(SystemScenario(), self.scenario)

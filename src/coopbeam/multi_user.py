@@ -1,6 +1,9 @@
 """Multi-user max-min SINR machinery: SDR subproblem builders, linear
 receivers, the alternating SDR/bisection optimizer, and the DFT joint
-codebook search benchmark."""
+codebook search benchmark.
+
+`algorithm1` is the one alternating SDR driver: with K = 1 and
+``rx_mode="mrc"`` it is the single-user SDR benchmark."""
 
 from __future__ import annotations
 
@@ -195,6 +198,9 @@ def algorithm1(
     the receiver update) is accepted only if the exact min SINR does not
     decrease, which makes the trace exactly non-decreasing.  Stops when the
     fractional increase drops below `xi` or after `max_iters` iterations.
+    `eps` is the absolute bisection accuracy in SINR units.  `init` is a
+    `DftSearchResult`, a `MuSolveState` or a ``(theta1, theta2, W)`` tuple;
+    by default the DFT codebook search picks it.
 
     Returns (MuSolveState, SolveReport).
     """

@@ -1,6 +1,9 @@
 """Single-user joint beamforming: closed-form alternating optimization,
-the single-IRS baseline optimizer, the baseline-derived initialization that
-provably matches or beats the baseline SNR, and an SDR benchmark."""
+the single-IRS baseline optimizer, and the baseline-derived initialization
+that provably matches or beats the baseline SNR.
+
+The single-user SDR benchmark is `multi_user.algorithm1` with K = 1 and MRC
+receivers; this module needs no SDP machinery."""
 
 from __future__ import annotations
 
@@ -11,9 +14,7 @@ import numpy as np
 
 from .channels import ChannelSet, ReflectPattern
 from .metrics import SinrContext, effective_channel
-from .multi_user import build_p31_instance, build_p34_instance
 from .reports import SolveReport
-from .sdp import bisection_maxmin, gaussian_randomization, matched_filter_bound
 
 
 class DegenerateChannelError(ValueError):
@@ -180,80 +181,3 @@ def init_from_single_irs(chs: ChannelSet, baseline_state: SuSolveState) -> SuSol
     rot = np.exp(1j * phi)
     return SuSolveState(w, rot * part1, rot * part2)
 
-
-@dataclass
-class SdrBenchmark:
-    theta1: np.ndarray
-    theta2: np.ndarray
-    snr: float
-    bound: float  # relaxation upper bound of the final conditional subproblems
-    report: SolveReport
-
-
-def sdr_benchmark_su(
-    chs: ChannelSet,
-    ctx: SinrContext,
-    w,
-    rng=None,
-    max_iters=20,
-    tol=1e-6,
-    eps=1e-3,
-    n_rand=100,
-    init_pattern=None,
-):
-    """Alternating SDR benchmark for the single-user problem.
-
-    Starting from `w` (and an optional reflect pattern), each round solves
-    the theta2 and theta1 subproblems by bisection over the PSD relaxation
-    followed by Gaussian randomization, then refreshes w by MRC; candidate
-    updates are kept only if the exact SNR does not decrease.  `eps` is a
-    fraction of each subproblem's bracket.  The returned bound is the tighter
-    relaxation bound of the two conditional subproblems re-solved at the
-    final iterate, so it upper-bounds the final feasible SNR.
-    """
-    _require_single_user(chs)
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    t_start = time.perf_counter()
-    w = np.asarray(w, dtype=complex).reshape(-1)
-    w = w / np.linalg.norm(w)
-    if init_pattern is None:
-        init_pattern = ReflectPattern.ones(chs.m1, chs.m2)
-    thetas = [init_pattern.theta1.copy(), init_pattern.theta2.copy()]
-    snr = snr_value(chs, w, *thetas, ctx)
-    trace = [snr]
-    converged = False
-    blocks = [block for block in (2, 1) if (chs.m1, chs.m2)[block - 1]]
-
-    def subproblem(block):
-        build = build_p31_instance if block == 2 else build_p34_instance
-        inst = build(chs, thetas[2 - block], w[:, None], ctx.powers, ctx.noise)
-        hi = max(matched_filter_bound(inst), 1e-12)
-        bis = bisection_maxmin(inst, 0.0, hi, eps * hi)
-        cand = gaussian_randomization(bis.solution.psi, inst, n_rand, rng).theta
-        return bis.delta_star + eps * hi, cand
-
-    for _ in range(max_iters):
-        prev = snr
-        for block in blocks:
-            trial = list(thetas)
-            trial[block - 1] = subproblem(block)[1]
-            if snr_value(chs, w, *trial, ctx) >= snr:
-                thetas = trial
-                snr = snr_value(chs, w, *thetas, ctx)
-        w = mrc_receive(chs, *thetas)
-        snr = snr_value(chs, w, *thetas, ctx)
-        trace.append(snr)
-        if snr - prev <= tol * max(prev, 1e-300):
-            converged = True
-            break
-    # conditional bounds at the final iterate cover the final feasible SNR
-    bound = min((subproblem(block)[0] for block in blocks), default=snr)
-    report = SolveReport(
-        method="su-sdr",
-        objective=snr,
-        trace=trace,
-        converged=converged,
-        iterations=len(trace) - 1,
-        wall_time_s=time.perf_counter() - t_start,
-    )
-    return SdrBenchmark(*thetas, snr, bound, report)

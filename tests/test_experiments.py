@@ -16,8 +16,11 @@ from coopbeam.sdp import SdpSolverError
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def write_spec(tmp_path, **fields):
-    path = tmp_path / "spec.json"
+PROP2 = {"experiment": "prop2-rank", "sweep": [3]}
+
+
+def write_spec(tmp_path, name="spec.json", **fields):
+    path = tmp_path / name
     path.write_text(json.dumps(fields))
     return str(path)
 
@@ -102,6 +105,32 @@ class TestRunExperiment:
         )
         summary = ex.run_experiment(spec)
         assert summary["assertions"]["double_ge_single_all_splits"]
+
+    def test_fig4_runs_every_default_method(self, tmp_path, monkeypatch):
+        real = ex.algorithm1
+        start_rates = []
+
+        def record_start(chs, ctx, init, **kwargs):
+            # the sdr method starts from all-ones patterns and a uniform receiver
+            w0 = np.ones(chs.n_bs) / np.sqrt(chs.n_bs)
+            ones1, ones2 = np.ones(chs.m1, complex), np.ones(chs.m2, complex)
+            start_rates.append(ex.max_min_rate([ex.snr_value(chs, w0, ones1, ones2, ctx)]))
+            return real(chs, ctx, init, **kwargs)
+
+        monkeypatch.setattr(ex, "algorithm1", record_start)
+        spec = ex.ExperimentSpec(
+            "fig4-rate-vs-power", sweep=[0, 30], draws=1, seed=3, out_dir=str(tmp_path),
+            scenario={"n_bs": 2, "m1": 2, "m2": 2},
+        )
+        ex.run_experiment(spec)
+        rows = (tmp_path / "fig4-rate-vs-power.csv").read_text().splitlines()[1:]
+        methods = spec.merged_options["methods"]
+        assert len(rows) == len(spec.sweep) * len(methods)
+        assert {line.split(",")[-1] for line in rows} == {"ok"}
+        sdr_rates = [float(line.split(",")[2]) for line in rows if line.split(",")[1] == "sdr"]
+        assert len(start_rates) == len(sdr_rates) == 2
+        for rate, start in zip(sdr_rates, start_rates):
+            assert rate >= start * (1 - 1e-9)
 
     def test_prop2_summary_fractions(self, tmp_path):
         spec = ex.ExperimentSpec("prop2-rank", sweep=[5], draws=5, seed=0, out_dir=str(tmp_path))
@@ -266,24 +295,35 @@ class TestCli:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "experiment, sweep, options, named",
+        "fields, named",
         [
-            ("oracle-suite", ["bogus"], {}, "bogus"),
-            ("fig5-rate-vs-M1-split", [40], {}, "split 40"),
-            ("fig5-rate-vs-M1-split", [12], {"m_total": 8}, "split 12"),
-            ("prop1-property", [0.0], {"restarts": "x"}, "restarts"),
-            ("fig7-mu-alg", ["x"], {}, "not a number"),
+            ({"experiment": "oracle-suite", "sweep": ["bogus"]}, "bogus"),
+            ({"experiment": "fig5-rate-vs-M1-split", "sweep": [40]}, "split 40"),
+            (
+                {"experiment": "fig5-rate-vs-M1-split", "sweep": [12], "options": {"m_total": 8}},
+                "split 12",
+            ),
+            ({"experiment": "prop1-property", "sweep": [0.0], "options": {"restarts": "x"}},
+             "restarts"),
+            ({"experiment": "fig7-mu-alg", "sweep": ["x"]}, "not a number"),
+            ({**PROP2, "draws": 2.5}, "draws"),
+            ({**PROP2, "draws": True}, "draws"),
+            ({**PROP2, "seed": "x"}, "seed"),
+            ({**PROP2, "seed": 1.5}, "seed"),
+            ({**PROP2, "seed": -1}, "seed"),
+            ({**PROP2, "out_dir": 5}, "out_dir"),
+            ({**PROP2, "scenario": {"m1": 2.5}}, "m1"),
         ],
         ids=[
             "oracle-check", "split-over-default-budget", "split-over-given-budget",
-            "option-type", "sweep-type",
+            "option-type", "sweep-type", "draws-float", "draws-bool", "seed-string",
+            "seed-float", "seed-negative", "out-dir-type", "scenario-count-float",
         ],
     )
-    def test_validate_rejects_what_run_rejects(
-        self, tmp_path, capsys, experiment, sweep, options, named
-    ):
-        # each of these passed validate and then stopped run after the draws had started
-        path = write_spec(tmp_path, experiment=experiment, sweep=sweep, options=options)
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, fields, named):
+        # each of these passed validate and then stopped run (or, for draws: true,
+        # ran one draw)
+        path = write_spec(tmp_path, **fields)
         assert cli.main(["validate", path]) == 2
         assert named in capsys.readouterr().err
 
@@ -309,3 +349,31 @@ class TestCli:
         assert summary["draws"] == 2
         assert os.path.exists(summary["csv"])
         assert summary["plotdata"]
+
+    def test_run_several_specs(self, tmp_path, capsys):
+        tiny = {"n_bs": 8, "m1": 4, "m2": 4}
+        out_dir = tmp_path / "results"
+        paths = [
+            write_spec(tmp_path, "a.json", **PROP2, draws=1, scenario=tiny),
+            write_spec(tmp_path, "b.json", experiment="oracle-suite", sweep=["receivers"], draws=1),
+        ]
+        assert cli.main(["run", *paths, "--out", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.glob("*.csv")) == [
+            "oracle-suite.csv", "prop2-rank.csv",
+        ]
+        # one summary document per spec, in the order given
+        out, decoder, pos, names = capsys.readouterr().out, json.JSONDecoder(), 0, []
+        while pos < len(out):
+            summary, end = decoder.raw_decode(out, pos)
+            names.append(summary["experiment"])
+            pos = end + 1  # the newline after each document
+        assert names == ["prop2-rank", "oracle-suite"]
+
+    def test_run_rejects_specs_writing_the_same_csv(self, tmp_path, capsys):
+        paths = [
+            write_spec(tmp_path, "a.json", **PROP2, draws=1),
+            write_spec(tmp_path, "b.json", **PROP2, draws=1, seed=2),
+        ]
+        assert cli.main(["run", *paths, "--out", str(tmp_path / "results")]) == 2
+        assert "same" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
