@@ -18,7 +18,6 @@ Conventions (chosen once, documented here):
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, replace
@@ -174,13 +173,6 @@ class SystemScenario:
         d["links"] = {k: asdict(v) for k, v in self.links.items()}
         return d
 
-    def to_json(self, path=None, **kwargs):
-        text = json.dumps(self.to_dict(), indent=2, **kwargs)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        return text
-
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
@@ -190,14 +182,6 @@ class SystemScenario:
             if key in d:
                 d[key] = tuple(d[key])
         return cls(**d)
-
-    @classmethod
-    def from_json(cls, path_or_text):
-        text = path_or_text
-        if "{" not in str(path_or_text):
-            with open(path_or_text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +340,10 @@ class ReflectPattern:
         return np.concatenate([self.theta1, self.theta2])
 
     @classmethod
-    def from_single(cls, theta):
-        return cls(np.zeros(0, dtype=complex), theta)
-
-    @classmethod
     def random(cls, m1, m2, rng):
         ph = rng.uniform(0.0, 2 * math.pi, m1 + m2)
         vec = np.exp(1j * ph)
         return cls(vec[:m1], vec[m1:])
-
-    @classmethod
-    def ones(cls, m1, m2):
-        return cls(np.ones(m1, dtype=complex), np.ones(m2, dtype=complex))
 
 
 @dataclass

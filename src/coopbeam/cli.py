@@ -32,8 +32,8 @@ def _cmd_run(args):
 def _cmd_list(_args):
     for exp_id, exp in EXPERIMENTS.items():
         print(f"{exp_id:24s} {exp.description}")
-        for name, default in exp.options.items():
-            print(f"    {name} = {json.dumps(default)}")
+        for name, opt in exp.options.items():
+            print(f"    {name} = {json.dumps(opt.default)}")
         if exp.methods:
             print(f"    methods from: {' '.join(sorted(exp.methods))}")
     return 0

@@ -3,8 +3,11 @@ bundled rate/rank studies, CSV artifacts, and plot-ready series files.
 
 Each experiment is one row of ``EXPERIMENTS``: a description, a point
 function ``(spec, opts, value, rng, draw) -> row`` that evaluates one sweep
-value of one draw, the options it reads with their defaults, and the
-methods it accepts.  ``_run_one_draw`` holds the only sweep loop.
+value of one draw, the options it reads with their defaults and lower
+bounds, the methods it accepts, the check of its sweep values, and the
+summary function that turns the per-point values into the assertion
+records of ``<experiment>_summary.json``.  ``_run_one_draw`` holds the only
+sweep loop.
 
 Reproducibility contract: a run is a pure function of (spec, seed).  Draw
 seeds come from numpy SeedSequence spawning - the master sequence spawns one
@@ -331,15 +334,24 @@ def _random_instance(rng, k, m):
 
 
 # ---------------------------------------------------------------------------
-# the experiment table
+# table columns: option ranges and sweep checks
+
+
+class Opt(NamedTuple):
+    """One option of an experiment: its default and the range of accepted values."""
+
+    default: object
+    at_least: float | None = None  # smallest accepted value
+    above: float | None = None     # accepted values exceed this
 
 
 class Experiment(NamedTuple):
     description: str
     point: Callable        # (spec, opts, sweep value, rng, draw dict) -> {method: value}
-    options: dict          # every option the point function reads, with its default
+    options: dict          # name -> Opt of every option the point function reads
     methods: frozenset     # accepted options["methods"] entries (empty: no methods option)
     sweep_check: Callable  # (opts, sweep value) -> None, raises ValueError on a bad value
+    summarize: Callable    # (spec, per_point) -> the summary's "assertions" record
 
 
 def _number(opts, value):
@@ -347,10 +359,19 @@ def _number(opts, value):
         raise ValueError(f"sweep value {value!r} is not a number")
 
 
+def _count(low):
+    """Sweep check of an integer axis whose smallest value is `low`."""
+
+    def check(opts, value):
+        if not _integer(value) or value < low:
+            raise ValueError(f"sweep value {value!r} is not an integer >= {low}")
+
+    return check
+
+
 def _split(opts, m1):
-    _number(opts, m1)
-    if not 0 <= m1 <= opts["m_total"]:
-        raise ValueError(f"split {m1} outside the budget {opts['m_total']}")
+    if not _integer(m1) or not 0 <= m1 <= opts["m_total"]:
+        raise ValueError(f"split {m1!r} is not an integer within the budget 0..{opts['m_total']}")
 
 
 def _oracle_check(opts, check):
@@ -372,58 +393,155 @@ def _same_kind(value, default):
     return isinstance(value, _KINDS[type(default)]) and not isinstance(value, bool)
 
 
+# ---------------------------------------------------------------------------
+# summaries: pass/fail records of the embedded assertions; per_point[i] maps
+# each method (and "_" diagnostic) of sweep point i to its values over draws
+
+
+def _mean(per_point, idx, method):
+    vals = per_point[idx].get(method)
+    return float(np.mean(vals)) if vals else float("nan")
+
+
+def _no_summary(spec, per_point):
+    return {}
+
+
+def _fig5_summary(spec, per_point):
+    ok = all(
+        _mean(per_point, i, "ao-ib") >= _mean(per_point, i, "single-irs") - 1e-12
+        for i in range(len(spec.sweep))
+        if per_point[i]
+    )
+    return {"double_ge_single_all_splits": bool(ok)}
+
+
+def _fig6_summary(spec, per_point):
+    gains = {}
+    methods = sorted({m for p in per_point for m in p if not m.startswith("_")})
+    for method in methods:
+        for i in range(len(spec.sweep) - 1):
+            if 2 * spec.sweep[i] == spec.sweep[i + 1]:
+                key = f"{method} {spec.sweep[i]}->{spec.sweep[i + 1]}"
+                gains[key] = _mean(per_point, i + 1, method) - _mean(per_point, i, method)
+    return {"doubling_gains_bits": gains}
+
+
+def _fig7_summary(spec, per_point):
+    out = {}
+    for mode in ("zf", "mmse"):
+        a, d = f"alg1-{mode}", f"dft-{mode}"
+        if a in per_point[0] and d in per_point[0]:
+            out[f"alg1_ge_dft_{mode}"] = all(
+                _mean(per_point, i, a) >= _mean(per_point, i, d) - 1e-12
+                for i in range(len(spec.sweep))
+            )
+    return out
+
+
+def _fig8_summary(spec, per_point):
+    if len(spec.sweep) < 2:
+        return {}
+    out = {}
+    for key in sorted(key for key in per_point[0] if key.startswith("_sinr:")):
+        lo, hi = _mean(per_point, 0, key), _mean(per_point, -1, key)
+        out[f"sinr_growth[{key[6:]}]"] = (hi - lo) / lo if lo > 0 else float("inf")
+    return out
+
+
+def _fig9_summary(spec, per_point):
+    return {
+        f"rate_span[{m}]": {"first": _mean(per_point, 0, m), "last": _mean(per_point, -1, m)}
+        for m in sorted(per_point[0])
+        if not m.startswith("_")
+    }
+
+
+def _prop1_summary(spec, per_point):
+    viol = sum(sum(p.get("_violation", [])) for p in per_point)
+    init_viol = sum(sum(p.get("_init_violation", [])) for p in per_point)
+    return {"violations": int(viol), "init_violations": int(init_viol), "pass": viol == 0}
+
+
+def _prop2_summary(spec, per_point):
+    k = int(spec.sweep[0])
+    h_vals = np.asarray(per_point[0].get("rank-h", []))
+    hbar_vals = np.asarray(per_point[0].get("rank-hbar", []))
+    full = float(np.mean(h_vals == min(k, 5))) if h_vals.size else 0.0
+    two = float(np.mean(hbar_vals == 2)) if hbar_vals.size else 0.0
+    return {"frac_rank_h_full": full, "frac_rank_hbar_2": two, "pass": full >= 0.95 and two >= 0.95}
+
+
+def _oracle_summary(spec, per_point):
+    checks = {}
+    for i, name in enumerate(spec.sweep):
+        vals = per_point[i].get(str(name), [])
+        checks[str(name)] = float(np.mean(vals)) if vals else 0.0
+    return {"check_pass_fraction": checks, "pass": all(v == 1.0 for v in checks.values())}
+
+
+# ---------------------------------------------------------------------------
+# the experiment table
+
+
 _SU_METHODS = frozenset({"ao-ib", "init-ib", "single-irs", "dft-search", "ao-dft", "sdr"})
 _MU_METHODS = frozenset(
     f"{system}-{rx}"
     for system in ("alg1", "dft", "double", "single")
     for rx in ("zf", "mmse", "mrc")
 )
-_SU_SOLVE = {"restarts": 20, "i0": 100}
-_SU_OPTS = {**_SU_SOLVE, "kappa_far_db": -10.0, "sdr_iters": 10}
-_MU_OPTS = {"i1": 4, "xi": 1e-3, "eps": 0.1, "n_rand": 100}
+_SU_SOLVE = {"restarts": Opt(20, at_least=1), "i0": Opt(100, at_least=1)}
+_SU_OPTS = {**_SU_SOLVE, "kappa_far_db": Opt(-10.0), "sdr_iters": Opt(10, at_least=1)}
+_MU_OPTS = {
+    "i1": Opt(4, at_least=1), "xi": Opt(1e-3, at_least=0), "eps": Opt(0.1, above=0),
+    "n_rand": Opt(100, at_least=1),
+}
 
 EXPERIMENTS = {
     "fig4-rate-vs-power": Experiment(
         "single-user achievable rate vs transmit power for the AO/SDR/codebook designs",
         _fig4_point,
-        {**_SU_OPTS, "methods": ["ao-ib", "ao-dft", "dft-search", "sdr", "single-irs"]},
-        _SU_METHODS, _number),
+        {**_SU_OPTS, "methods": Opt(["ao-ib", "ao-dft", "dft-search", "sdr", "single-irs"])},
+        _SU_METHODS, _number, _no_summary),
     "fig5-rate-vs-M1-split": Experiment(
         "single-user rate vs subsurface split M1 under a fixed total budget",
         _fig5_point,
-        {**_SU_OPTS, "m_total": 32, "methods": ["ao-ib", "init-ib", "single-irs"]},
-        _SU_METHODS, _split),
+        {**_SU_OPTS, "m_total": Opt(32, at_least=0),
+         "methods": Opt(["ao-ib", "init-ib", "single-irs"])},
+        _SU_METHODS, _split, _fig5_summary),
     "fig6-rate-vs-totalM": Experiment(
         "single-user rate vs total subsurfaces for several Rician factors",
-        _fig6_point, {**_SU_SOLVE, "kappa_set_db": [-10.0, 0.0, 10.0]}, frozenset(), _number),
+        _fig6_point, {**_SU_SOLVE, "kappa_set_db": Opt([-10.0, 0.0, 10.0])}, frozenset(),
+        _count(0), _fig6_summary),
     "fig7-mu-alg": Experiment(
         "multi-user max-min rate vs power: alternating optimizer against codebook search",
         _mu_power_point,
-        {**_MU_OPTS, "k_users": 5, "methods": ["alg1-zf", "alg1-mmse", "dft-zf", "dft-mmse"]},
-        _MU_METHODS, _number),
+        {**_MU_OPTS, "k_users": Opt(5, at_least=1),
+         "methods": Opt(["alg1-zf", "alg1-mmse", "dft-zf", "dft-mmse"])},
+        _MU_METHODS, _number, _fig7_summary),
     "fig8-mu-vs-power": Experiment(
         "multi-user max-min rate vs power: double-IRS against the single-IRS baseline",
         _mu_power_point,
-        {**_MU_OPTS, "k_users": 5, "methods": ["double-mmse", "single-mmse"]},
-        _MU_METHODS, _number),
+        {**_MU_OPTS, "k_users": Opt(5, at_least=1),
+         "methods": Opt(["double-mmse", "single-mmse"])},
+        _MU_METHODS, _number, _fig8_summary),
     "fig9-rate-vs-K": Experiment(
         "multi-user max-min rate vs number of users at high power",
         _fig9_point,
-        {**_MU_OPTS, "power_dbm": 30.0,
-         "methods": ["double-mmse", "double-zf", "single-mmse", "single-zf"]},
-        _MU_METHODS, _number),
+        {**_MU_OPTS, "power_dbm": Opt(30.0),
+         "methods": Opt(["double-mmse", "double-zf", "single-mmse", "single-zf"])},
+        _MU_METHODS, _count(1), _fig9_summary),
     "prop1-property": Experiment(
         "double-IRS-with-init SNR never below the single-IRS optimum",
-        _prop1_point, {"restarts": _SU_SOLVE["restarts"]}, frozenset(), _number),
+        _prop1_point, {"restarts": _SU_SOLVE["restarts"]}, frozenset(), _number,
+        _prop1_summary),
     "prop2-rank": Experiment(
         "effective channel rank of the double/single systems", _prop2_point, {}, frozenset(),
-        _number),
+        _count(1), _prop2_summary),
     "oracle-suite": Experiment(
         "self-check batch of closed-form and identity oracles", _oracle_point, {}, frozenset(),
-        _oracle_check),
+        _oracle_check, _oracle_summary),
 }
-
-EXPERIMENT_IDS = tuple(EXPERIMENTS)
 
 
 @dataclass
@@ -441,7 +559,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
-                f"unknown experiment {self.experiment!r}; known ids: {', '.join(EXPERIMENT_IDS)}"
+                f"unknown experiment {self.experiment!r}; known ids: {', '.join(EXPERIMENTS)}"
             )
         if not isinstance(self.sweep, (list, tuple)) or len(self.sweep) == 0:
             raise ValueError("sweep must be a non-empty list")
@@ -464,11 +582,16 @@ class ExperimentSpec:
                 f"unknown options {unknown} for {self.experiment}; known: {', '.join(exp.options)}"
             )
         for name, value in self.options.items():
-            default = exp.options[name]
-            if not _same_kind(value, default):
+            opt = exp.options[name]
+            if not _same_kind(value, opt.default):
                 raise ValueError(
-                    f"option {name!r} must have the type of its default {default!r}, got {value!r}"
+                    f"option {name!r} must have the type of its default {opt.default!r}, "
+                    f"got {value!r}"
                 )
+            if opt.at_least is not None and value < opt.at_least:
+                raise ValueError(f"option {name!r} must be >= {opt.at_least}, got {value!r}")
+            if opt.above is not None and value <= opt.above:
+                raise ValueError(f"option {name!r} must be > {opt.above}, got {value!r}")
         if "methods" in self.options:
             methods = self.options["methods"]
             if not methods:
@@ -486,7 +609,8 @@ class ExperimentSpec:
     @property
     def merged_options(self):
         """The experiment's default options, overridden by this spec's."""
-        return {**EXPERIMENTS[self.experiment].options, **self.options}
+        defaults = {name: opt.default for name, opt in EXPERIMENTS[self.experiment].options.items()}
+        return {**defaults, **self.options}
 
     def to_dict(self):
         return asdict(self)
@@ -611,7 +735,7 @@ def run_experiment(spec: ExperimentSpec, threads=1):
         "sweep": spec.sweep,
         "csv": csv_path,
         "failures": failures,
-        "assertions": _summarize(spec, per_point),
+        "assertions": EXPERIMENTS[spec.experiment].summarize(spec, per_point),
     }
     with open(os.path.join(spec.out_dir, f"{spec.experiment}_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -619,84 +743,9 @@ def run_experiment(spec: ExperimentSpec, threads=1):
     return summary
 
 
-def _mean(per_point, idx, method):
-    vals = per_point[idx].get(method)
-    return float(np.mean(vals)) if vals else float("nan")
-
-
-def _summarize(spec, per_point):
-    """Pass/fail records for the assertions embedded in each experiment."""
-    out = {}
-    exp = spec.experiment
-    if exp == "fig5-rate-vs-M1-split":
-        ok = all(
-            _mean(per_point, i, "ao-ib") >= _mean(per_point, i, "single-irs") - 1e-12
-            for i in range(len(spec.sweep))
-            if per_point[i]
-        )
-        out["double_ge_single_all_splits"] = bool(ok)
-    elif exp == "fig6-rate-vs-totalM":
-        gains = {}
-        methods = sorted({m for p in per_point for m in p if not m.startswith("_")})
-        for method in methods:
-            for i in range(len(spec.sweep) - 1):
-                if 2 * spec.sweep[i] == spec.sweep[i + 1]:
-                    key = f"{method} {spec.sweep[i]}->{spec.sweep[i + 1]}"
-                    gains[key] = _mean(per_point, i + 1, method) - _mean(per_point, i, method)
-        out["doubling_gains_bits"] = gains
-    elif exp == "fig7-mu-alg":
-        for mode in ("zf", "mmse"):
-            a, d = f"alg1-{mode}", f"dft-{mode}"
-            if per_point and a in per_point[0] and d in per_point[0]:
-                out[f"alg1_ge_dft_{mode}"] = bool(
-                    all(
-                        _mean(per_point, i, a) >= _mean(per_point, i, d) - 1e-12
-                        for i in range(len(spec.sweep))
-                    )
-                )
-    elif exp == "fig8-mu-vs-power":
-        if len(spec.sweep) >= 2 and per_point:
-            lo, hi = 0, len(spec.sweep) - 1
-            for key in sorted(per_point[0]):
-                if not key.startswith("_sinr:"):
-                    continue
-                lo_sinr = _mean(per_point, lo, key)
-                hi_sinr = _mean(per_point, hi, key)
-                out[f"sinr_growth[{key[6:]}]"] = (
-                    (hi_sinr - lo_sinr) / lo_sinr if lo_sinr > 0 else float("inf")
-                )
-    elif exp == "fig9-rate-vs-K":
-        for method in sorted(per_point[0] if per_point else {}):
-            if method.startswith("_"):
-                continue
-            rates = [_mean(per_point, i, method) for i in range(len(spec.sweep))]
-            out[f"rate_span[{method}]"] = {"first": rates[0], "last": rates[-1]}
-    elif exp == "prop1-property":
-        viol = sum(sum(p.get("_violation", [])) for p in per_point)
-        init_viol = sum(sum(p.get("_init_violation", [])) for p in per_point)
-        out["violations"] = int(viol)
-        out["init_violations"] = int(init_viol)
-        out["pass"] = viol == 0
-    elif exp == "prop2-rank":
-        k = int(spec.sweep[0])
-        h_vals = np.asarray(per_point[0].get("rank-h", []))
-        hbar_vals = np.asarray(per_point[0].get("rank-hbar", []))
-        out["frac_rank_h_full"] = float(np.mean(h_vals == min(k, 5))) if h_vals.size else 0.0
-        out["frac_rank_hbar_2"] = float(np.mean(hbar_vals == 2)) if hbar_vals.size else 0.0
-        out["pass"] = out["frac_rank_h_full"] >= 0.95 and out["frac_rank_hbar_2"] >= 0.95
-    elif exp == "oracle-suite":
-        checks = {}
-        for i, name in enumerate(spec.sweep):
-            vals = per_point[i].get(str(name), [])
-            checks[str(name)] = float(np.mean(vals)) if vals else 0.0
-        out["check_pass_fraction"] = checks
-        out["pass"] = all(v == 1.0 for v in checks.values())
-    return out
-
-
-def emit_plotdata(csv_path, out_dir=None):
-    """Split an experiment CSV into per-method (x, y, yerr) series files."""
-    out_dir = out_dir or os.path.dirname(os.path.abspath(csv_path))
+def emit_plotdata(csv_path):
+    """Split an experiment CSV into per-method (x, y, yerr) series files next to it."""
+    out_dir = os.path.dirname(os.path.abspath(csv_path))
     with open(csv_path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"sweep", "method", "mean_rate", "stderr"}

@@ -7,7 +7,6 @@ codebook search benchmark.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,7 +204,6 @@ def algorithm1(
     Returns (MuSolveState, SolveReport).
     """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    t_start = time.perf_counter()
     if init is None:
         init = dft_codebook_search(chs, ctx, rx_mode=rx_mode if chs.n_users > 1 else None)
     if isinstance(init, DftSearchResult):
@@ -262,11 +260,9 @@ def algorithm1(
         raise
 
     report = SolveReport(
-        method=f"alternating-sdr[{rx_mode}]",
         objective=state.min_sinr,
         trace=list(state.trace),
         converged=state.converged,
         iterations=state.iterations,
-        wall_time_s=time.perf_counter() - t_start,
     )
     return state, report

@@ -15,6 +15,10 @@ array, so every trace tr(C_k X) and tr(C_k Psi C_l Psi) is a matrix
 product.  The step is assembled in closed form through the inverse Hessian
 of the log-det barrier, and one Cholesky factor of Psi per step serves both
 Psi^{-1} and the step-length bound that keeps the iterate positive definite.
+
+An instance holds only (q, qbar, noise) and is a pure function of the channel
+realization and the fixed variables it was built from, so it has no file
+form: code that needs one again rebuilds it from the seed.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import io as _io
 
 FEAS_TOL = 1e-6  # constraints satisfied within this relative slack count as feasible
 
@@ -75,21 +77,13 @@ class MaxMinSdpInstance:
         """Every B_{k,j} at once, shape (K, K, M'+1, M'+1)."""
         return _homogenized(self.q, self.qbar)
 
-    def term_powers(self, theta):
-        """|q_{k,j}^H theta + qbar_{k,j}|^2 for one theta or a batch (C, M')."""
+    def sinr_values(self, theta):
+        """Per-user SINRs of one unit-modulus theta or a batch (C, M')."""
         theta = np.asarray(theta, dtype=complex)
         batched = theta.ndim == 2
         th = theta if batched else theta[None, :]
-        vals = np.einsum("kjp,cp->ckj", self.q.conj(), th) + self.qbar[None, :, :]
-        p = np.abs(vals) ** 2
-        return p if batched else p[0]
-
-    def sinr_values(self, theta):
-        """Per-user SINRs of one unit-modulus theta or a batch."""
-        p = self.term_powers(theta)
-        batched = p.ndim == 3
-        if not batched:
-            p = p[None]
+        # p[c, k, j] = |q_{k,j}^H theta_c + qbar_{k,j}|^2
+        p = np.abs(np.einsum("kjp,cp->ckj", self.q.conj(), th) + self.qbar[None, :, :]) ** 2
         sig = np.einsum("ckk->ck", p)
         interf = p.sum(axis=2) - sig
         out = sig / (interf + self.noise[None, :])
@@ -98,14 +92,6 @@ class MaxMinSdpInstance:
     def min_sinr(self, theta):
         vals = self.sinr_values(theta)
         return vals.min(axis=-1)
-
-    def dump(self, path):
-        _io.save_matrices(path, {"q": self.q, "qbar": self.qbar, "noise": self.noise})
-
-    @classmethod
-    def load(cls, path):
-        mats = _io.load_matrices(path)
-        return cls(mats["q"], mats["qbar"], mats["noise"])
 
 
 def _homogenized(q, qbar):

@@ -7,7 +7,6 @@ receivers; this module needs no SDP machinery."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,7 +105,6 @@ def ao_single_user(
     `tol` or after `max_iters` iterations.  Returns (SuSolveState, SolveReport).
     """
     _require_single_user(chs)
-    t_start = time.perf_counter()
     w = init.w.copy()
     t1, t2 = init.theta1.copy(), init.theta2.copy()
     trace = [snr_value(chs, w, t1, t2, ctx)]
@@ -130,12 +128,10 @@ def ao_single_user(
         w, t1, t2, snr=trace[-1], iteration=it, trace=trace, converged=converged
     )
     report = SolveReport(
-        method="su-ao",
         objective=state.snr,
         trace=trace,
         converged=converged,
         iterations=it,
-        wall_time_s=time.perf_counter() - t_start,
     )
     return state, report
 
@@ -150,9 +146,11 @@ def single_irs_opt(
     the best SuSolveState across `restarts` random initializations.
     """
     _require_single_user(baseline)
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     best = None
-    for _ in range(max(restarts, 1)):
+    for _ in range(restarts):
         state, _rep = ao_single_user(baseline, ctx, random_init(baseline, rng), max_iters, tol)
         if best is None or state.snr > best.snr:
             best = state

@@ -1,5 +1,6 @@
 """Link synthesis, cascaded channels, and baseline construction."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coopbeam as cb
-from coopbeam import io as cbio
 from coopbeam.channels import LINK_NAMES, ura_shape
 from conftest import explicit_channel, random_channel_set
 
@@ -258,34 +258,8 @@ class TestReflectPattern:
 
 
 class TestSerialization:
-    def test_scenario_json_roundtrip(self, tmp_path):
+    def test_scenario_json_roundtrip(self):
+        # the dict form is what spec scenario overrides go through
         scn = cb.SystemScenario(n_bs=7, m1=5, m2=3, n_users=2, seed=123)
-        path = tmp_path / "scenario.json"
-        scn.to_json(path)
-        back = cb.SystemScenario.from_json(path)
+        back = cb.SystemScenario.from_dict(json.loads(json.dumps(scn.to_dict())))
         assert back == scn
-
-    def test_matrix_container_roundtrip(self, tmp_path, rng):
-        arrays = {
-            "a": rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)),
-            "b": rng.standard_normal(5),
-            "n": np.arange(4, dtype=np.int64),
-        }
-        path = tmp_path / "arrays.cbmx"
-        cbio.save_matrices(path, arrays)
-        back = cbio.load_matrices(path)
-        for k, v in arrays.items():
-            assert np.array_equal(back[k], v)
-
-    def test_channel_set_container_roundtrip(self, tmp_path, small_su_channels):
-        path = tmp_path / "chs.cbmx"
-        cbio.save_channel_set(path, small_su_channels)
-        back = cbio.load_channel_set(path)
-        for name in LINK_NAMES:
-            assert np.array_equal(getattr(back, name), getattr(small_su_channels, name))
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.cbmx"
-        path.write_bytes(b"not a container")
-        with pytest.raises(ValueError):
-            cbio.load_matrices(path)

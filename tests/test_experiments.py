@@ -1,7 +1,9 @@
 """Experiment harness: specs, determinism, artifacts, CLI."""
 
+import csv
 import dataclasses
 import json
+import math
 import os
 import pathlib
 
@@ -17,6 +19,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 PROP2 = {"experiment": "prop2-rank", "sweep": [3]}
+FIG7 = {"experiment": "fig7-mu-alg", "sweep": [20]}
+TINY_MU = {
+    "n_bs": 2, "m1": 2, "m2": 2,
+    "links": {name: {"kind": "geometric", "paths": 2} for name in ("u1", "u2", "d", "g1", "g2")},
+}
 
 
 def write_spec(tmp_path, name="spec.json", **fields):
@@ -55,7 +62,7 @@ class TestSpecValidation:
         assert spec.draws == 2
 
     def test_bundled_spec_exists_for_all_ids(self):
-        for exp_id in ex.EXPERIMENT_IDS:
+        for exp_id in ex.EXPERIMENTS:
             spec = ex.load_spec(ROOT / "scripts" / "specs" / f"{exp_id}.json")
             assert spec.experiment == exp_id
 
@@ -70,6 +77,70 @@ class TestSpecValidation:
         schema = json.loads((ROOT / "docs" / "scenario.schema.json").read_text())
         fields = {f.name for f in dataclasses.fields(SystemScenario)}
         assert set(schema["properties"]) == fields
+
+
+def printed_interval(text):
+    """The values that print as `text` at the CSV's 10 significant digits."""
+    x = float(text)
+    half = 0.5 * 10.0 ** (math.floor(math.log10(abs(x))) - 9) if x else 0.0
+    return x - half, x + half
+
+
+def assert_matches(value, expected):
+    """Same keys in the same order; a tuple expects a value inside that interval."""
+    if isinstance(expected, dict):
+        assert list(value) == list(expected)
+        for key in expected:
+            assert_matches(value[key], expected[key])
+    elif isinstance(expected, tuple):
+        lo, hi = expected
+        slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
+        assert lo - slack <= value <= hi + slack
+    else:
+        assert type(value) is type(expected) and value == expected
+
+
+# summary assertions recomputed from the CSV: means[(sweep text, method)] is the
+# printed mean_rate
+
+
+def fig6_expected(spec, means):
+    m, m2 = spec.sweep  # one doubling of the total M
+    gains = {}
+    for method in sorted({method for _, method in means}):
+        lo = printed_interval(means[(str(m), method)])
+        hi = printed_interval(means[(str(m2), method)])
+        gains[f"{method} {m}->{m2}"] = (hi[0] - lo[1], hi[1] - lo[0])
+    return {"doubling_gains_bits": gains}
+
+
+def fig7_expected(spec, means):
+    return {
+        f"alg1_ge_dft_{mode}": all(
+            float(means[(str(p), f"alg1-{mode}")]) >= float(means[(str(p), f"dft-{mode}")])
+            for p in spec.sweep
+        )
+        for mode in ("zf", "mmse")
+    }
+
+
+def fig8_expected(spec, means):
+    # one draw, so each mean is log2(1 + min SINR) of that draw
+    out = {}
+    for method in sorted(spec.merged_options["methods"]):
+        lo = [2.0**r - 1 for r in printed_interval(means[(str(spec.sweep[0]), method)])]
+        hi = [2.0**r - 1 for r in printed_interval(means[(str(spec.sweep[-1]), method)])]
+        out[f"sinr_growth[{method}]"] = (hi[0] / lo[1] - 1, hi[1] / lo[0] - 1)
+    return out
+
+
+def prop1_expected(spec, means):
+    # one draw, so a violation is an ao-ib rate below the single-IRS rate; the
+    # initialization never starts below the baseline (Prop. 1)
+    violations = sum(
+        float(means[(str(k), "ao-ib")]) < float(means[(str(k), "single-irs")]) for k in spec.sweep
+    )
+    return {"violations": violations, "init_violations": 0, "pass": violations == 0}
 
 
 class TestRunExperiment:
@@ -168,6 +239,33 @@ class TestRunExperiment:
         summary = ex.run_experiment(spec)
         assert summary["assertions"]["pass"], summary["assertions"]
 
+    @pytest.mark.parametrize(
+        "experiment, sweep, draws, scenario, options, expected",
+        [
+            ("fig6-rate-vs-totalM", [2, 4], 2, {"n_bs": 2},
+             {"kappa_set_db": [-10.0, 10.0], "restarts": 2}, fig6_expected),
+            ("fig7-mu-alg", [10, 20], 2, TINY_MU, {"k_users": 2, "i1": 2, "eps": 1e-2},
+             fig7_expected),
+            ("fig8-mu-vs-power", [10, 20], 1, TINY_MU, {"k_users": 2, "i1": 2, "eps": 1e-2},
+             fig8_expected),
+            ("prop1-property", [-10.0, 10.0], 1, {"n_bs": 3, "m1": 3, "m2": 3},
+             {"restarts": 2}, prop1_expected),
+        ],
+        ids=["fig6", "fig7", "fig8", "prop1"],
+    )
+    def test_summary_recomputed_from_csv(
+        self, tmp_path, experiment, sweep, draws, scenario, options, expected
+    ):
+        spec = ex.ExperimentSpec(
+            experiment, sweep=sweep, draws=draws, seed=3, out_dir=str(tmp_path),
+            scenario=scenario, options=options,
+        )
+        summary = ex.run_experiment(spec)
+        assert summary["failures"] == []
+        with open(summary["csv"], newline="") as fh:
+            means = {(r["sweep"], r["method"]): r["mean_rate"] for r in csv.DictReader(fh)}
+        assert_matches(summary["assertions"], expected(spec, means))
+
     def test_csv_columns(self, tmp_path):
         spec = ex.ExperimentSpec(
             "prop2-rank", sweep=[3], draws=1, seed=5, out_dir=str(tmp_path),
@@ -253,7 +351,7 @@ class TestCli:
     def test_list_experiments(self, capsys):
         assert cli.main(["list-experiments"]) == 0
         out = capsys.readouterr().out
-        for exp_id in ex.EXPERIMENT_IDS:
+        for exp_id in ex.EXPERIMENTS:
             assert exp_id in out
         assert "    restarts = 20" in out
         assert "    kappa_set_db = [-10.0, 0.0, 10.0]" in out
@@ -313,19 +411,35 @@ class TestCli:
             ({**PROP2, "seed": -1}, "seed"),
             ({**PROP2, "out_dir": 5}, "out_dir"),
             ({**PROP2, "scenario": {"m1": 2.5}}, "m1"),
+            ({**FIG7, "options": {"k_users": 0}}, "k_users"),
+            ({**FIG7, "options": {"n_rand": 0}}, "n_rand"),
+            ({**FIG7, "options": {"eps": 0}}, "eps"),
+            ({"experiment": "fig6-rate-vs-totalM", "sweep": [-4]}, "sweep value -4"),
+            ({"experiment": "fig9-rate-vs-K", "sweep": [0]}, "sweep value 0"),
+            ({**PROP2, "sweep": [0]}, "sweep value 0"),
+            ({"experiment": "prop1-property", "sweep": [0.0], "options": {"restarts": 0}},
+             "restarts"),
+            ({"experiment": "fig5-rate-vs-M1-split", "sweep": [4.5]}, "split 4.5"),
+            ({"experiment": "fig9-rate-vs-K", "sweep": [2.5]}, "sweep value 2.5"),
         ],
         ids=[
             "oracle-check", "split-over-default-budget", "split-over-given-budget",
             "option-type", "sweep-type", "draws-float", "draws-bool", "seed-string",
             "seed-float", "seed-negative", "out-dir-type", "scenario-count-float",
+            "k-users-zero", "n-rand-zero", "eps-zero", "fig6-negative-total",
+            "fig9-zero-users", "prop2-zero-users", "restarts-zero", "split-fraction",
+            "fig9-users-fraction",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, fields, named):
-        # each of these passed validate and then stopped run (or, for draws: true,
-        # ran one draw)
+        # each of these passed validate and then stopped run, or ran something
+        # other than the spec says: draws true ran one draw, restarts 0 ran one
+        # restart, and a fractional split or user count ran its integer part
         path = write_spec(tmp_path, **fields)
         assert cli.main(["validate", path]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
+        assert err.count("\n") == 1
 
     def test_run_rejects_zero_draws_override(self, tmp_path, capsys):
         path = write_spec(tmp_path, experiment="prop2-rank", sweep=[3], out_dir=str(tmp_path))

@@ -20,7 +20,7 @@ class TestEffectiveChannel:
 
     def test_m1_zero_single_irs_special_case(self, rng):
         chs = random_channel_set(rng, n=3, m1=0, m2=4, k=1)
-        pat = cb.ReflectPattern.from_single(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
+        pat = cb.ReflectPattern(np.zeros(0), np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
         eff = cb.effective_channel(chs, pat)
         assert np.allclose(eff.h[:, 0], chs.g2 @ np.diag(pat.theta2) @ chs.u2[:, 0])
 

@@ -90,15 +90,6 @@ class TestInstance:
         rhs = abs(inst.q[k, j].conj() @ recovered + inst.qbar[k, j]) ** 2
         assert abs(lhs - rhs) <= 1e-10 * max(rhs, 1.0)
 
-    def test_dump_load_roundtrip(self, tmp_path, rng):
-        inst = random_instance(rng, k=3, m=6)
-        path = tmp_path / "inst.cbmx"
-        inst.dump(path)
-        back = cb.MaxMinSdpInstance.load(path)
-        assert np.array_equal(back.q, inst.q)
-        assert np.array_equal(back.qbar, inst.qbar)
-        assert np.array_equal(back.noise, inst.noise)
-
 
 class TestFeasibility:
     def test_zero_target_feasible(self, rng):

@@ -29,7 +29,7 @@ def grid_combos(m, points=64):
 
 def sdr_benchmark(chs, ctx, w, rng, pattern=None, eps=1e-3):
     """The single-user SDR benchmark: Algorithm 1 with MRC receivers from (pattern, w)."""
-    pattern = pattern or cb.ReflectPattern.ones(chs.m1, chs.m2)
+    pattern = pattern or cb.ReflectPattern(np.ones(chs.m1), np.ones(chs.m2))
     state, _ = cb.algorithm1(
         chs, ctx, init=(pattern.theta1, pattern.theta2, np.asarray(w)[:, None]),
         rx_mode="mrc", max_iters=20, xi=1e-6, eps=eps, rng=rng,
@@ -237,6 +237,12 @@ class TestSingleIrsOpt:
             2.0 * sig**2 * 4 * (np.pi / 64) * ctx.powers[0] / ctx.noise
         )  # norm-gradient bound over the 4 phase errors
         assert best.snr >= grid_max - slack
+
+    def test_zero_restarts_rejected(self, rng, ctx):
+        # zero restarts used to run one restart silently
+        chs = random_channel_set(rng, n=2, m1=0, m2=3, k=1)
+        with pytest.raises(ValueError, match="restarts"):
+            cb.single_irs_opt(chs, ctx, restarts=0, rng=rng)
 
 
 class TestBaselineInitialization:
