@@ -16,7 +16,6 @@ from .channels import (
     rician_link,
 )
 from .metrics import (
-    EffectiveChannel,
     RankDeficiencyError,
     RankReport,
     SinrContext,
@@ -29,13 +28,13 @@ from .metrics import (
 )
 from .multi_user import (
     MuSolveState,
-    ReceiveBeamformers,
     algorithm1,
     build_p31_instance,
     build_p34_instance,
     dft_codebook,
     dft_codebook_search,
     mmse_receivers,
+    mrc_receivers,
     zf_receivers,
 )
 from .reports import SolveReport
@@ -50,7 +49,6 @@ from .sdp import (
     matched_filter_bound,
 )
 from .single_user import (
-    DegenerateChannelError,
     SuSolveState,
     ao_single_user,
     init_from_single_irs,

@@ -355,9 +355,9 @@ class ChannelSet:
 
         h_k = G2 diag(theta2) (D diag(theta1) u1_k + u2_k) + G1 diag(theta1) u1_k,
 
-    which is affine in either reflect vector once the other is fixed; `affine`
-    returns that map.  Immutable by convention after construction; safe to
-    share across threads.
+    which `compose` evaluates for both reflect vectors.  It is affine in either
+    reflect vector once the other is fixed; `affine` returns that map.
+    Immutable by convention after construction; safe to share across threads.
     """
 
     u1: np.ndarray
@@ -401,6 +401,11 @@ class ChannelSet:
     @property
     def n_users(self):
         return self.u1.shape[1]
+
+    def compose(self, theta1, theta2):
+        """H (N, K): G2 (theta2 o (D (theta1 o U1) + U2)) + G1 (theta1 o U1)."""
+        x1 = np.asarray(theta1)[:, None] * self.u1
+        return self.g2 @ (np.asarray(theta2)[:, None] * (self.d @ x1 + self.u2)) + self.g1 @ x1
 
     def affine(self, block, theta_other):
         """(A, c) with h_k = A[k] @ theta_block + c[:, k], the other IRS fixed.

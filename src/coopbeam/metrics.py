@@ -1,8 +1,13 @@
-"""Effective channels, SINR/rate metrics, and channel-rank analysis."""
+"""Effective channels, SINR/rate metrics, and channel-rank analysis.
+
+The channel itself is composed in one place, `ChannelSet.compose`;
+`effective_channel` checks the reflect pattern against the channel set and
+returns that (N, K) array.  The receivers (MRC, ZF, MMSE) live in
+`multi_user`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,31 +37,19 @@ class SinrContext:
         return cls(scenario.powers(), scenario.noise_w)
 
 
-@dataclass
-class EffectiveChannel:
-    """Composed user->BS channel H with its double/single-reflection split."""
-
-    h: np.ndarray            # (N, K)
-    double_refl: np.ndarray  # via IRS1 -> IRS2
-    single_refl: np.ndarray  # via IRS2 plus via IRS1
-
-
-def effective_channel(chs: ChannelSet, pat: ReflectPattern) -> EffectiveChannel:
-    """Compose H = G2 Phi2 D Phi1 U1 (double reflection) + G2 Phi2 U2 + G1 Phi1 U1."""
+def effective_channel(chs: ChannelSet, pat: ReflectPattern) -> np.ndarray:
+    """Effective channel H (N, K) of the pattern, composed by `ChannelSet.compose`."""
     t1, t2 = pat.theta1, pat.theta2
     if t1.size != chs.m1 or t2.size != chs.m2:
         raise ValueError(
             f"pattern ({t1.size},{t2.size}) does not match channels ({chs.m1},{chs.m2})"
         )
-    x1 = t1[:, None] * chs.u1
-    h_d = chs.g2 @ (t2[:, None] * (chs.d @ x1))
-    h_s = chs.g2 @ (t2[:, None] * chs.u2) + chs.g1 @ x1
-    return EffectiveChannel(h=h_d + h_s, double_refl=h_d, single_refl=h_s)
+    return chs.compose(t1, t2)
 
 
-def sinr_per_user(eff, w, ctx: SinrContext):
-    """SINR of each user under receive beamformers W (N x K columns w_k)."""
-    h = eff.h if isinstance(eff, EffectiveChannel) else np.asarray(eff)
+def sinr_per_user(h, w, ctx: SinrContext):
+    """SINR of each user of channel H (N x K) under receive beamformers W (columns w_k)."""
+    h = np.asarray(h)
     w = np.asarray(w, dtype=complex)
     if w.ndim == 1:
         w = w[:, None]
@@ -97,15 +90,15 @@ def zf_min_sinr_formula(h, power, noise):
     return float(np.min(power / (noise * inv_diag)))
 
 
-def numerical_rank(a, tol=RANK_TOL):
-    """Rank by singular values above tol * s_max."""
+def numerical_rank(a):
+    """Rank by singular values above RANK_TOL * s_max."""
     a = np.asarray(a)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s[0] == 0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 @dataclass
@@ -113,16 +106,18 @@ class RankReport:
     """Numerical ranks of one double/single channel pair and the Prop. 2 check.
 
     `rank_h` and `rank_hbar` are the effective-channel ranks of the double-
-    and single-IRS systems, `link_ranks` the ranks of the raw links, `bound`
-    the rank gain min(rank g1, rank u1) of the extra reflection path, and
-    `clipped_gain_holds` whether rank_h >= min(N, K, rank_hbar + bound).
+    and single-IRS systems, `bound` the rank gain min(rank g1, rank u1) of
+    the extra reflection path, and `clipped_gain_holds` whether
+    rank_h >= min(N, K, rank_hbar + bound).
     """
 
     rank_h: int
     rank_hbar: int
-    link_ranks: dict = field(default_factory=dict)
     bound: int = 0
     clipped_gain_holds: bool = False
+
+
+RANK_DRAWS = 10  # reflect patterns per majority vote of rank_gain_report
 
 
 def _majority_rank(matrices):
@@ -132,41 +127,31 @@ def _majority_rank(matrices):
 
 
 def rank_gain_report(
-    double: ChannelSet, baseline: ChannelSet, pat: ReflectPattern, rng=None, draws=10
+    double: ChannelSet, baseline: ChannelSet, pat: ReflectPattern, rng=None
 ) -> RankReport:
     """Effective-channel rank comparison of a double/single system pair.
 
-    The rank of H is the majority vote over `pat` and draws - 1 random
-    unit-modulus patterns, the rank of H_bar over draws - 1 random patterns,
-    which avoids measure-zero phase alignments.  The reported inequality flag
-    uses the min(N, K)-clipped form of the rank-gain bound, since the raw
-    additive bound can exceed the matrix dimensions.
+    The rank of H is the majority vote over `pat` and RANK_DRAWS - 1 random
+    unit-modulus patterns, the rank of H_bar over RANK_DRAWS - 1 random
+    patterns, which avoids measure-zero phase alignments.  The reported
+    inequality flag uses the min(N, K)-clipped form of the rank-gain bound,
+    since the raw additive bound can exceed the matrix dimensions.
     """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    pats = [pat] + [ReflectPattern.random(double.m1, double.m2, rng) for _ in range(draws - 1)]
-    rank_h = _majority_rank([effective_channel(double, p).h for p in pats])
-
-    bpats = [
-        ReflectPattern.random(baseline.m1, baseline.m2, rng) for _ in range(max(draws - 1, 1))
+    pats = [pat] + [
+        ReflectPattern.random(double.m1, double.m2, rng) for _ in range(RANK_DRAWS - 1)
     ]
-    rank_hbar = _majority_rank([effective_channel(baseline, p).h for p in bpats])
+    rank_h = _majority_rank([effective_channel(double, p) for p in pats])
 
-    link_ranks = {
-        "u1": numerical_rank(double.u1),
-        "u2": numerical_rank(double.u2),
-        "d": numerical_rank(double.d),
-        "g1": numerical_rank(double.g1),
-        "g2": numerical_rank(double.g2),
-        "gbar": numerical_rank(baseline.g2),
-        "ubar": numerical_rank(baseline.u2),
-    }
-    bound = min(link_ranks["g1"], link_ranks["u1"])
+    bpats = [ReflectPattern.random(baseline.m1, baseline.m2, rng) for _ in range(RANK_DRAWS - 1)]
+    rank_hbar = _majority_rank([effective_channel(baseline, p) for p in bpats])
+
+    bound = min(numerical_rank(double.g1), numerical_rank(double.u1))
     n, k = double.n_bs, double.n_users
     clipped_target = min(min(n, k), rank_hbar + bound)
     return RankReport(
         rank_h=rank_h,
         rank_hbar=rank_hbar,
-        link_ranks=link_ranks,
         bound=bound,
         clipped_gain_holds=rank_h >= clipped_target,
     )

@@ -2,8 +2,13 @@
 receivers, the alternating SDR/bisection optimizer, and the DFT joint
 codebook search benchmark.
 
-`algorithm1` is the one alternating SDR driver: with K = 1 and
-``rx_mode="mrc"`` it is the single-user SDR benchmark."""
+The channel is composed by `ChannelSet.compose` (through
+`metrics.effective_channel`).  `mrc_receivers` is the one MRC body, used here
+and by `single_user.mrc_receive`; the receivers return W itself.
+`MuSolveState` is the one multi-user result: `dft_codebook_search` returns it
+and `algorithm1` starts from it.  `algorithm1` is the one alternating SDR
+driver: with K = 1 and ``rx_mode="mrc"`` it is the single-user SDR
+benchmark."""
 
 from __future__ import annotations
 
@@ -23,22 +28,21 @@ from .sdp import (
 from .reports import SolveReport
 
 
-@dataclass
-class ReceiveBeamformers:
-    """Per-user receive vectors stacked as the columns of W."""
+def mrc_receivers(h):
+    """Unit-norm maximum-ratio receivers w_k = h_k / ||h_k||.
 
-    w: np.ndarray
-    mode: str = "fixed"  # zf | mmse | mrc | fixed
+    A zero channel column gets the first unit vector, so that user's SINR is 0.
+    """
+    h = np.asarray(h, dtype=complex)
+    norms = np.sqrt((h.conj() * h).real.sum(axis=0))  # np.linalg.norm(h, axis=0), minus its overhead
+    if not norms.all():
+        zero = norms == 0
+        h = h.copy()
+        h[0, zero] = norms[zero] = 1.0
+    return h / norms
 
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=complex)
-        if self.w.ndim != 2:
-            raise ValueError("W must be an N x K matrix")
-        if np.any(np.sum(np.abs(self.w) ** 2, axis=0) == 0):
-            raise ValueError("zero receive vector")
 
-
-def zf_receivers(h, powers) -> ReceiveBeamformers:
+def zf_receivers(h, powers):
     """Zero-forcing receivers W = H (P H^H H)^{-1} with P = diag(sqrt(P_k)).
 
     Requires full column rank; satisfies W^H H = P^{-1} so all cross-user
@@ -50,11 +54,10 @@ def zf_receivers(h, powers) -> ReceiveBeamformers:
     if numerical_rank(h) < k:
         raise RankDeficiencyError("ZF requires rank(H) = K")
     gram = h.conj().T @ h
-    w = h @ np.linalg.inv(np.sqrt(powers)[:, None] * gram)
-    return ReceiveBeamformers(w, "zf")
+    return h @ np.linalg.inv(np.sqrt(powers)[:, None] * gram)
 
 
-def mmse_receivers(h, powers, noise) -> ReceiveBeamformers:
+def mmse_receivers(h, powers, noise):
     """MMSE receivers W = (H P P H^H + noise I)^{-1} H P (per-user optimal)."""
     h = np.asarray(h, dtype=complex)
     powers = np.atleast_1d(np.asarray(powers, dtype=float))
@@ -62,26 +65,21 @@ def mmse_receivers(h, powers, noise) -> ReceiveBeamformers:
         raise ValueError("noise power must be positive")
     n = h.shape[0]
     cov = (h * powers[None, :]) @ h.conj().T + noise * np.eye(n)
-    w = np.linalg.solve(cov, h * np.sqrt(powers)[None, :])
-    return ReceiveBeamformers(w, "mmse")
+    return np.linalg.solve(cov, h * np.sqrt(powers)[None, :])
 
 
 def _receivers(h, ctx: SinrContext, mode):
-    """Receiver factory with the documented ZF -> MMSE fallback."""
-    substituted = False
+    """(W, substituted): receivers of one mode with the documented ZF -> MMSE fallback."""
     if mode == "mrc":
-        rx = ReceiveBeamformers(h / np.linalg.norm(h, axis=0, keepdims=True), "mrc")
-    elif mode == "zf":
+        return mrc_receivers(h), False
+    if mode == "zf":
         try:
-            rx = zf_receivers(h, ctx.powers)
+            return zf_receivers(h, ctx.powers), False
         except RankDeficiencyError:
-            rx = mmse_receivers(h, ctx.powers, ctx.noise)
-            substituted = True
-    elif mode == "mmse":
-        rx = mmse_receivers(h, ctx.powers, ctx.noise)
-    else:
-        raise ValueError(f"unknown receiver mode {mode!r}")
-    return rx, substituted
+            return mmse_receivers(h, ctx.powers, ctx.noise), True
+    if mode == "mmse":
+        return mmse_receivers(h, ctx.powers, ctx.noise), False
+    raise ValueError(f"unknown receiver mode {mode!r}")
 
 
 def _build_instance(chs: ChannelSet, block, theta_other, w, powers, noise) -> MaxMinSdpInstance:
@@ -122,38 +120,6 @@ def dft_codebook(m):
 
 
 @dataclass
-class DftSearchResult:
-    pattern: ReflectPattern
-    rx: ReceiveBeamformers
-    objective: float  # min SINR (SNR for K = 1)
-    zf_substituted: bool = False
-
-
-def dft_codebook_search(chs: ChannelSet, ctx: SinrContext, rx_mode=None) -> DftSearchResult:
-    """Exhaustive joint search of (theta1, theta2) over the two DFT codebooks.
-
-    Either codebook collapses to the single trivial empty codeword when its
-    IRS has no subsurfaces.  Receivers are MRC for K = 1 and ZF/MMSE
-    otherwise (with the ZF -> MMSE fallback flagged).
-    """
-    if rx_mode is None:
-        rx_mode = "mrc" if chs.n_users == 1 else "mmse"
-    best = None
-    substituted_any = False
-    for t1 in dft_codebook(chs.m1):
-        for t2 in dft_codebook(chs.m2):
-            pat = ReflectPattern(t1, t2)
-            eff = effective_channel(chs, pat)
-            rx, subst = _receivers(eff.h, ctx, rx_mode)
-            substituted_any |= subst
-            obj = float(sinr_per_user(eff, rx.w, ctx).min())
-            if best is None or obj > best.objective:
-                best = DftSearchResult(pat, rx, obj, subst)
-    best.zf_substituted = substituted_any
-    return best
-
-
-@dataclass
 class MuSolveState:
     """State of the alternating max-min optimizer (monotone by acceptance)."""
 
@@ -172,9 +138,33 @@ class MuSolveState:
         return ReflectPattern(self.theta1, self.theta2)
 
 
+def dft_codebook_search(chs: ChannelSet, ctx: SinrContext, rx_mode=None) -> MuSolveState:
+    """Exhaustive joint search of (theta1, theta2) over the two DFT codebooks.
+
+    Either codebook collapses to the single trivial empty codeword when its
+    IRS has no subsurfaces.  Receivers are MRC for K = 1 and ZF/MMSE
+    otherwise.  Returns the best pair with its receivers and min SINR (SNR for
+    K = 1); `zf_substituted` flags a ZF -> MMSE fallback at any pair.
+    """
+    if rx_mode is None:
+        rx_mode = "mrc" if chs.n_users == 1 else "mmse"
+    best = None
+    substituted_any = False
+    for t1 in dft_codebook(chs.m1):
+        for t2 in dft_codebook(chs.m2):
+            h = effective_channel(chs, ReflectPattern(t1, t2))
+            w, subst = _receivers(h, ctx, rx_mode)
+            substituted_any |= subst
+            obj = float(sinr_per_user(h, w, ctx).min())
+            if best is None or obj > best.min_sinr:
+                best = MuSolveState(t1, t2, w, min_sinr=obj)
+    best.zf_substituted = substituted_any
+    return best
+
+
 def _min_sinr(chs, ctx, theta1, theta2, w):
-    eff = effective_channel(chs, ReflectPattern(theta1, theta2))
-    return float(sinr_per_user(eff, w, ctx).min())
+    h = effective_channel(chs, ReflectPattern(theta1, theta2))
+    return float(sinr_per_user(h, w, ctx).min())
 
 
 def algorithm1(
@@ -187,7 +177,6 @@ def algorithm1(
     eps=0.1,
     n_rand=100,
     rng=None,
-    feas_tol=1e-6,
 ):
     """Alternating SDR/bisection optimization of the max-min SINR.
 
@@ -198,21 +187,15 @@ def algorithm1(
     decrease, which makes the trace exactly non-decreasing.  Stops when the
     fractional increase drops below `xi` or after `max_iters` iterations.
     `eps` is the absolute bisection accuracy in SINR units.  `init` is a
-    `DftSearchResult`, a `MuSolveState` or a ``(theta1, theta2, W)`` tuple;
-    by default the DFT codebook search picks it.
+    `MuSolveState` whose (theta1, theta2, w) start the iteration; by default
+    the DFT codebook search picks it.
 
     Returns (MuSolveState, SolveReport).
     """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     if init is None:
         init = dft_codebook_search(chs, ctx, rx_mode=rx_mode if chs.n_users > 1 else None)
-    if isinstance(init, DftSearchResult):
-        state = MuSolveState(init.pattern.theta1, init.pattern.theta2, init.rx.w)
-    elif isinstance(init, MuSolveState):
-        state = MuSolveState(init.theta1.copy(), init.theta2.copy(), init.w.copy())
-    else:
-        t1, t2, w0 = init
-        state = MuSolveState(np.asarray(t1, complex), np.asarray(t2, complex), np.asarray(w0, complex))
+    state = MuSolveState(*(np.array(x, dtype=complex) for x in (init.theta1, init.theta2, init.w)))
 
     state.min_sinr = _min_sinr(chs, ctx, state.theta1, state.theta2, state.w)
     state.trace.append(state.min_sinr)
@@ -224,7 +207,7 @@ def algorithm1(
         build = build_p31_instance if block == 2 else build_p34_instance
         inst = build(chs, thetas[2 - block], state.w, ctx.powers, ctx.noise)
         hi = max(matched_filter_bound(inst), 1e-12)
-        bis = bisection_maxmin(inst, 0.0, hi, eps, feas_tol=feas_tol)
+        bis = bisection_maxmin(inst, 0.0, hi, eps)
         rand = gaussian_randomization(bis.solution.psi, inst, n_rand, rng)
         state.sdr_records.append((bis.delta_star, rand.objective))
         thetas[block - 1] = rand.theta
@@ -240,13 +223,13 @@ def algorithm1(
             prev = state.min_sinr
             theta_step(2)
             theta_step(1)
-            eff = effective_channel(chs, state.pattern())
-            rx, subst = _receivers(eff.h, ctx, rx_mode)
+            h = effective_channel(chs, state.pattern())
+            w, subst = _receivers(h, ctx, rx_mode)
             state.zf_substituted |= subst
-            cand = float(sinr_per_user(eff, rx.w, ctx).min())
+            cand = float(sinr_per_user(h, w, ctx).min())
             accept = cand >= state.min_sinr
             if accept:
-                state.w = rx.w
+                state.w = w
                 state.min_sinr = cand
             state.accept_flags.append(("receivers", accept))
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FEAS_TOL = 1e-6  # constraints satisfied within this relative slack count as feasible
+MAX_NEWTON = 60  # Newton steps per barrier parameter t
 
 
 class SdpSolverError(RuntimeError):
@@ -135,13 +136,11 @@ def _constraint_data(inst: MaxMinSdpInstance, delta):
     return c_mats, e
 
 
-def feasibility_check(
-    inst: MaxMinSdpInstance, delta, feas_tol=FEAS_TOL, max_newton=60
-) -> PsdSolution:
+def feasibility_check(inst: MaxMinSdpInstance, delta) -> PsdSolution:
     """Decide whether the SINR target `delta` is achievable in relaxation.
 
     Runs the max-margin barrier solve; status is 'feasible' when the worst
-    normalized margin is >= -feas_tol.  The returned Psi has unit diagonal and
+    normalized margin is >= -FEAS_TOL.  The returned Psi has unit diagonal and
     is strictly positive definite.
     """
     if delta < 0:
@@ -152,14 +151,14 @@ def feasibility_check(
     )
     c_hat = c_mats / scales[:, None, None]
     e_hat = e / scales
-    s, psi, margins, iters, ok, msg = _solve_max_margin(c_hat, e_hat, feas_tol, max_newton)
+    s, psi, margins, iters, ok, msg = _solve_max_margin(c_hat, e_hat)
     if not ok:
         return PsdSolution(psi, "numerical-failure", margins, s, float(delta), iters, msg)
-    status = "feasible" if s >= -feas_tol else "infeasible"
+    status = "feasible" if s >= -FEAS_TOL else "infeasible"
     return PsdSolution(psi, status, margins, s, float(delta), iters, msg)
 
 
-def _solve_max_margin(c_hat, e_hat, feas_tol, max_newton=60):
+def _solve_max_margin(c_hat, e_hat):
     """maximize s  s.t.  tr(c_k Psi) + e_k >= s,  diag(Psi) = 1,  Psi >= 0.
 
     Log-barrier path following.  The Newton step reduces the KKT system to a
@@ -176,7 +175,7 @@ def _solve_max_margin(c_hat, e_hat, feas_tol, max_newton=60):
     """
     kk, n = c_hat.shape[0], c_hat.shape[1]
     nu = n + kk  # barrier complexity
-    gap_target = max(1e-3 * feas_tol, 1e-12)
+    gap_target = max(1e-3 * FEAS_TOL, 1e-12)
     c_flat = c_hat.reshape(kk, n * n)
 
     def tr_c(x):
@@ -205,7 +204,7 @@ def _solve_max_margin(c_hat, e_hat, feas_tol, max_newton=60):
 
     for _outer in range(80):
         f_cur = None  # barrier value at (psi, s) for this t
-        for _ in range(max_newton):
+        for _ in range(MAX_NEWTON):
             total_newton += 1
             g = margins - s
             if (g <= 0).any():  # safeguard, should not happen
@@ -272,13 +271,13 @@ def _solve_max_margin(c_hat, e_hat, feas_tol, max_newton=60):
                 # stalled: decide with what we have if the gap already allows
                 break
             psi, s, margins, f_cur = psi_new, s_new, m_new, f_new
-            if s >= feas_tol:
+            if s >= FEAS_TOL:
                 return s, psi, margins, total_newton, True, "early feasible"
 
         gap = nu / t
-        if s >= feas_tol:
+        if s >= FEAS_TOL:
             return s, psi, margins, total_newton, True, "feasible margin"
-        if s + 2.0 * gap < -feas_tol:
+        if s + 2.0 * gap < -FEAS_TOL:
             return s, psi, margins, total_newton, True, "infeasibility certificate"
         if gap <= gap_target:
             return s, psi, margins, total_newton, True, "path converged"
@@ -306,7 +305,7 @@ class BisectionResult:
     history: list = field(default_factory=list)  # (delta, status) pairs
 
 
-def bisection_maxmin(inst: MaxMinSdpInstance, delta_lo, delta_hi, eps, feas_tol=FEAS_TOL):
+def bisection_maxmin(inst: MaxMinSdpInstance, delta_lo, delta_hi, eps):
     """Largest feasible SINR target on an eps-grid inside [delta_lo, delta_hi].
 
     `eps` is an absolute SINR accuracy: the returned target is within eps of
@@ -320,7 +319,7 @@ def bisection_maxmin(inst: MaxMinSdpInstance, delta_lo, delta_hi, eps, feas_tol=
     history = []
 
     def check(value):
-        res = feasibility_check(inst, value, feas_tol=feas_tol)
+        res = feasibility_check(inst, value)
         if res.status == "numerical-failure":
             raise SdpSolverError(f"feasibility check failed at target {value}: {res.message}")
         history.append((value, res.status))

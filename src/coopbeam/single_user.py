@@ -2,8 +2,10 @@
 the single-IRS baseline optimizer, and the baseline-derived initialization
 that provably matches or beats the baseline SNR.
 
-The single-user SDR benchmark is `multi_user.algorithm1` with K = 1 and MRC
-receivers; this module needs no SDP machinery."""
+The channel is composed by `ChannelSet.compose` and the MRC receiver by
+`multi_user.mrc_receivers`, the body the multi-user code uses too; a zero
+channel gets a fixed unit receiver and SNR 0.  The single-user SDR benchmark
+is `multi_user.algorithm1` with K = 1 and MRC receivers."""
 
 from __future__ import annotations
 
@@ -13,11 +15,10 @@ import numpy as np
 
 from .channels import ChannelSet, ReflectPattern
 from .metrics import SinrContext, effective_channel
+from .multi_user import mrc_receivers
 from .reports import SolveReport
 
-
-class DegenerateChannelError(ValueError):
-    """Raised when the effective channel vanishes and MRC is undefined."""
+AO_TOL = 1e-8  # relative SNR gain of a full AO cycle below which it stops
 
 
 @dataclass
@@ -49,15 +50,10 @@ def _require_single_user(chs: ChannelSet):
         raise ValueError("single-user operation called on a multi-user channel set")
 
 
-def _channel_vector(chs, theta1, theta2):
-    x1 = theta1 * chs.u1[:, 0]
-    return chs.g2 @ (theta2 * (chs.d @ x1 + chs.u2[:, 0])) + chs.g1 @ x1
-
-
 def snr_value(chs: ChannelSet, w, theta1, theta2, ctx: SinrContext):
     """P |w^H h|^2 / (noise ||w||^2) for the single user."""
     _require_single_user(chs)
-    h = _channel_vector(chs, np.asarray(theta1, complex), np.asarray(theta2, complex))
+    h = chs.compose(theta1, theta2)[:, 0]
     w = np.asarray(w, dtype=complex)
     return float(ctx.powers[0] * np.abs(np.vdot(w, h)) ** 2 / (ctx.noise * np.vdot(w, w).real))
 
@@ -81,11 +77,7 @@ def opt_theta_closed_form(chs: ChannelSet, block, theta_other, w):
 def mrc_receive(chs: ChannelSet, theta1, theta2):
     """Optimal (maximum-ratio combining) unit-norm receive vector w = h/||h||."""
     _require_single_user(chs)
-    h = _channel_vector(chs, np.asarray(theta1, complex), np.asarray(theta2, complex))
-    nrm = np.linalg.norm(h)
-    if nrm == 0:
-        raise DegenerateChannelError("effective channel is zero")
-    return h / nrm
+    return mrc_receivers(chs.compose(theta1, theta2))[:, 0]
 
 
 def random_init(chs: ChannelSet, rng) -> SuSolveState:
@@ -95,14 +87,12 @@ def random_init(chs: ChannelSet, rng) -> SuSolveState:
     return SuSolveState(w / np.linalg.norm(w), pat.theta1, pat.theta2)
 
 
-def ao_single_user(
-    chs: ChannelSet, ctx: SinrContext, init: SuSolveState, max_iters=100, tol=1e-8
-):
+def ao_single_user(chs: ChannelSet, ctx: SinrContext, init: SuSolveState, max_iters=100):
     """Alternate the closed-form theta2, theta1 and MRC updates.
 
     Every sub-step is a global optimum of its block, so the SNR trace is
     non-decreasing; stops when the relative gain of a full cycle falls below
-    `tol` or after `max_iters` iterations.  Returns (SuSolveState, SolveReport).
+    AO_TOL or after `max_iters` iterations.  Returns (SuSolveState, SolveReport).
     """
     _require_single_user(chs)
     w = init.w.copy()
@@ -116,12 +106,9 @@ def ao_single_user(
         trace.append(snr_value(chs, w, t1, t2, ctx))
         t1 = opt_theta_closed_form(chs, 1, t2, w)
         trace.append(snr_value(chs, w, t1, t2, ctx))
-        try:
-            w = mrc_receive(chs, t1, t2)
-        except DegenerateChannelError:
-            pass  # keep the previous receiver; objective is zero anyway
+        w = mrc_receive(chs, t1, t2)
         trace.append(snr_value(chs, w, t1, t2, ctx))
-        if trace[-1] - prev <= tol * max(prev, 1e-300):
+        if trace[-1] - prev <= AO_TOL * max(prev, 1e-300):
             converged = True
             break
     state = SuSolveState(
@@ -137,7 +124,7 @@ def ao_single_user(
 
 
 def single_irs_opt(
-    baseline: ChannelSet, ctx: SinrContext, restarts=20, max_iters=100, tol=1e-8, rng=None
+    baseline: ChannelSet, ctx: SinrContext, restarts=20, max_iters=100, rng=None
 ):
     """Best single-IRS solution found by multi-start alternating optimization.
 
@@ -151,7 +138,7 @@ def single_irs_opt(
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     best = None
     for _ in range(restarts):
-        state, _rep = ao_single_user(baseline, ctx, random_init(baseline, rng), max_iters, tol)
+        state, _rep = ao_single_user(baseline, ctx, random_init(baseline, rng), max_iters)
         if best is None or state.snr > best.snr:
             best = state
     return best
@@ -172,9 +159,9 @@ def init_from_single_irs(chs: ChannelSet, baseline_state: SuSolveState) -> SuSol
         raise ValueError("baseline solution does not match the channel split")
     w = baseline_state.w
     part1, part2 = theta_star[: chs.m1], theta_star[chs.m1 :]
-    eff = effective_channel(chs, ReflectPattern(part1, part2))
-    a1 = np.vdot(w, eff.double_refl[:, 0])
-    a2 = np.vdot(w, eff.single_refl[:, 0])
+    h = effective_channel(chs, ReflectPattern(part1, part2))[:, 0]
+    a1 = np.vdot(w, chs.g2 @ (part2 * (chs.d @ (part1 * chs.u1[:, 0]))))  # w^H G2 Phi2 D Phi1 u1
+    a2 = np.vdot(w, h) - a1
     phi = np.angle(a2 / a1) if np.abs(a1) > 0 else 0.0
     rot = np.exp(1j * phi)
     return SuSolveState(w, rot * part1, rot * part2)

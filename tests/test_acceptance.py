@@ -46,7 +46,7 @@ def prop1_suite():
         base = cb.build_single_irs_baseline_A1(chs)
         base_best = cb.single_irs_opt(base, ctx, restarts=20, rng=rng)
         init = cb.init_from_single_irs(chs, base_best)
-        state, _ = cb.ao_single_user(chs, ctx, init, max_iters=100, tol=1e-8)
+        state, _ = cb.ao_single_user(chs, ctx, init, max_iters=100)
         margin = state.snr / base_best.snr - 1.0
         worst_margin = min(worst_margin, margin)
         violations += margin < -1e-9
@@ -85,10 +85,10 @@ def saturation_suite():
             )
             sdr_records.extend(state.sdr_records)
             traces_ok &= all(b >= a for a, b in zip(state.trace, state.trace[1:]))
-            eff = cb.effective_channel(target, state.pattern())
+            h = cb.effective_channel(target, state.pattern())
             for ctx, p in ((ctx20, 20), (ctx30, 30)):
-                w = cb.mmse_receivers(eff.h, ctx.powers, ctx.noise)
-                sinr[(name, p)].append(float(cb.sinr_per_user(eff, w.w, ctx).min()))
+                w = cb.mmse_receivers(h, ctx.powers, ctx.noise)
+                sinr[(name, p)].append(float(cb.sinr_per_user(h, w, ctx).min()))
     out = {
         "sinr": {k: float(np.mean(v)) for k, v in sinr.items()},
         "sdr_records": sdr_records,
@@ -146,9 +146,9 @@ def tiny_suite():
                 init = None
             else:
                 pat = cb.ReflectPattern.random(2, 2, rng)
-                eff = cb.effective_channel(chs, pat)
-                w0 = cb.mmse_receivers(eff.h, ctx.powers, ctx.noise).w
-                init = (pat.theta1, pat.theta2, w0)
+                h = cb.effective_channel(chs, pat)
+                w0 = cb.mmse_receivers(h, ctx.powers, ctx.noise)
+                init = cb.MuSolveState(pat.theta1, pat.theta2, w0)
             state, _ = cb.algorithm1(
                 chs, ctx, init=init, max_iters=4, rx_mode="mmse",
                 eps=eps, n_rand=100, rng=rng,
@@ -365,13 +365,13 @@ def test_criterion_8_receiver_identities(capsys):
         powers = rng.uniform(0.5, 2.0)
         ctx = cb.SinrContext(np.full(k, powers), 0.7)
         wz = cb.zf_receivers(h, ctx.powers)
-        ident = wz.w.conj().T @ h - np.diag(1 / np.sqrt(ctx.powers))
+        ident = wz.conj().T @ h - np.diag(1 / np.sqrt(ctx.powers))
         zf_fail += np.max(np.abs(ident)) > 1e-9
         lam = cb.zf_min_sinr_formula(h, powers, 0.7)
-        pipe = float(cb.sinr_per_user(h, wz.w, ctx).min())
+        pipe = float(cb.sinr_per_user(h, wz, ctx).min())
         formula_fail += abs(lam - pipe) > 1e-8 * max(lam, 1e-30)
-        gm = cb.sinr_per_user(h, cb.mmse_receivers(h, ctx.powers, ctx.noise).w, ctx)
-        gz = cb.sinr_per_user(h, wz.w, ctx)
+        gm = cb.sinr_per_user(h, cb.mmse_receivers(h, ctx.powers, ctx.noise), ctx)
+        gz = cb.sinr_per_user(h, wz, ctx)
         dom_fail += not np.all(gm >= gz - 1e-10 * np.maximum(gz, 1.0))
         for _ in range(100):
             w = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))

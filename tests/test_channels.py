@@ -165,8 +165,8 @@ class TestScenarioBuild:
         chs = cb.build_double_irs_scenario(scn)
         assert chs.u1.shape == (0, 1) and chs.g1.shape == (3, 0) and chs.d.shape == (5, 0)
         pat = cb.ReflectPattern.random(0, 5, np.random.default_rng(0))
-        eff = cb.effective_channel(chs, pat)
-        assert np.allclose(eff.h[:, 0], chs.g2 @ (pat.theta2 * chs.u2[:, 0]))
+        h = cb.effective_channel(chs, pat)
+        assert np.allclose(h[:, 0], chs.g2 @ (pat.theta2 * chs.u2[:, 0]))
 
     def test_coincident_nodes_rejected(self):
         scn = cb.SystemScenario(pos_irs1=(1.0, 0.0, 2.0), pos_bs=(1.0, 0.0, 2.0))
@@ -196,6 +196,7 @@ class TestScenarioBuild:
         affine = np.stack([a[k] @ own + c[:, k] for k in range(2)], axis=1)
         scale = max(np.max(np.abs(direct)), 1e-30)
         assert np.max(np.abs(affine - direct)) <= 1e-10 * scale
+        assert np.max(np.abs(affine - chs.compose(pat.theta1, pat.theta2))) <= 1e-10 * scale
 
 
 class TestBaselines:

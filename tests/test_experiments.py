@@ -208,8 +208,51 @@ class TestRunExperiment:
         summary = ex.run_experiment(spec)
         asserts = summary["assertions"]
         assert asserts["frac_rank_h_full"] == 1.0
-        assert asserts["frac_rank_hbar_2"] == 1.0
+        assert asserts["frac_rank_hbar_designed"] == 1.0
         assert asserts["pass"]
+
+    def test_prop2_full_rank_is_min_of_antennas_and_users(self, tmp_path):
+        # N = 2 < K = 3: full rank is 2, and the baseline is designed with rank 2
+        spec = ex.ExperimentSpec(
+            "prop2-rank", sweep=[3], draws=3, seed=0, out_dir=str(tmp_path),
+            scenario={"n_bs": 2, "m1": 4, "m2": 4},
+        )
+        summary = ex.run_experiment(spec)
+        asserts = summary["assertions"]
+        assert asserts["frac_rank_h_full"] == 1.0
+        assert asserts["frac_rank_hbar_designed"] == 1.0
+        assert asserts["pass"]
+
+    def test_prop2_summary_pools_every_point(self, tmp_path, monkeypatch):
+        real = ex.rank_gain_report
+
+        def deficient_at_five(chs, *args, **kwargs):
+            rep = real(chs, *args, **kwargs)
+            return dataclasses.replace(rep, rank_h=0) if chs.n_users == 5 else rep
+
+        monkeypatch.setattr(ex, "rank_gain_report", deficient_at_five)
+        spec = ex.ExperimentSpec(
+            "prop2-rank", sweep=[3, 5], draws=2, seed=0, out_dir=str(tmp_path),
+            scenario={"n_bs": 8, "m1": 4, "m2": 4},
+        )
+        asserts = ex.run_experiment(spec)["assertions"]
+        assert asserts["frac_rank_h_full"] == 0.5
+        assert asserts["frac_rank_hbar_designed"] == 1.0
+        assert not asserts["pass"]
+
+    def test_fig4_without_subsurfaces_gives_rate_zero(self, tmp_path):
+        path = write_spec(
+            tmp_path, experiment="fig4-rate-vs-power", sweep=[0, 30], draws=1,
+            out_dir=str(tmp_path), scenario={"m1": 0, "m2": 0},
+        )
+        assert cli.main(["validate", path]) == 0
+        assert cli.main(["run", path]) == 0
+        with open(tmp_path / "fig4-rate-vs-power.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        methods = ex.EXPERIMENTS["fig4-rate-vs-power"].options["methods"].default
+        assert sorted({r["method"] for r in rows}) == sorted(methods)
+        assert len(rows) == 2 * len(methods)
+        assert all(r["status"] == "ok" and float(r["mean_rate"]) == 0.0 for r in rows)
 
     def test_fig9_single_rate_collapses_beyond_rank(self, tmp_path):
         # single-IRS max-min rate drops sharply once K exceeds rank(Gbar) = 2

@@ -14,31 +14,32 @@ class TestEffectiveChannel:
         chs = random_channel_set(rng, n=3, m1=2, m2=4, k=2)
         chs = cb.ChannelSet.from_links(chs.u1, chs.u2, np.zeros_like(chs.d), chs.g1, chs.g2)
         pat = cb.ReflectPattern.random(2, 4, rng)
-        eff = cb.effective_channel(chs, pat)
-        assert np.allclose(eff.double_refl, 0.0)
-        assert np.allclose(eff.h, eff.single_refl)
+        h = cb.effective_channel(chs, pat)
+        single = chs.g2 @ np.diag(pat.theta2) @ chs.u2 + chs.g1 @ np.diag(pat.theta1) @ chs.u1
+        assert np.allclose(h, single)
 
     def test_m1_zero_single_irs_special_case(self, rng):
         chs = random_channel_set(rng, n=3, m1=0, m2=4, k=1)
         pat = cb.ReflectPattern(np.zeros(0), np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
-        eff = cb.effective_channel(chs, pat)
-        assert np.allclose(eff.h[:, 0], chs.g2 @ np.diag(pat.theta2) @ chs.u2[:, 0])
+        h = cb.effective_channel(chs, pat)
+        assert np.allclose(h[:, 0], chs.g2 @ np.diag(pat.theta2) @ chs.u2[:, 0])
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=20)
     def test_cascaded_form_equals_raw_link_form(self, seed):
         rng = np.random.default_rng(seed)
-        chs = random_channel_set(rng, n=3, m1=3, m2=2, k=2)
+        chs = random_channel_set(rng, n=3, m1=3, m2=2, k=3)
         pat = cb.ReflectPattern.random(3, 2, rng)
-        eff = cb.effective_channel(chs, pat)
+        h = cb.effective_channel(chs, pat)
         direct = (
             chs.g2 @ np.diag(pat.theta2) @ chs.d @ np.diag(pat.theta1) @ chs.u1
             + chs.g2 @ np.diag(pat.theta2) @ chs.u2
             + chs.g1 @ np.diag(pat.theta1) @ chs.u1
         )
         scale = max(np.max(np.abs(direct)), 1e-30)
-        assert np.max(np.abs(eff.h - direct)) <= 1e-10 * scale
-        assert np.max(np.abs(eff.h - eff.double_refl - eff.single_refl)) <= 1e-10 * scale
+        assert h.shape == (3, 3)
+        assert np.array_equal(h, chs.compose(pat.theta1, pat.theta2))
+        assert np.max(np.abs(h - direct)) <= 1e-10 * scale
 
     def test_dimension_mismatch_rejected(self, rng):
         chs = random_channel_set(rng, n=3, m1=3, m2=2, k=2)
@@ -134,7 +135,7 @@ class TestZfFormula:
         h = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         ctx = cb.SinrContext(np.full(3, 1.7), 0.9)
         w = cb.zf_receivers(h, ctx.powers)
-        pipeline = cb.sinr_per_user(h, w.w, ctx).min()
+        pipeline = cb.sinr_per_user(h, w, ctx).min()
         assert cb.zf_min_sinr_formula(h, 1.7, 0.9) == pytest.approx(pipeline, rel=1e-8)
 
     def test_rank_deficient_rejected(self):
@@ -159,8 +160,8 @@ class TestRankAnalysis:
         rep = cb.rank_gain_report(chs, base, cb.ReflectPattern.random(16, 16, rng), rng=rng)
         assert rep.rank_h == 5
         assert rep.rank_hbar == 2
-        assert rep.link_ranks["g2"] == 2 and rep.link_ranks["g1"] == 4
-        assert rep.bound == min(rep.link_ranks["g1"], rep.link_ranks["u1"])
+        assert cb.numerical_rank(chs.g2) == 2 and cb.numerical_rank(chs.g1) == 4
+        assert rep.bound == min(cb.numerical_rank(chs.g1), cb.numerical_rank(chs.u1))
         assert rep.clipped_gain_holds
 
     def test_m1_zero_double_equals_baseline_rank(self):
@@ -177,7 +178,7 @@ class TestRankAnalysis:
         for seed in range(5):
             scn, chs, base, rng = _mu_setup(seed, k=3)
             pat = cb.ReflectPattern.random(base.m1, base.m2, rng)
-            hbar = cb.effective_channel(base, pat).h
+            hbar = cb.effective_channel(base, pat)
             expect = min(cb.numerical_rank(base.g2), cb.numerical_rank(base.u2))
             assert cb.numerical_rank(hbar) == expect
 
@@ -185,24 +186,24 @@ class TestRankAnalysis:
         for seed in range(5):
             scn, chs, base, rng = _mu_setup(seed)
             pat = cb.ReflectPattern.random(16, 16, rng)
-            eff = cb.effective_channel(chs, pat)
+            double_refl = chs.g2 @ np.diag(pat.theta2) @ chs.d @ np.diag(pat.theta1) @ chs.u1
             expect = min(
                 cb.numerical_rank(chs.g2),
                 cb.numerical_rank(chs.d),
                 cb.numerical_rank(chs.u1),
             )
-            assert cb.numerical_rank(eff.double_refl) == expect
+            assert cb.numerical_rank(double_refl) == expect
 
     def test_clipped_lower_bound_on_random_patterns(self):
         for seed in range(5):
             scn, chs, base, rng = _mu_setup(seed)
             pat = cb.ReflectPattern.random(16, 16, rng)
-            eff = cb.effective_channel(chs, pat)
+            h = cb.effective_channel(chs, pat)
             n, k = chs.n_bs, chs.n_users
             prod_rank = cb.numerical_rank(chs.g2 @ chs.u2)
             lower = min(
                 min(n, k),
                 prod_rank + min(cb.numerical_rank(chs.g1), cb.numerical_rank(chs.u1)),
             )
-            assert cb.numerical_rank(eff.h) >= lower
-            assert cb.numerical_rank(eff.h) <= min(n, k)
+            assert cb.numerical_rank(h) >= lower
+            assert cb.numerical_rank(h) <= min(n, k)

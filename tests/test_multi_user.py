@@ -66,12 +66,12 @@ class TestReceivers:
     def test_zf_orthonormal_unit_power(self):
         h = np.linalg.qr(np.random.default_rng(1).standard_normal((5, 3)))[0]
         w = cb.zf_receivers(h, np.ones(3))
-        assert np.allclose(w.w, h, atol=1e-10)
+        assert np.allclose(w, h, atol=1e-10)
 
     def test_zf_zero_interference_identity(self, rng, ctx2):
         h = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         w = cb.zf_receivers(h, ctx2.powers)
-        ident = w.w.conj().T @ h
+        ident = w.conj().T @ h
         assert np.max(np.abs(ident - np.diag(1 / np.sqrt(ctx2.powers)))) <= 1e-10
         off = ident - np.diag(np.diag(ident))
         assert np.max(np.abs(off)) <= 1e-10
@@ -80,7 +80,7 @@ class TestReceivers:
         h = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         ctx = cb.SinrContext(np.full(3, 2.5), 0.7)
         w = cb.zf_receivers(h, ctx.powers)
-        got = cb.sinr_per_user(h, w.w, ctx).min()
+        got = cb.sinr_per_user(h, w, ctx).min()
         assert got == pytest.approx(cb.zf_min_sinr_formula(h, 2.5, 0.7), rel=1e-8)
 
     def test_zf_rank_deficient_raises(self):
@@ -92,13 +92,13 @@ class TestReceivers:
         h = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         powers = np.ones(3)
         ctx = cb.SinrContext(powers, 1e-12)
-        gz = cb.sinr_per_user(h, cb.zf_receivers(h, powers).w, ctx)
-        gm = cb.sinr_per_user(h, cb.mmse_receivers(h, powers, 1e-12).w, ctx)
+        gz = cb.sinr_per_user(h, cb.zf_receivers(h, powers), ctx)
+        gm = cb.sinr_per_user(h, cb.mmse_receivers(h, powers, 1e-12), ctx)
         assert np.all(np.abs(gm - gz) <= 0.01 * gz)
 
     def test_mmse_single_user_is_matched_filter(self, rng):
         h = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-        w = cb.mmse_receivers(h, np.ones(1), 0.3).w[:, 0]
+        w = cb.mmse_receivers(h, np.ones(1), 0.3)[:, 0]
         cosine = abs(np.vdot(w, h[:, 0])) / (np.linalg.norm(w) * np.linalg.norm(h))
         assert cosine == pytest.approx(1.0, abs=1e-12)
 
@@ -106,8 +106,8 @@ class TestReceivers:
         for _ in range(10):
             h = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
             ctx = cb.SinrContext(np.full(3, 1.3), 0.8)
-            gm = cb.sinr_per_user(h, cb.mmse_receivers(h, ctx.powers, ctx.noise).w, ctx)
-            gz = cb.sinr_per_user(h, cb.zf_receivers(h, ctx.powers).w, ctx)
+            gm = cb.sinr_per_user(h, cb.mmse_receivers(h, ctx.powers, ctx.noise), ctx)
+            gz = cb.sinr_per_user(h, cb.zf_receivers(h, ctx.powers), ctx)
             assert np.all(gm >= gz - 1e-10 * np.maximum(gz, 1.0))
             for _ in range(100):
                 w = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
@@ -132,9 +132,9 @@ class TestDftCodebook:
         chs = random_channel_set(rng, n=3, m1=1, m2=1, k=2)
         ctx = cb.SinrContext(np.ones(2), 1.0)
         found = cb.dft_codebook_search(chs, ctx, rx_mode="mmse")
-        eff = cb.effective_channel(chs, found.pattern)
-        direct = cb.sinr_per_user(eff, found.rx.w, ctx).min()
-        assert found.objective == pytest.approx(direct, rel=1e-12)
+        h = cb.effective_channel(chs, found.pattern())
+        direct = cb.sinr_per_user(h, found.w, ctx).min()
+        assert found.min_sinr == pytest.approx(direct, rel=1e-12)
 
     def test_matches_independent_enumeration(self, rng):
         chs = random_channel_set(rng, n=3, m1=2, m2=2, k=2)
@@ -143,16 +143,16 @@ class TestDftCodebook:
         best = -1.0
         for t1 in cb.dft_codebook(2):
             for t2 in cb.dft_codebook(2):
-                eff = cb.effective_channel(chs, cb.ReflectPattern(t1, t2))
-                w = cb.mmse_receivers(eff.h, ctx.powers, ctx.noise).w
-                best = max(best, float(cb.sinr_per_user(eff, w, ctx).min()))
-        assert found.objective == pytest.approx(best, rel=1e-12)
+                h = cb.effective_channel(chs, cb.ReflectPattern(t1, t2))
+                w = cb.mmse_receivers(h, ctx.powers, ctx.noise)
+                best = max(best, float(cb.sinr_per_user(h, w, ctx).min()))
+        assert found.min_sinr == pytest.approx(best, rel=1e-12)
 
     def test_single_user_uses_mrc(self, rng):
         chs = random_channel_set(rng, n=3, m1=2, m2=2, k=1)
         ctx = cb.SinrContext(np.ones(1), 1.0)
         found = cb.dft_codebook_search(chs, ctx)
-        assert found.rx.mode == "mrc"
+        assert np.allclose(found.w[:, 0], cb.mrc_receive(chs, found.theta1, found.theta2))
 
 
 class TestAlgorithm1:
@@ -170,7 +170,7 @@ class TestAlgorithm1:
         chs = random_channel_set(rng, n=4, m1=3, m2=3, k=2)
         found = cb.dft_codebook_search(chs, ctx2, rx_mode="mmse")
         state, _ = cb.algorithm1(chs, ctx2, init=found, max_iters=4, eps=0.05, rng=rng)
-        assert state.min_sinr >= found.objective
+        assert state.min_sinr >= found.min_sinr
 
     def test_single_user_matches_closed_form_ao(self, rng):
         chs = random_channel_set(rng, n=3, m1=3, m2=3, k=1)

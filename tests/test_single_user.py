@@ -31,7 +31,7 @@ def sdr_benchmark(chs, ctx, w, rng, pattern=None, eps=1e-3):
     """The single-user SDR benchmark: Algorithm 1 with MRC receivers from (pattern, w)."""
     pattern = pattern or cb.ReflectPattern(np.ones(chs.m1), np.ones(chs.m2))
     state, _ = cb.algorithm1(
-        chs, ctx, init=(pattern.theta1, pattern.theta2, np.asarray(w)[:, None]),
+        chs, ctx, init=cb.MuSolveState(pattern.theta1, pattern.theta2, np.asarray(w)[:, None]),
         rx_mode="mrc", max_iters=20, xi=1e-6, eps=eps, rng=rng,
     )
     return state
@@ -140,16 +140,23 @@ class TestMrc:
         t1 = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         t2 = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
         w = cb.mrc_receive(chs, t1, t2)
-        eff = cb.effective_channel(chs, cb.ReflectPattern(t1, t2))
-        expect = ctx.powers[0] * np.linalg.norm(eff.h[:, 0]) ** 2 / ctx.noise
+        h = cb.effective_channel(chs, cb.ReflectPattern(t1, t2))
+        expect = ctx.powers[0] * np.linalg.norm(h[:, 0]) ** 2 / ctx.noise
         assert cb.snr_value(chs, w, t1, t2, ctx) == pytest.approx(expect, rel=1e-10)
 
-    def test_zero_channel_rejected(self, ctx):
+    def test_zero_channel_gives_unit_receiver_and_zero_snr(self, ctx):
         zero = cb.ChannelSet.from_links(
             np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((3, 2))
         )
-        with pytest.raises(cb.DegenerateChannelError):
-            cb.mrc_receive(zero, np.ones(2, complex), np.ones(2, complex))
+        t = np.ones(2, complex)
+        w = cb.mrc_receive(zero, t, t)
+        assert np.linalg.norm(w) == 1.0
+        assert cb.snr_value(zero, w, t, t, ctx) == 0.0
+        state, _ = cb.ao_single_user(zero, ctx, cb.random_init(zero, 0))
+        assert state.snr == 0.0 and np.linalg.norm(state.w) == 1.0
+        # column by column: only the zero column gets the first unit vector
+        w = cb.mrc_receivers([[0, 3], [0, 4j]])
+        assert np.allclose(w, [[1, 0.6], [0, 0.8j]], rtol=0, atol=1e-15)
 
 
 class TestAlternatingOptimization:
@@ -163,7 +170,7 @@ class TestAlternatingOptimization:
     def test_stationary_init_returns_unchanged(self, rng, ctx):
         chs = random_channel_set(rng, n=3, m1=3, m2=3, k=1)
         state, _ = cb.ao_single_user(chs, ctx, cb.random_init(chs, rng))
-        again, rep = cb.ao_single_user(chs, ctx, state, tol=1e-8)
+        again, rep = cb.ao_single_user(chs, ctx, state)
         assert rep.iterations == 1
         assert rep.converged
         assert again.snr == pytest.approx(state.snr, rel=1e-8)
