@@ -331,7 +331,7 @@ class ReflectPattern:
         self.theta1 = np.asarray(self.theta1, dtype=complex).reshape(-1)
         self.theta2 = np.asarray(self.theta2, dtype=complex).reshape(-1)
         for th in (self.theta1, self.theta2):
-            if th.size and not np.allclose(np.abs(th), 1.0, rtol=1e-9, atol=1e-9):
+            if not np.all(np.abs(np.abs(th) - 1.0) <= 2e-9):  # np.allclose(., 1, rtol=atol=1e-9)
                 raise ValueError("reflect coefficients must be unit modulus")
 
     @property
@@ -403,28 +403,31 @@ class ChannelSet:
         return self.u1.shape[1]
 
     def compose(self, theta1, theta2):
-        """H (N, K): G2 (theta2 o (D (theta1 o U1) + U2)) + G1 (theta1 o U1)."""
-        x1 = np.asarray(theta1)[:, None] * self.u1
-        return self.g2 @ (np.asarray(theta2)[:, None] * (self.d @ x1 + self.u2)) + self.g1 @ x1
+        """H (..., N, K): G2 (theta2 o (D (theta1 o U1) + U2)) + G1 (theta1 o U1), batched."""
+        t1, t2 = np.asarray(theta1), np.asarray(theta2)
+        if (m := (t1.shape[-1], t2.shape[-1])) != (self.m1, self.m2):
+            raise ValueError(f"pattern {m} does not match channels {self.m1, self.m2}")
+        x1 = t1[..., :, None] * self.u1
+        return self.g2 @ (t2[..., :, None] * (self.d @ x1 + self.u2)) + self.g1 @ x1
 
     def affine(self, block, theta_other):
         """(A, c) with h_k = A[k] @ theta_block + c[:, k], the other IRS fixed.
 
-        A has shape (K, N, M_block) and c shape (N, K):
+        A has shape (..., K, N, M_block) and c (..., N, K), batched like theta_other:
           block 2: A_k = G2 diag(D Phi1 u1_k + u2_k),  c_k = G1 Phi1 u1_k;
           block 1: A_k = (G2 Phi2 D + G1) diag(u1_k),  c_k = G2 Phi2 u2_k.
         """
         if block not in (1, 2):
             raise ValueError(f"block must be 1 or 2, got {block!r}")
-        t = np.asarray(theta_other, dtype=complex).reshape(-1)
-        if t.size != (self.m2 if block == 1 else self.m1):
+        t = np.asarray(theta_other, dtype=complex)
+        if t.shape[-1] != (self.m2 if block == 1 else self.m1):
             raise ValueError(f"theta{3 - block} length does not match the channel set")
         if block == 2:
-            x1 = t[:, None] * self.u1
-            a = self.g2[None, :, :] * (self.d @ x1 + self.u2).T[:, None, :]
+            x1 = t[..., :, None] * self.u1
+            a = self.g2 * np.swapaxes(self.d @ x1 + self.u2, -1, -2)[..., :, None, :]
             return a, self.g1 @ x1
-        b = self.g2 @ (t[:, None] * self.d) + self.g1
-        return b[None, :, :] * self.u1.T[:, None, :], self.g2 @ (t[:, None] * self.u2)
+        b = self.g2 @ (t[..., :, None] * self.d) + self.g1
+        return b[..., None, :, :] * self.u1.T[:, None, :], self.g2 @ (t[..., :, None] * self.u2)
 
 
 def build_double_irs_scenario(scenario: SystemScenario, rng=None) -> ChannelSet:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
 import numbers
 import os
 import time
@@ -669,6 +670,24 @@ def _run_one_draw(args):
     return draw_index, rows, errors
 
 
+def _map_draws(fn, tasks, threads):
+    """Map fn over tasks; above one thread, in spawned (not forked) worker processes that start
+    with one BLAS thread each, so they neither oversubscribe the cores nor inherit the caller's."""
+    if threads <= 1:
+        return [fn(t) for t in tasks]
+    saved = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    os.environ.update(dict.fromkeys(saved, "1"))
+    try:
+        with ProcessPoolExecutor(threads, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, tasks))
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                del os.environ[var]
+            else:
+                os.environ[var] = value
+
+
 def run_experiment(spec: ExperimentSpec, threads=1):
     """Run one experiment; writes the CSV and summary artifacts.
 
@@ -683,11 +702,7 @@ def run_experiment(spec: ExperimentSpec, threads=1):
     master = np.random.SeedSequence(spec.seed)
     children = master.spawn(spec.draws)
     tasks = [(spec.to_dict(), i, children[i]) for i in range(spec.draws)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_run_one_draw, tasks))
-    else:
-        outcomes = [_run_one_draw(t) for t in tasks]
+    outcomes = _map_draws(_run_one_draw, tasks, threads)
     outcomes.sort(key=lambda o: o[0])
 
     per_point = [dict() for _ in spec.sweep]  # method -> list of values

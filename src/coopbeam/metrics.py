@@ -39,12 +39,7 @@ class SinrContext:
 
 def effective_channel(chs: ChannelSet, pat: ReflectPattern) -> np.ndarray:
     """Effective channel H (N, K) of the pattern, composed by `ChannelSet.compose`."""
-    t1, t2 = pat.theta1, pat.theta2
-    if t1.size != chs.m1 or t2.size != chs.m2:
-        raise ValueError(
-            f"pattern ({t1.size},{t2.size}) does not match channels ({chs.m1},{chs.m2})"
-        )
-    return chs.compose(t1, t2)
+    return chs.compose(pat.theta1, pat.theta2)
 
 
 def sinr_per_user(h, w, ctx: SinrContext):

@@ -4,7 +4,7 @@ codebook search benchmark.
 
 The channel is composed by `ChannelSet.compose` (through
 `metrics.effective_channel`).  `mrc_receivers` is the one MRC body, used here
-and by `single_user.mrc_receive`; the receivers return W itself.
+and by the single-user AO; the receivers return W itself.
 `MuSolveState` is the one multi-user result: `dft_codebook_search` returns it
 and `algorithm1` starts from it.  `algorithm1` is the one alternating SDR
 driver: with K = 1 and ``rx_mode="mrc"`` it is the single-user SDR
@@ -29,17 +29,17 @@ from .reports import SolveReport
 
 
 def mrc_receivers(h):
-    """Unit-norm maximum-ratio receivers w_k = h_k / ||h_k||.
+    """Unit-norm maximum-ratio receivers w_k = h_k / ||h_k|| of H (..., N, K).
 
     A zero channel column gets the first unit vector, so that user's SINR is 0.
     """
     h = np.asarray(h, dtype=complex)
-    norms = np.sqrt((h.conj() * h).real.sum(axis=0))  # np.linalg.norm(h, axis=0), minus its overhead
+    norms = np.sqrt((h.conj() * h).real.sum(axis=-2))  # np.linalg.norm(h, axis=-2), minus its overhead
     if not norms.all():
         zero = norms == 0
         h = h.copy()
-        h[0, zero] = norms[zero] = 1.0
-    return h / norms
+        h[..., 0, :][zero] = norms[zero] = 1.0
+    return h / norms[..., None, :]
 
 
 def zf_receivers(h, powers):

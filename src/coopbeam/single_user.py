@@ -1,11 +1,14 @@
-"""Single-user joint beamforming: closed-form alternating optimization,
+"""Single-user joint beamforming: closed-form alternating optimization (AO),
 the single-IRS baseline optimizer, and the baseline-derived initialization
 that provably matches or beats the baseline SNR.
 
-The channel is composed by `ChannelSet.compose` and the MRC receiver by
-`multi_user.mrc_receivers`, the body the multi-user code uses too; a zero
-channel gets a fixed unit receiver and SNR 0.  The single-user SDR benchmark
-is `multi_user.algorithm1` with K = 1 and MRC receivers."""
+`_ao` is the one AO loop.  It runs R starts at once as w (R, N), theta1 (R, M1)
+and theta2 (R, M2), composing the channel once per sub-step with
+`ChannelSet.compose` and taking the MRC receiver (`multi_user.mrc_receivers`)
+and the SNR from it; a zero channel gets a unit receiver and SNR 0.
+`ao_single_user` is its R = 1 case.  `single_irs_opt` draws its R starts by R
+`random_init` calls in a row and keeps the first best restart.
+The single-user SDR benchmark is `multi_user.algorithm1` with K = 1 and MRC."""
 
 from __future__ import annotations
 
@@ -37,8 +40,7 @@ class SuSolveState:
         self.w = np.asarray(self.w, dtype=complex).reshape(-1)
         self.theta1 = np.asarray(self.theta1, dtype=complex).reshape(-1)
         self.theta2 = np.asarray(self.theta2, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(self.w)
-        if not np.isclose(nrm, 1.0, rtol=1e-9, atol=1e-9):
+        if not abs(np.linalg.norm(self.w) - 1.0) <= 2e-9:  # np.isclose(., 1, rtol=atol=1e-9)
             raise ValueError("receive vector must be unit norm")
 
     def pattern(self):
@@ -50,12 +52,16 @@ def _require_single_user(chs: ChannelSet):
         raise ValueError("single-user operation called on a multi-user channel set")
 
 
+def _snr(ctx: SinrContext, w, h):
+    """P |w^H h|^2 / (noise ||w||^2) of receivers w (..., N) on channels h (..., N, 1)."""
+    wh = (w.conj()[..., None, :] @ h)[..., 0, 0]
+    return ctx.powers[0] * np.abs(wh) ** 2 / (ctx.noise * (w.conj() * w).real.sum(axis=-1))
+
+
 def snr_value(chs: ChannelSet, w, theta1, theta2, ctx: SinrContext):
     """P |w^H h|^2 / (noise ||w||^2) for the single user."""
     _require_single_user(chs)
-    h = chs.compose(theta1, theta2)[:, 0]
-    w = np.asarray(w, dtype=complex)
-    return float(ctx.powers[0] * np.abs(np.vdot(w, h)) ** 2 / (ctx.noise * np.vdot(w, w).real))
+    return float(_snr(ctx, np.asarray(w, dtype=complex), chs.compose(theta1, theta2)))
 
 
 def opt_theta_closed_form(chs: ChannelSet, block, theta_other, w):
@@ -64,14 +70,16 @@ def opt_theta_closed_form(chs: ChannelSet, block, theta_other, w):
     With h = A theta_block + c (`ChannelSet.affine`), w^H h = (A^H w)^H theta_block
     + w^H c.  Aligning every term of the first part with the reference w^H c
     (phase 0 when it vanishes) attains the triangle-inequality upper bound:
-    theta_block = exp(j(angle(w^H c) + angle(A^H w))).
+    theta_block = exp(j(angle(w^H c) + angle(A^H w))).  Leading batch axes of
+    theta_other and w (..., N) give one theta_block per entry.
     """
     _require_single_user(chs)
     w = np.asarray(w, dtype=complex)
-    if w.size != chs.n_bs:
+    if w.shape[-1] != chs.n_bs:
         raise ValueError("dimension mismatch")
     a, c = chs.affine(block, theta_other)
-    return np.exp(1j * (np.angle(np.vdot(w, c[:, 0])) + np.angle(a[0].conj().T @ w)))
+    ref = np.angle(w.conj()[..., None, :] @ c)[..., 0]  # angle of w^H c, shape (..., 1)
+    return np.exp(1j * (ref + np.angle(a[..., 0, :, :].conj().swapaxes(-1, -2) @ w[..., None])[..., 0]))
 
 
 def mrc_receive(chs: ChannelSet, theta1, theta2):
@@ -81,67 +89,75 @@ def mrc_receive(chs: ChannelSet, theta1, theta2):
 
 
 def random_init(chs: ChannelSet, rng) -> SuSolveState:
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
     pat = ReflectPattern.random(chs.m1, chs.m2, rng)
     w = rng.standard_normal(chs.n_bs) + 1j * rng.standard_normal(chs.n_bs)
     return SuSolveState(w / np.linalg.norm(w), pat.theta1, pat.theta2)
 
 
-def ao_single_user(chs: ChannelSet, ctx: SinrContext, init: SuSolveState, max_iters=100):
-    """Alternate the closed-form theta2, theta1 and MRC updates.
+def _ao(chs: ChannelSet, ctx: SinrContext, starts, max_iters):
+    """Run the AO from the R SuSolveStates `starts` at once and return the best.
 
-    Every sub-step is a global optimum of its block, so the SNR trace is
-    non-decreasing; stops when the relative gain of a full cycle falls below
-    AO_TOL or after `max_iters` iterations.  Returns (SuSolveState, SolveReport).
-    """
-    _require_single_user(chs)
-    w = init.w.copy()
-    t1, t2 = init.theta1.copy(), init.theta2.copy()
-    trace = [snr_value(chs, w, t1, t2, ctx)]
-    converged = False
-    it = 0
+    Each cycle gives every running restart the closed-form theta2, then theta1,
+    then MRC, so each follows its own trajectory.  A restart stops, frozen, once
+    a cycle raises its SNR by at most AO_TOL relative, or after `max_iters`.  The
+    best final SNR wins (the first restart on a tie); its trace has the SNR
+    after every sub-step, 3 * iteration + 1 entries."""
+    w, t1, t2 = (np.array([getattr(s, f) for s in starts]) for f in ("w", "theta1", "theta2"))
+    trace = np.empty((3 * max_iters + 1, len(starts)))  # row 3i: after cycle i
+    trace[0] = _snr(ctx, w, chs.compose(t1, t2))
+    iters = np.full(len(starts), max_iters)
+    converged = np.zeros(len(starts), dtype=bool)
+    run, rw, r1, r2 = np.arange(len(starts)), w, t1, t2  # the restarts still running
     for it in range(1, max_iters + 1):
-        prev = trace[-1]
-        t2 = opt_theta_closed_form(chs, 2, t1, w)
-        trace.append(snr_value(chs, w, t1, t2, ctx))
-        t1 = opt_theta_closed_form(chs, 1, t2, w)
-        trace.append(snr_value(chs, w, t1, t2, ctx))
-        w = mrc_receive(chs, t1, t2)
-        trace.append(snr_value(chs, w, t1, t2, ctx))
-        if trace[-1] - prev <= AO_TOL * max(prev, 1e-300):
-            converged = True
-            break
-    state = SuSolveState(
-        w, t1, t2, snr=trace[-1], iteration=it, trace=trace, converged=converged
-    )
-    report = SolveReport(
-        objective=state.snr,
-        trace=trace,
-        converged=converged,
-        iterations=it,
-    )
-    return state, report
+        r2 = opt_theta_closed_form(chs, 2, r1, rw)
+        h = chs.compose(r1, r2)
+        trace[3 * it - 2, run] = _snr(ctx, rw, h)
+        if chs.m1:  # a single-IRS baseline (m1 = 0) has no theta1 to update
+            r1 = opt_theta_closed_form(chs, 1, r2, rw)
+            h = chs.compose(r1, r2)
+        trace[3 * it - 1, run] = _snr(ctx, rw, h)
+        rw = mrc_receivers(h)[..., 0]
+        trace[3 * it, run] = snr = _snr(ctx, rw, h)
+        prev = trace[3 * it - 3, run]
+        done = snr - prev <= AO_TOL * np.maximum(prev, 1e-300)
+        if done.any():
+            end = run[done]
+            w[end], t1[end], t2[end], iters[end], converged[end] = rw[done], r1[done], r2[done], it, True
+            run, rw, r1, r2 = run[~done], rw[~done], r1[~done], r2[~done]
+            if not run.size:
+                break
+    w[run], t1[run], t2[run] = rw, r1, r2
+    r = int(np.argmax(trace[3 * iters, np.arange(len(starts))]))
+    trace = trace[: 3 * iters[r] + 1, r].tolist()
+    return SuSolveState(w[r], t1[r], t2[r], snr=trace[-1], iteration=int(iters[r]),
+                        trace=trace, converged=bool(converged[r]))
 
 
-def single_irs_opt(
-    baseline: ChannelSet, ctx: SinrContext, restarts=20, max_iters=100, rng=None
-):
+def ao_single_user(chs: ChannelSet, ctx: SinrContext, init: SuSolveState, max_iters=100):
+    """Alternate the closed-form theta2, theta1 and MRC updates from `init`: `_ao` with R = 1.
+
+    Every sub-step is a global optimum of its block, so the SNR trace is non-decreasing.
+    Stops as `_ao` says.  Returns (SuSolveState, SolveReport)."""
+    _require_single_user(chs)
+    state = _ao(chs, ctx, [init], max_iters)
+    return state, SolveReport(objective=state.snr, trace=state.trace,
+                              converged=state.converged, iterations=state.iteration)
+
+
+def single_irs_opt(baseline: ChannelSet, ctx: SinrContext, restarts=20, max_iters=100, rng=None):
     """Best single-IRS solution found by multi-start alternating optimization.
 
     The baseline is a ChannelSet with m1 = 0, so each restart alternates the
-    phase-alignment update theta = exp(j angle(Rbar^H w)) with MRC.  Returns
-    the best SuSolveState across `restarts` random initializations.
-    """
+    phase-alignment update theta = exp(j angle(Rbar^H w)) with MRC.  The starts
+    are `restarts` `random_init` calls in a row (so `rng` ends as after a
+    one-by-one run), then all run through `_ao` together.  Returns the best
+    restart's SuSolveState, the first one on a tie."""
     _require_single_user(baseline)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    best = None
-    for _ in range(restarts):
-        state, _rep = ao_single_user(baseline, ctx, random_init(baseline, rng), max_iters)
-        if best is None or state.snr > best.snr:
-            best = state
-    return best
+    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
+    return _ao(baseline, ctx, [random_init(baseline, rng) for _ in range(restarts)], max_iters)
 
 
 def init_from_single_irs(chs: ChannelSet, baseline_state: SuSolveState) -> SuSolveState:

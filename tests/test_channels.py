@@ -199,6 +199,30 @@ class TestScenarioBuild:
         assert np.max(np.abs(affine - chs.compose(pat.theta1, pat.theta2))) <= 1e-10 * scale
 
 
+    @pytest.mark.parametrize("m1,m2", [(3, 4), (0, 4), (3, 0)])
+    def test_batched_compose_and_affine_match_each_entry(self, rng, m1, m2):
+        # a leading batch axis gives, entry by entry, the 1-D results bit for bit
+        chs = random_channel_set(rng, n=3, m1=m1, m2=m2, k=2)
+        t1 = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 5, m1)))
+        t2 = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 5, m2)))
+        h = chs.compose(t1, t2)
+        assert h.shape == (2, 5, 3, 2)
+        for i, j in np.ndindex(2, 5):
+            assert np.array_equal(h[i, j], chs.compose(t1[i, j], t2[i, j]))
+            for block, other in ((2, t1), (1, t2)):
+                a, c = chs.affine(block, other)
+                a1, c1 = chs.affine(block, other[i, j])
+                assert np.array_equal(a[i, j], a1) and np.array_equal(c[i, j], c1)
+
+    def test_wrong_length_reflect_vector_rejected(self, rng):
+        chs = random_channel_set(rng, n=3, m1=3, m2=2, k=1)
+        for t1, t2 in ((np.ones(1), np.ones(2)), (np.ones(3), np.ones(1)), (np.ones((4, 3)), np.ones((4, 3)))):
+            with pytest.raises(ValueError, match="does not match"):
+                chs.compose(t1, t2)
+        with pytest.raises(ValueError, match="theta1 length"):
+            chs.affine(2, np.ones((4, 2)))
+
+
 class TestBaselines:
     def test_a1_concatenation_columns(self, small_su_channels):
         chs = small_su_channels

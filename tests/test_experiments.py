@@ -1,6 +1,7 @@
 """Experiment harness: specs, determinism, artifacts, CLI."""
 
 import csv
+import ctypes
 import dataclasses
 import json
 import math
@@ -24,6 +25,24 @@ TINY_MU = {
     "n_bs": 2, "m1": 2, "m2": 2,
     "links": {name: {"kind": "geometric", "paths": 2} for name in ("u1", "u2", "d", "g1", "g2")},
 }
+
+
+def blas_threads_here(_):
+    """(OPENBLAS_NUM_THREADS, thread count of the OpenBLAS numpy loaded or None) of this process."""
+    count = None
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        libs = []
+    for path in libs:
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            fn = getattr(ctypes.CDLL(path), name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                count = fn()
+    return os.environ.get("OPENBLAS_NUM_THREADS"), count
 
 
 def write_spec(tmp_path, name="spec.json", **fields):
@@ -163,6 +182,14 @@ class TestRunExperiment:
         assert (tmp_path / "s" / "prop1-property.csv").read_bytes() == (
             tmp_path / "t" / "prop1-property.csv"
         ).read_bytes()
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        # a caller allowing two BLAS threads must not pass them on to the --threads workers
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        seen = ex._map_draws(blas_threads_here, range(2), threads=2)
+        assert seen == [("1", 1)] * 2 or seen == [("1", None)] * 2
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2" and "MKL_NUM_THREADS" not in os.environ
 
     def test_fig5_double_never_below_single(self, tmp_path):
         spec = ex.ExperimentSpec(

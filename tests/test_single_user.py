@@ -1,5 +1,6 @@
 """Closed-form single-user optimization and its oracles."""
 
+import copy
 import math
 
 import numpy as np
@@ -35,6 +36,16 @@ def sdr_benchmark(chs, ctx, w, rng, pattern=None, eps=1e-3):
         rx_mode="mrc", max_iters=20, xi=1e-6, eps=eps, rng=rng,
     )
     return state
+
+
+def one_by_one_single_irs_opt(chs, ctx, restarts, rng):
+    """The restarts one after another: `random_init`, then `ao_single_user`; first best kept."""
+    best = None
+    for _ in range(restarts):
+        state, _ = cb.ao_single_user(chs, ctx, cb.random_init(chs, rng))
+        if best is None or state.snr > best.snr:
+            best = state
+    return best
 
 
 def conditional_bound(chs, ctx, state, eps=1e-3):
@@ -159,6 +170,22 @@ class TestMrc:
         assert np.allclose(w, [[1, 0.6], [0, 0.8j]], rtol=0, atol=1e-15)
 
 
+class TestReflectVectorLength:
+    def test_wrong_length_rejected(self, rng, ctx):
+        # a length-1 theta1 used to broadcast over M1 = 3 and give a finite SNR
+        chs = random_channel_set(rng, n=3, m1=3, m2=2, k=1)
+        w = unit(np.ones(3, complex))
+        with pytest.raises(ValueError, match="does not match"):
+            cb.snr_value(chs, w, np.ones(1), np.ones(2), ctx)
+        with pytest.raises(ValueError, match="does not match"):
+            cb.mrc_receive(chs, np.ones(1), np.ones(2))
+        with pytest.raises(ValueError, match="does not match"):
+            cb.ao_single_user(chs, ctx, cb.SuSolveState(w, np.ones(1), np.ones(2)))
+        base = random_channel_set(rng, n=3, m1=0, m2=2, k=1)
+        with pytest.raises(ValueError, match="does not match"):
+            cb.snr_value(base, w, np.ones(1), np.ones(2), ctx)
+
+
 class TestAlternatingOptimization:
     def test_monotone_trace(self, rng, ctx):
         for _ in range(5):
@@ -250,6 +277,40 @@ class TestSingleIrsOpt:
         chs = random_channel_set(rng, n=2, m1=0, m2=3, k=1)
         with pytest.raises(ValueError, match="restarts"):
             cb.single_irs_opt(chs, ctx, restarts=0, rng=rng)
+
+
+class TestBatchedRestarts:
+    @pytest.mark.parametrize("restarts", [1, 3, 20])
+    @pytest.mark.parametrize("m", [1, 4, 32])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_matches_one_by_one_restarts(self, ctx, n, m, restarts):
+        rng = np.random.default_rng(100 * n + m)
+        chs = random_channel_set(rng, n=n, m1=0, m2=m, k=1)
+        ref_rng = copy.deepcopy(rng)
+        ref = one_by_one_single_irs_opt(chs, ctx, restarts, ref_rng)
+        best = cb.single_irs_opt(chs, ctx, restarts=restarts, rng=rng)
+        assert best.snr == pytest.approx(ref.snr, rel=1e-12)
+        assert best.iteration == ref.iteration
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_tie_goes_to_first_restart(self, ctx):
+        # a zero channel gives every start SNR 0 exactly; with no cycle run, the first start wins
+        zero = cb.ChannelSet.from_links(
+            np.zeros((0, 1)), np.zeros((3, 1)), np.zeros((3, 0)), np.zeros((2, 0)), np.zeros((2, 3))
+        )
+        first = cb.random_init(zero, np.random.default_rng(7))
+        best = cb.single_irs_opt(zero, ctx, restarts=3, max_iters=0, rng=np.random.default_rng(7))
+        assert best.snr == 0.0 and best.iteration == 0 and best.trace == [0.0]
+        assert np.array_equal(best.w, first.w) and np.array_equal(best.theta2, first.theta2)
+
+    def test_double_irs_trace_has_every_sub_step(self, rng, ctx):
+        for _ in range(5):
+            chs = random_channel_set(rng, n=3, m1=4, m2=4, k=1)
+            state, rep = cb.ao_single_user(chs, ctx, cb.random_init(chs, rng))
+            assert len(state.trace) == 3 * state.iteration + 1
+            assert rep.trace == state.trace and rep.iterations == state.iteration
+            assert np.all(np.diff(state.trace) >= -1e-10 * max(state.trace))
+            assert state.snr == state.trace[-1]
 
 
 class TestBaselineInitialization:
