@@ -164,13 +164,21 @@ def _mu_point(scn, rng, opts):
         base = build_single_irs_baseline_A2(
             scn, rank_g=scn.links["g2"].paths, rank_u=min(scn.n_users, scn.m_total), rng=rng
         )
+    searched = {}  # one DFT search per (system, mode): it draws no random numbers
+
+    def search(target, mode):
+        key = (target is base, mode)
+        if key not in searched:
+            searched[key] = dft_codebook_search(target, ctx, rx_mode=mode)
+        return searched[key]
+
     for method in methods:
         system, mode = method.split("-", 1)
         if system == "dft":
-            sinr = dft_codebook_search(chs, ctx, rx_mode=mode).min_sinr
+            sinr = search(chs, mode).min_sinr
         else:
             target = base if system == "single" else chs
-            found = dft_codebook_search(target, ctx, rx_mode=mode)
+            found = search(target, mode)  # algorithm1 copies its init
             state, _ = algorithm1(
                 target, ctx, init=found, max_iters=int(opts["i1"]), xi=float(opts["xi"]),
                 rx_mode=mode, eps=float(opts["eps"]), n_rand=int(opts["n_rand"]), rng=rng,

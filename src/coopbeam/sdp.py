@@ -7,11 +7,22 @@ the complex Hermitian cone.  The margin sign at the certified optimum gives
 the feasibility verdict; a duality-gap certificate allows early exit on
 clearly feasible/infeasible targets.
 
+The bisection skips a target when a weak-duality bound (`_dual_bound`)
+proves it infeasible.  Any weights mu >= 0 on the constraints and any real
+nu bound the best worst margin from above with one eigenvalue of an n x n
+matrix.  The weights tried are each user alone, all users alike, and the
+exit dual (mu, nu) of every earlier infeasible solve of the same bisection,
+which `feasibility_check` returns with the verdict.  A bound below -FEAS_TOL
+means no Psi reaches the feasible threshold, so the solve could only have
+said "infeasible": verdicts, delta_star and the returned Psi are those of
+solving every target, and each solve still goes through `feasibility_check`.
+
 Instances are tiny (dimension M'+1 up to a few dozen) and one bisection runs
 many checks, so each Newton step is a few BLAS calls.  The homogenized
-blocks B_{k,j} of an instance are built in one vectorized pass per check,
-and the K margin matrices C_k are flattened to the rows of one (K, n*n)
-array, so every trace tr(C_k X) and tr(C_k Psi C_l Psi) is a matrix
+blocks B_{k,j} of an instance are built once, in one vectorized pass, and
+summed into the signal and interference parts of each constraint.  The K
+margin matrices C_k are flattened to the rows of one (K, n*n) array, so
+every trace tr(C_k X) and tr(C_k Psi C_l Psi) is a matrix
 product.  The step is assembled in closed form through the inverse Hessian
 of the log-det barrier, and one Cholesky factor of Psi per step serves both
 Psi^{-1} and the step-length bound that keeps the iterate positive definite.
@@ -23,6 +34,7 @@ form: code that needs one again rebuilds it from the seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -78,6 +90,18 @@ class MaxMinSdpInstance:
         """Every B_{k,j} at once, shape (K, K, M'+1, M'+1)."""
         return _homogenized(self.q, self.qbar)
 
+    @functools.cached_property
+    def _margin_parts(self):
+        """(B_kk, sum_{j!=k} B_kj, |qbar_kk|^2, sum_{j!=k} |qbar_kj|^2 + noise_k) over k."""
+        b = self.all_constraint_matrices()
+        k = self.n_users
+        users = np.arange(k)
+        others = users[:, None] != users[None, :]  # row k picks j != k in index order
+        qb2 = np.abs(self.qbar) ** 2
+        interf = b[others].reshape((k, k - 1) + b.shape[2:]).sum(axis=1)
+        e_interf = qb2[others].reshape(k, k - 1).sum(axis=1) + self.noise
+        return b[users, users], interf, qb2[users, users], e_interf
+
     def sinr_values(self, theta):
         """Per-user SINRs of one unit-modulus theta or a batch (C, M')."""
         theta = np.asarray(theta, dtype=complex)
@@ -117,6 +141,7 @@ class PsdSolution:
     delta: float
     iterations: int
     message: str = ""
+    dual: tuple | None = None   # (mu, nu) at the exit of an infeasible verdict, see _dual_bound
 
     @property
     def feasible(self):
@@ -124,16 +149,13 @@ class PsdSolution:
 
 
 def _constraint_data(inst: MaxMinSdpInstance, delta):
-    """Margin data: constraint k reads tr(C_k Psi) + e_k >= 0."""
-    b = inst.all_constraint_matrices()
+    """Margin data: constraint k reads tr(C_k Psi) + e_k >= 0, normalized by sigma_k."""
+    b_own, b_interf, e_own, e_interf = inst._margin_parts
     k = inst.n_users
-    users = np.arange(k)
-    others = users[:, None] != users[None, :]  # row k picks j != k in index order
-    qb2 = np.abs(inst.qbar) ** 2
-    interf = b[others].reshape((k, k - 1) + b.shape[2:]).sum(axis=1)
-    c_mats = b[users, users] - delta * interf
-    e = qb2[users, users] - delta * (qb2[others].reshape(k, k - 1).sum(axis=1) + inst.noise)
-    return c_mats, e
+    c_mats = b_own - delta * b_interf
+    e = e_own - delta * e_interf
+    scales = np.array([max(np.linalg.norm(c_mats[j]), abs(e[j]), 1e-300) for j in range(k)])
+    return c_mats, e, scales
 
 
 def feasibility_check(inst: MaxMinSdpInstance, delta) -> PsdSolution:
@@ -141,21 +163,23 @@ def feasibility_check(inst: MaxMinSdpInstance, delta) -> PsdSolution:
 
     Runs the max-margin barrier solve; status is 'feasible' when the worst
     normalized margin is >= -FEAS_TOL.  The returned Psi has unit diagonal and
-    is strictly positive definite.
+    is strictly positive definite.  An infeasible verdict carries the dual
+    point of the barrier problem at exit, (mu, nu) with mu_k = 1 / (t g_k sigma_k)
+    and nu = Re diag(sum_k mu_k C_k + Psi^{-1} / t), for `_dual_bound`.
     """
     if delta < 0:
         raise ValueError("SINR target must be non-negative")
-    c_mats, e = _constraint_data(inst, delta)
-    scales = np.array(
-        [max(np.linalg.norm(c_mats[k]), abs(e[k]), 1e-300) for k in range(inst.n_users)]
-    )
+    c_mats, e, scales = _constraint_data(inst, delta)
     c_hat = c_mats / scales[:, None, None]
     e_hat = e / scales
-    s, psi, margins, iters, ok, msg = _solve_max_margin(c_hat, e_hat)
+    s, psi, margins, iters, t, ok, msg = _solve_max_margin(c_hat, e_hat)
     if not ok:
         return PsdSolution(psi, "numerical-failure", margins, s, float(delta), iters, msg)
-    status = "feasible" if s >= -FEAS_TOL else "infeasible"
-    return PsdSolution(psi, status, margins, s, float(delta), iters, msg)
+    if s >= -FEAS_TOL:
+        return PsdSolution(psi, "feasible", margins, s, float(delta), iters, msg)
+    lam = 1.0 / (t * (margins - s))  # multipliers of the normalized constraints
+    nu = lam @ np.diagonal(c_hat, axis1=1, axis2=2).real + np.linalg.inv(psi).diagonal().real / t
+    return PsdSolution(psi, "infeasible", margins, s, float(delta), iters, msg, (lam / scales, nu))
 
 
 def _solve_max_margin(c_hat, e_hat):
@@ -170,8 +194,8 @@ def _solve_max_margin(c_hat, e_hat):
     step gives both Psi^{-1} = L^{-H} L^{-1} and the step-length bound from
     the eigenvalues of L^{-1} Delta L^{-H}.  The barrier value of an accepted
     point is carried into the next step at the same t.  Returns (s, Psi,
-    margins at Psi, iterations, ok, message); `s` is certified to within the
-    final duality gap.
+    margins at Psi, iterations, t, ok, message); `s` is certified to within
+    the final duality gap.
     """
     kk, n = c_hat.shape[0], c_hat.shape[1]
     nu = n + kk  # barrier complexity
@@ -208,12 +232,12 @@ def _solve_max_margin(c_hat, e_hat):
             total_newton += 1
             g = margins - s
             if (g <= 0).any():  # safeguard, should not happen
-                return s, psi, margins, total_newton, False, "left the barrier domain"
+                return s, psi, margins, total_newton, t, False, "left the barrier domain"
             inv_g = 1.0 / g
             try:
                 lo_inv = np.linalg.inv(np.linalg.cholesky(psi))
             except np.linalg.LinAlgError:
-                return s, psi, margins, total_newton, False, "iterate left the PSD cone"
+                return s, psi, margins, total_newton, t, False, "iterate left the PSD cone"
             s_mats = psi @ c_hat @ psi
             s_flat = s_mats.reshape(kk, n * n)
             c_cross = (c_flat @ s_flat.conj().T).real
@@ -230,7 +254,7 @@ def _solve_max_margin(c_hat, e_hat):
             try:
                 sol = np.linalg.solve(a_sys, rhs)
             except np.linalg.LinAlgError:
-                return s, psi, margins, total_newton, False, "singular Newton system"
+                return s, psi, margins, total_newton, t, False, "singular Newton system"
             alpha, ds, nu_mult = sol[:kk], sol[kk], sol[kk + 1 :]
 
             delta = psi + ((inv_g - alpha) @ s_flat).reshape(n, n) - (psi * nu_mult) @ psi
@@ -272,17 +296,17 @@ def _solve_max_margin(c_hat, e_hat):
                 break
             psi, s, margins, f_cur = psi_new, s_new, m_new, f_new
             if s >= FEAS_TOL:
-                return s, psi, margins, total_newton, True, "early feasible"
+                return s, psi, margins, total_newton, t, True, "early feasible"
 
         gap = nu / t
         if s >= FEAS_TOL:
-            return s, psi, margins, total_newton, True, "feasible margin"
+            return s, psi, margins, total_newton, t, True, "feasible margin"
         if s + 2.0 * gap < -FEAS_TOL:
-            return s, psi, margins, total_newton, True, "infeasibility certificate"
+            return s, psi, margins, total_newton, t, True, "infeasibility certificate"
         if gap <= gap_target:
-            return s, psi, margins, total_newton, True, "path converged"
+            return s, psi, margins, total_newton, t, True, "path converged"
         t *= 10.0
-    return s, psi, margins, total_newton, False, "barrier iteration cap"
+    return s, psi, margins, total_newton, t, False, "barrier iteration cap"
 
 
 def matched_filter_bound(inst: MaxMinSdpInstance):
@@ -296,6 +320,24 @@ def matched_filter_bound(inst: MaxMinSdpInstance):
     return float(min(bounds))
 
 
+def _dual_bound(c_mats, e, scales, mu, nu):
+    """Weak-duality upper bounds on the best worst normalized margin at one target.
+
+    (c_mats, e, scales) is `_constraint_data` at the target.  Row d of `mu`
+    (D, K) holds weights mu >= 0, row d of `nu` (D, n) any real vector.  For
+    every Psi >= 0 with unit diagonal, min_k m_k <= sum_k mu_k sigma_k m_k / Z
+    = (tr(M Psi) + sum_k mu_k e_k) / Z with Z = sum_k mu_k sigma_k and
+    M = sum_k mu_k C_k, and tr(M Psi) = sum(nu) + tr((M - Diag nu) Psi) <=
+    sum(nu) + n lam_max(M - Diag nu) since tr(Psi) = n (Boyd & Vandenberghe,
+    section 5.9).  So each of the D bounds is valid whatever mu and nu are;
+    they only decide how tight it is.  nu = 0 gives n lam_max(M).
+    """
+    d, n = mu.shape[0], c_mats.shape[-1]
+    m = (mu @ c_mats.reshape(len(e), n * n)).reshape(d, n, n)
+    lam = np.linalg.eigvalsh(m - nu[:, :, None] * np.eye(n))[:, -1]
+    return (mu @ e + nu.sum(axis=1) + n * lam) / (mu @ scales)
+
+
 @dataclass
 class BisectionResult:
     delta_star: float
@@ -303,6 +345,7 @@ class BisectionResult:
     saturated: bool
     steps: int
     history: list = field(default_factory=list)  # (delta, status) pairs
+    certified: int = 0  # targets decided infeasible by a dual bound, without a solve
 
 
 def bisection_maxmin(inst: MaxMinSdpInstance, delta_lo, delta_hi, eps):
@@ -311,26 +354,46 @@ def bisection_maxmin(inst: MaxMinSdpInstance, delta_lo, delta_hi, eps):
     `eps` is an absolute SINR accuracy: the returned target is within eps of
     the relaxation's feasibility boundary.  delta_lo must be feasible; a
     feasible delta_hi short-circuits with the `saturated` flag set.
+
+    Every target after delta_lo is first tested against weak-duality bounds
+    (`_dual_bound`).  A bound below -FEAS_TOL means no Psi reaches the
+    feasible threshold, so the solve could only have said "infeasible": the
+    target is recorded as such without one and counted in `certified`.  The
+    verdicts, delta_star and the returned solution are those of solving every
+    target.
     """
     if delta_hi < delta_lo:
         raise ValueError("invalid bracket: delta_hi < delta_lo")
     if eps <= 0:
         raise ValueError("bisection accuracy must be positive")
     history = []
+    certified = 0
+    # dual weights tried at every target, as one batch: the cold ones (each user
+    # alone, all users alike; nu = 0), then the exit dual of each infeasible solve
+    k, n = inst.n_users, inst.dim + 1
+    mu, nu = np.vstack([np.eye(k), np.ones((1, k))]), np.zeros((k + 1, n))
 
-    def check(value):
+    def check(value, certify=True):
+        """The solution at `value`, or None when a dual bound proves it infeasible."""
+        nonlocal certified, mu, nu
+        if certify and (_dual_bound(*_constraint_data(inst, value), mu, nu) < -FEAS_TOL).any():
+            certified += 1
+            history.append((value, "infeasible"))
+            return None
         res = feasibility_check(inst, value)
         if res.status == "numerical-failure":
             raise SdpSolverError(f"feasibility check failed at target {value}: {res.message}")
         history.append((value, res.status))
+        if res.dual is not None:
+            mu, nu = np.vstack([mu, res.dual[0]]), np.vstack([nu, res.dual[1]])
         return res
 
-    best = check(delta_lo)
+    best = check(delta_lo, certify=False)
     if not best.feasible:
         raise ValueError(f"invalid bracket: delta_lo={delta_lo} is infeasible")
     res_hi = check(delta_hi)
-    if res_hi.feasible:
-        return BisectionResult(float(delta_hi), res_hi, True, 0, history)
+    if res_hi is not None and res_hi.feasible:
+        return BisectionResult(float(delta_hi), res_hi, True, 0, history, certified)
 
     lo, hi = float(delta_lo), float(delta_hi)
     steps = 0
@@ -338,11 +401,11 @@ def bisection_maxmin(inst: MaxMinSdpInstance, delta_lo, delta_hi, eps):
         mid = 0.5 * (lo + hi)
         res = check(mid)
         steps += 1
-        if res.feasible:
+        if res is not None and res.feasible:
             lo, best = mid, res
         else:
             hi = mid
-    return BisectionResult(lo, best, False, steps, history)
+    return BisectionResult(lo, best, False, steps, history, certified)
 
 
 @dataclass

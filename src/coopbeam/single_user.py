@@ -6,12 +6,14 @@ that provably matches or beats the baseline SNR.
 and theta2 (R, M2), composing the channel once per sub-step with
 `ChannelSet.compose` and taking the MRC receiver (`multi_user.mrc_receivers`)
 and the SNR from it; a zero channel gets a unit receiver and SNR 0.
-`ao_single_user` is its R = 1 case.  `single_irs_opt` draws its R starts by R
-`random_init` calls in a row and keeps the first best restart.
+`ao_single_user` is its R = 1 case.  `single_irs_opt` draws its R starts straight
+into those arrays, in the rng order of R `random_init` calls, and keeps the first
+best restart.
 The single-user SDR benchmark is `multi_user.algorithm1` with K = 1 and MRC."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,27 +90,40 @@ def mrc_receive(chs: ChannelSet, theta1, theta2):
     return mrc_receivers(chs.compose(theta1, theta2))[:, 0]
 
 
+def _random_starts(chs: ChannelSet, rng, restarts):
+    """`restarts` random starts as arrays w (R, N), theta1 (R, M1), theta2 (R, M2).
+
+    Each start draws its uniform phases (M1 + M2), then the real and the
+    imaginary part of w (N each), as `ReflectPattern.random` and one
+    `random_init` call do."""
+    theta = np.empty((restarts, chs.m1 + chs.m2), dtype=complex)
+    w = np.empty((restarts, chs.n_bs), dtype=complex)
+    for r in range(restarts):
+        theta[r] = np.exp(1j * rng.uniform(0.0, 2 * math.pi, chs.m1 + chs.m2))
+        w[r] = rng.standard_normal(chs.n_bs) + 1j * rng.standard_normal(chs.n_bs)
+        w[r] /= np.linalg.norm(w[r])
+    return w, theta[:, : chs.m1], theta[:, chs.m1 :]
+
+
 def random_init(chs: ChannelSet, rng) -> SuSolveState:
     rng = np.random.default_rng(rng)  # a Generator passes through unchanged
-    pat = ReflectPattern.random(chs.m1, chs.m2, rng)
-    w = rng.standard_normal(chs.n_bs) + 1j * rng.standard_normal(chs.n_bs)
-    return SuSolveState(w / np.linalg.norm(w), pat.theta1, pat.theta2)
+    return SuSolveState(*(x[0] for x in _random_starts(chs, rng, 1)))
 
 
-def _ao(chs: ChannelSet, ctx: SinrContext, starts, max_iters):
-    """Run the AO from the R SuSolveStates `starts` at once and return the best.
+def _ao(chs: ChannelSet, ctx: SinrContext, w, t1, t2, max_iters):
+    """Run the AO from the R starts w (R, N), t1 (R, M1), t2 (R, M2) at once and return the best.
 
     Each cycle gives every running restart the closed-form theta2, then theta1,
     then MRC, so each follows its own trajectory.  A restart stops, frozen, once
     a cycle raises its SNR by at most AO_TOL relative, or after `max_iters`.  The
     best final SNR wins (the first restart on a tie); its trace has the SNR
     after every sub-step, 3 * iteration + 1 entries."""
-    w, t1, t2 = (np.array([getattr(s, f) for s in starts]) for f in ("w", "theta1", "theta2"))
-    trace = np.empty((3 * max_iters + 1, len(starts)))  # row 3i: after cycle i
+    w, t1, t2 = (np.array(x, dtype=complex) for x in (w, t1, t2))  # the caller's stay as they are
+    trace = np.empty((3 * max_iters + 1, len(w)))  # row 3i: after cycle i
     trace[0] = _snr(ctx, w, chs.compose(t1, t2))
-    iters = np.full(len(starts), max_iters)
-    converged = np.zeros(len(starts), dtype=bool)
-    run, rw, r1, r2 = np.arange(len(starts)), w, t1, t2  # the restarts still running
+    iters = np.full(len(w), max_iters)
+    converged = np.zeros(len(w), dtype=bool)
+    run, rw, r1, r2 = np.arange(len(w)), w, t1, t2  # the restarts still running
     for it in range(1, max_iters + 1):
         r2 = opt_theta_closed_form(chs, 2, r1, rw)
         h = chs.compose(r1, r2)
@@ -128,7 +143,7 @@ def _ao(chs: ChannelSet, ctx: SinrContext, starts, max_iters):
             if not run.size:
                 break
     w[run], t1[run], t2[run] = rw, r1, r2
-    r = int(np.argmax(trace[3 * iters, np.arange(len(starts))]))
+    r = int(np.argmax(trace[3 * iters, np.arange(len(w))]))
     trace = trace[: 3 * iters[r] + 1, r].tolist()
     return SuSolveState(w[r], t1[r], t2[r], snr=trace[-1], iteration=int(iters[r]),
                         trace=trace, converged=bool(converged[r]))
@@ -140,7 +155,7 @@ def ao_single_user(chs: ChannelSet, ctx: SinrContext, init: SuSolveState, max_it
     Every sub-step is a global optimum of its block, so the SNR trace is non-decreasing.
     Stops as `_ao` says.  Returns (SuSolveState, SolveReport)."""
     _require_single_user(chs)
-    state = _ao(chs, ctx, [init], max_iters)
+    state = _ao(chs, ctx, init.w[None], init.theta1[None], init.theta2[None], max_iters)
     return state, SolveReport(objective=state.snr, trace=state.trace,
                               converged=state.converged, iterations=state.iteration)
 
@@ -150,14 +165,14 @@ def single_irs_opt(baseline: ChannelSet, ctx: SinrContext, restarts=20, max_iter
 
     The baseline is a ChannelSet with m1 = 0, so each restart alternates the
     phase-alignment update theta = exp(j angle(Rbar^H w)) with MRC.  The starts
-    are `restarts` `random_init` calls in a row (so `rng` ends as after a
-    one-by-one run), then all run through `_ao` together.  Returns the best
-    restart's SuSolveState, the first one on a tie."""
+    are drawn as by `restarts` `random_init` calls in a row (so `rng` ends as
+    after a one-by-one run), then all run through `_ao` together.  Returns the
+    best restart's SuSolveState, the first one on a tie."""
     _require_single_user(baseline)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(rng)  # a Generator passes through unchanged
-    return _ao(baseline, ctx, [random_init(baseline, rng) for _ in range(restarts)], max_iters)
+    return _ao(baseline, ctx, *_random_starts(baseline, rng, restarts), max_iters)
 
 
 def init_from_single_irs(chs: ChannelSet, baseline_state: SuSolveState) -> SuSolveState:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coopbeam as cb
-from coopbeam.sdp import FEAS_TOL
+from coopbeam.experiments import mu_scenario
+from coopbeam.sdp import FEAS_TOL, BisectionResult, SdpSolverError, _constraint_data, _dual_bound
 
 
 def random_instance(rng, k=2, m=4, noise=1.0):
@@ -34,22 +35,54 @@ def phase_grid_optimum(inst, points=64):
 
 
 def oracle_margins(inst, delta, psi):
-    """Normalized margins of Psi at target delta, rebuilt from the B_{k,j} one by one.
+    """Normalized margins of Psi (n, n), or of a stack (..., n, n), at target delta.
 
-    Constraint k is tr(C_k Psi) + e_k >= 0 with C_k = B_kk - delta sum_{j!=k} B_kj and
-    e_k = |qbar_kk|^2 - delta (sum_{j!=k} |qbar_kj|^2 + noise_k), divided by
-    max(||C_k||_F, |e_k|).
+    Rebuilt from the B_{k,j} one by one: constraint k is tr(C_k Psi) + e_k >= 0 with
+    C_k = B_kk - delta sum_{j!=k} B_kj and e_k = |qbar_kk|^2 - delta (sum_{j!=k}
+    |qbar_kj|^2 + noise_k), divided by max(||C_k||_F, |e_k|).
     """
     k = inst.n_users
-    out = np.empty(k)
+    out = np.empty(np.shape(psi)[:-2] + (k,))
     for a in range(k):
         others = [j for j in range(k) if j != a]
         c = inst.constraint_matrix(a, a) - delta * sum(inst.constraint_matrix(a, j) for j in others)
         e = abs(inst.qbar[a, a]) ** 2 - delta * (
             sum(abs(inst.qbar[a, j]) ** 2 for j in others) + inst.noise[a]
         )
-        out[a] = (np.real(np.einsum("ij,ji->", c, psi)) + e) / max(np.linalg.norm(c), abs(e))
+        trace = np.real(np.einsum("ij,...ji->...", c, psi))
+        out[..., a] = (trace + e) / max(np.linalg.norm(c), abs(e))
     return out
+
+
+def plain_bisection(inst, delta_lo, delta_hi, eps):
+    """The bisection without dual bounds: every target is solved."""
+    history = []
+
+    def check(value):
+        res = cb.feasibility_check(inst, value)
+        if res.status == "numerical-failure":
+            raise SdpSolverError(f"feasibility check failed at target {value}: {res.message}")
+        history.append((value, res.status))
+        return res
+
+    best = check(delta_lo)
+    if not best.feasible:
+        raise ValueError(f"invalid bracket: delta_lo={delta_lo} is infeasible")
+    res_hi = check(delta_hi)
+    if res_hi.feasible:
+        return BisectionResult(float(delta_hi), res_hi, True, 0, history)
+
+    lo, hi = float(delta_lo), float(delta_hi)
+    steps = 0
+    while hi - lo > eps:
+        mid = 0.5 * (lo + hi)
+        res = check(mid)
+        steps += 1
+        if res.feasible:
+            lo, best = mid, res
+        else:
+            hi = mid
+    return BisectionResult(lo, best, False, steps, history)
 
 
 def assert_certified(inst, res):
@@ -158,14 +191,88 @@ class TestBenchmarkShapes:
 
     @pytest.mark.parametrize("k, m", [(2, 2), (5, 16)])
     def test_margins_match_oracle_on_bisection_path(self, k, m):
-        # every target a bisection visits, feasible or not
-        inst = random_instance(np.random.default_rng(3), k=k, m=m)
-        hi = cb.matched_filter_bound(inst)
-        res = cb.bisection_maxmin(inst, 0.0, hi, eps=hi / 16)
-        for delta, status in res.history:
-            sol = cb.feasibility_check(inst, delta)
-            assert sol.status == status
-            assert_certified(inst, sol)
+        # every target a bisection visits, feasible, infeasible or certified infeasible
+        certified = 0
+        for seed in (3, 0):
+            inst = random_instance(np.random.default_rng(seed), k=k, m=m)
+            hi = cb.matched_filter_bound(inst)
+            res = cb.bisection_maxmin(inst, 0.0, hi, eps=hi / 16)
+            certified += res.certified
+            for delta, status in res.history:
+                sol = cb.feasibility_check(inst, delta)
+                assert sol.status == status
+                assert_certified(inst, sol)
+        assert certified >= 1
+
+
+class TestDualBound:
+    """The weak-duality bound that lets the bisection skip provably infeasible targets."""
+
+    @pytest.mark.parametrize("k, m", [(2, 2), (5, 16)])
+    @given(seed=st.integers(0, 2**31), frac=st.floats(0.0, 1.5))
+    @settings(max_examples=25, deadline=None)
+    def test_bound_covers_unit_diagonal_psi(self, k, m, seed, frac):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, k=k, m=m)
+        delta = frac * cb.matched_filter_bound(inst)
+        n = m + 1
+        # the cold weights, random weights with random nu, and an infeasible verdict's exit dual
+        mu = np.vstack([np.eye(k), np.ones((1, k)), rng.exponential(size=(4, k))])
+        nu = np.vstack([np.zeros((k + 1, n)), 3.0 * rng.standard_normal((4, n))])
+        sol = cb.feasibility_check(inst, delta)
+        if sol.dual is not None:
+            mu, nu = np.vstack([mu, sol.dual[0]]), np.vstack([nu, sol.dual[1]])
+        bounds = _dual_bound(*_constraint_data(inst, delta), mu, nu)
+        tilde = np.exp(1j * rng.uniform(0, 2 * np.pi, (256, n)))
+        worst = oracle_margins(inst, delta, tilde[:, :, None] * tilde.conj()[:, None, :]).min(axis=1)
+        best = worst.max()
+        if sol.feasible:
+            best = max(best, oracle_margins(inst, delta, sol.psi).min())
+        assert bounds.min() >= best - 1e-12 * max(1.0, abs(bounds).max())
+
+    @pytest.mark.parametrize("k, m, eps_frac", [(2, 2, 1e-3), (5, 16, 1 / 64)])
+    def test_matches_bisection_without_bounds(self, k, m, eps_frac):
+        certified = 0
+        for seed in range(4):
+            inst = random_instance(np.random.default_rng(seed), k=k, m=m)
+            hi = cb.matched_filter_bound(inst)
+            got = cb.bisection_maxmin(inst, 0.0, hi, eps=eps_frac * hi)
+            want = plain_bisection(inst, 0.0, hi, eps=eps_frac * hi)
+            assert got.delta_star == want.delta_star
+            assert got.history == want.history
+            assert got.steps == want.steps and got.saturated == want.saturated
+            assert np.array_equal(got.solution.psi, want.solution.psi)
+            certified += got.certified
+        assert certified > 0
+
+    @pytest.mark.parametrize(
+        "scenario, eps, min_certified",
+        [
+            # mu-tiny: K = 2, M' = 2 at 10 dBm; mu-maxmin: K = 5, M' = 16 at 20 dBm, where the
+            # solver's exit duals are far from central and no bound fires on these draws
+            (dict(k_users=2, power_dbm=10.0, n_bs=2, m1=2, m2=2, paths_g1=2, paths_d=2, paths_user=2),
+             1e-3, 1),
+            (dict(k_users=5, power_dbm=20.0), 0.1, 0),
+        ],
+        ids=["mu-tiny", "mu-maxmin"],
+    )
+    def test_matches_bisection_without_bounds_on_subproblems(self, scenario, eps, min_certified):
+        # (P3.1) and (P3.4) at the DFT start of a draw, as Algorithm 1 builds them
+        scn = mu_scenario(**scenario)
+        ctx = cb.SinrContext.from_scenario(scn)
+        certified = 0
+        for seed in range(2):
+            chs = cb.build_double_irs_scenario(scn, np.random.default_rng(seed))
+            init = cb.dft_codebook_search(chs, ctx, rx_mode="mmse")
+            for build, fixed in ((cb.build_p31_instance, init.theta1), (cb.build_p34_instance, init.theta2)):
+                inst = build(chs, fixed, init.w, ctx.powers, ctx.noise)
+                hi = cb.matched_filter_bound(inst)
+                got = cb.bisection_maxmin(inst, 0.0, hi, eps)
+                want = plain_bisection(inst, 0.0, hi, eps)
+                assert (got.delta_star, got.history) == (want.delta_star, want.history)
+                assert np.array_equal(got.solution.psi, want.solution.psi)
+                certified += got.certified
+        assert certified >= min_certified
 
 
 class TestBisection:
