@@ -5,15 +5,22 @@ path loss, steering vectors) and the matched single-IRS baselines used for
 double-vs-single comparisons.
 
 Conventions (chosen once, documented here):
-  * The BS is a ULA along the global y axis; each IRS is a URA in a vertical
-    plane whose outward normal has the configured azimuth w.r.t. the x axis.
-  * Steering phases use the +j sign: a_i = exp(+j 2*pi*spacing * <p_i, k>).
+  * Every array is a grid of (rows, cols) elements; its response toward
+    (azimuth, elevation) is the Kronecker product of a vertical and a
+    horizontal ULA response.  The BS is a (1, N) array along the global y
+    axis; each IRS is a near-square grid in a vertical plane whose outward
+    normal has the configured azimuth w.r.t. the x axis.  A single-antenna
+    user is a one-element node whose response is 1 in every direction.
+  * `LINK_ENDS` names the two end nodes of each of the five links; one link
+    draw serves them all, in the fixed order u1, u2, d, g1, g2.
+  * Steering phases use the +j sign: a_i = exp(+j 2*pi*spacing * <p_i, k>),
+    with the element spacing in wavelengths.
   * A "subsurface" is one unit-modulus reflector.  The aperture gain of the
     underlying element grouping is absorbed into the per-link path gain as
     aperture_gain**(#IRS endpoints of the link), so the inter-IRS link gets
     the gain squared (one reflection aperture at each end).
   * Geometric scatterer angles are drawn uniformly in azimuth/elevation over
-    the front half-space of each array.
+    the front half-space of each array; a user draws none.
 """
 
 from __future__ import annotations
@@ -24,10 +31,16 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-LINK_NAMES = ("u1", "u2", "d", "g1", "g2")
-
-# number of IRS endpoints per link, drives the aperture-gain exponent
-_IRS_ENDPOINTS = {"u1": 1, "u2": 1, "d": 2, "g1": 1, "g2": 1}
+# link -> (receiving node, transmitting node); a node's position is the
+# scenario field pos_<node>, and "users" is the user cluster (one node per user)
+LINK_ENDS = {
+    "u1": ("irs1", "users"),
+    "u2": ("irs2", "users"),
+    "d": ("irs2", "irs1"),
+    "g1": ("bs", "irs1"),
+    "g2": ("bs", "irs2"),
+}
+LINK_NAMES = tuple(LINK_ENDS)
 
 
 def db_to_linear(x_db):
@@ -102,7 +115,6 @@ class SystemScenario:
     links: dict = field(default_factory=_default_links)
     tx_power_w: float = dbm_to_watt(15.0)
     noise_w: float = dbm_to_watt(-64.0)
-    wavelength: float = 0.05
     seed: int = 0
     aperture_gain: float = 25.0
     cluster_radius: float = 2.0
@@ -123,8 +135,10 @@ class SystemScenario:
             raise ValueError("noise power must be positive")
         if np.any(np.asarray(self.tx_power_w) <= 0):
             raise ValueError("transmit powers must be positive")
-        if self.wavelength <= 0 or self.spacing <= 0:
-            raise ValueError("wavelength and spacing must be positive")
+        if np.shape(self.tx_power_w) not in ((), (self.n_users,)):
+            raise ValueError("tx_power_w must be scalar or length n_users")
+        if self.spacing <= 0:
+            raise ValueError("element spacing must be positive")
         missing = [n for n in LINK_NAMES if n not in self.alpha or n not in self.links]
         if missing:
             raise ValueError(f"missing per-link configuration for {missing}")
@@ -136,42 +150,24 @@ class SystemScenario:
     def powers(self):
         """Per-user transmit powers as a length-K array."""
         p = np.asarray(self.tx_power_w, dtype=float)
-        if p.ndim == 0:
-            return np.full(self.n_users, float(p))
-        if p.shape != (self.n_users,):
-            raise ValueError("tx_power_w must be scalar or length n_users")
-        return p.copy()
-
-    def node_positions(self):
-        return {
-            "bs": np.asarray(self.pos_bs, dtype=float),
-            "irs1": np.asarray(self.pos_irs1, dtype=float),
-            "irs2": np.asarray(self.pos_irs2, dtype=float),
-            "users": np.asarray(self.pos_users, dtype=float),
-        }
+        return np.full(self.n_users, float(p)) if p.ndim == 0 else p.copy()
 
     def link_distances(self):
         """Center-to-center distances of the five links."""
-        pos = self.node_positions()
-        pairs = {
-            "u1": ("users", "irs1"),
-            "u2": ("users", "irs2"),
-            "d": ("irs1", "irs2"),
-            "g1": ("irs1", "bs"),
-            "g2": ("irs2", "bs"),
-        }
-        return {k: float(np.linalg.norm(pos[a] - pos[b])) for k, (a, b) in pairs.items()}
+        def pos(node):
+            return np.asarray(getattr(self, f"pos_{node}"), dtype=float)
+
+        return {name: float(np.linalg.norm(pos(a) - pos(b))) for name, (a, b) in LINK_ENDS.items()}
 
     def link_gain(self, name, distance=None):
         """Linear path gain of one link including the aperture multiplier."""
         d = self.link_distances()[name] if distance is None else distance
         pl = path_loss_linear(d, self.alpha[name], self.gamma0_db)
-        return pl * self.aperture_gain ** _IRS_ENDPOINTS[name]
+        irs_ends = sum(end.startswith("irs") for end in LINK_ENDS[name])
+        return pl * self.aperture_gain**irs_ends
 
     def to_dict(self):
-        d = asdict(self)
-        d["links"] = {k: asdict(v) for k, v in self.links.items()}
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -198,41 +194,33 @@ def ura_shape(m):
     return (r, m // r)
 
 
-def array_response(kind, size, direction, spacing=0.5):
-    """Steering vector of a ULA or URA toward (azimuth, elevation) in radians.
+def array_response(shape, direction, spacing=0.5):
+    """Steering vector of a (rows, cols) array toward (azimuth, elevation) in radians.
 
     Entries are unit modulus with the first element as phase reference
-    (exactly 1).  For a URA `size` is (n_rows, n_cols) with rows stacked
-    vertically; the response is the Kronecker product of the vertical and
-    horizontal ULA responses.
+    (exactly 1).  Rows are stacked vertically, so the response is the
+    Kronecker product of the vertical and horizontal ULA responses; a ULA of
+    n elements is the shape (1, n), whose vertical response is exactly [1].
     """
     if spacing <= 0:
         raise ValueError("spacing must be positive")
+    n_v, n_h = shape
+    if n_v < 1 or n_h < 1:
+        raise ValueError("array size must be >= 1")
     az, el = direction
-    if kind == "ula":
-        n = int(size)
-        if n < 1:
-            raise ValueError("array size must be >= 1")
-        u = math.sin(az) * math.cos(el)
-        return np.exp(2j * math.pi * spacing * np.arange(n) * u)
-    if kind == "ura":
-        n_v, n_h = size
-        if n_v < 1 or n_h < 1:
-            raise ValueError("array size must be >= 1")
-        u_h = math.sin(az) * math.cos(el)
-        u_v = math.sin(el)
-        a_h = np.exp(2j * math.pi * spacing * np.arange(n_h) * u_h)
-        a_v = np.exp(2j * math.pi * spacing * np.arange(n_v) * u_v)
-        return np.kron(a_v, a_h)
-    raise ValueError(f"unknown array kind {kind!r}")
+    u_h = math.sin(az) * math.cos(el)
+    u_v = math.sin(el)
+    a_h = np.exp(2j * math.pi * spacing * np.arange(n_h) * u_h)
+    a_v = np.exp(2j * math.pi * spacing * np.arange(n_v) * u_v)
+    return np.kron(a_v, a_h)
 
 
-class _ArrayFrame:
-    """Local frame of one antenna array for geometry-derived steering."""
+class _Node:
+    """One link end: a (rows, cols) array in its local frame, or a user (`shape` None)."""
 
-    def __init__(self, kind, size, origin, normal_azimuth=0.0, spacing=0.5):
-        self.kind = kind
-        self.size = size
+    def __init__(self, shape, origin, normal_azimuth=0.0, spacing=0.5):
+        self.shape = shape
+        self.size = 1 if shape is None else shape[0] * shape[1]
         self.origin = np.asarray(origin, dtype=float)
         self.spacing = spacing
         c, s = math.cos(normal_azimuth), math.sin(normal_azimuth)
@@ -240,8 +228,10 @@ class _ArrayFrame:
         self.horiz = np.array([-s, c, 0.0])
         self.vert = np.array([0.0, 0.0, 1.0])
 
-    def angles_toward(self, point):
-        """(azimuth, elevation) of the unit vector from the array to `point`."""
+    def steer_toward(self, point):
+        """Response toward `point`: 1 for a user, else along the unit vector to it."""
+        if self.shape is None:
+            return np.ones(1, dtype=complex)
         d = np.asarray(point, dtype=float) - self.origin
         norm = np.linalg.norm(d)
         if norm <= 0:
@@ -249,27 +239,23 @@ class _ArrayFrame:
         d = d / norm
         el = math.asin(max(-1.0, min(1.0, float(d @ self.vert))))
         az = math.atan2(float(d @ self.horiz), float(d @ self.normal))
-        return az, el
+        return array_response(self.shape, (az, el), self.spacing)
 
-    def steer_toward(self, point):
-        return array_response(self.kind, self.size, self.angles_toward(point), self.spacing)
-
-    def random_angles(self, rng):
+    def steer_random(self, rng):
+        if self.shape is None:
+            return np.ones(1, dtype=complex)
         # uniform over the front half-space of the array
         az = rng.uniform(-math.pi / 2, math.pi / 2)
         el = rng.uniform(-math.pi / 2, math.pi / 2)
-        return az, el
-
-    def steer_random(self, rng):
-        return array_response(self.kind, self.size, self.random_angles(rng), self.spacing)
+        return array_response(self.shape, (az, el), self.spacing)
 
 
-def _frames(scn: SystemScenario):
-    # BS ULA elements run along the global y axis (normal toward +x)
+def _nodes(scn: SystemScenario, m1, m2):
+    # the BS and IRS nodes; BS elements run along the global y axis (normal toward +x)
     return {
-        "bs": _ArrayFrame("ula", scn.n_bs, scn.pos_bs, 0.0, scn.spacing),
-        "irs1": _ArrayFrame("ura", ura_shape(scn.m1), scn.pos_irs1, scn.irs1_azimuth, scn.spacing),
-        "irs2": _ArrayFrame("ura", ura_shape(scn.m2), scn.pos_irs2, scn.irs2_azimuth, scn.spacing),
+        "bs": _Node((1, scn.n_bs), scn.pos_bs, 0.0, scn.spacing),
+        "irs1": _Node(ura_shape(m1), scn.pos_irs1, scn.irs1_azimuth, scn.spacing),
+        "irs2": _Node(ura_shape(m2), scn.pos_irs2, scn.irs2_azimuth, scn.spacing),
     }
 
 
@@ -304,16 +290,25 @@ def geometric_link(n_paths, rx_steering, tx_steering, rho_bar, rng):
     """
     if n_paths < 1:
         raise ValueError("scatterer count must be >= 1")
-    a_rx = rx_steering(rng)
-    a_tx = tx_steering(rng)
-    out = np.zeros((a_rx.size, a_tx.size), dtype=complex)
-    for ell in range(n_paths):
-        if ell > 0:
-            a_rx = rx_steering(rng)
-            a_tx = tx_steering(rng)
+    out = 0
+    for _ in range(n_paths):
+        a_rx, a_tx = rx_steering(rng), tx_steering(rng)
         rho = rho_bar * np.exp(2j * math.pi * rng.uniform())
-        out += rho * np.outer(a_rx, a_tx.conj())
+        out = out + rho * np.outer(a_rx, a_tx.conj())
     return out
+
+
+def _draw_link(scenario: SystemScenario, name, model: LinkModel, rx: _Node, tx: _Node, rng):
+    """One realization of link `name` (fading `model`) from node `tx` to node `rx`;
+    its path gain uses the distance between them.  An empty end draws nothing."""
+    if rx.size == 0 or tx.size == 0:
+        return np.zeros((rx.size, tx.size), dtype=complex)
+    gain = scenario.link_gain(name, float(np.linalg.norm(rx.origin - tx.origin)))
+    if model.kind == "rician":
+        los = np.outer(rx.steer_toward(tx.origin), tx.steer_toward(rx.origin).conj())
+        return rician_link(los, model.rician_k, gain, rng)
+    rho_bar = math.sqrt(gain / model.paths)
+    return geometric_link(model.paths, rx.steer_random, tx.steer_random, rho_bar, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +432,9 @@ def build_double_irs_scenario(scenario: SystemScenario, rng=None) -> ChannelSet:
     horizontal disk around the cluster center, then the links are drawn in
     the fixed order u1, u2, d, g1, g2.
     """
-    rng = _as_rng(rng, scenario.seed)
-    dists = scenario.link_distances()
-    if min(dists.values()) <= 0:
+    rng = np.random.default_rng(scenario.seed if rng is None else rng)
+    if min(scenario.link_distances().values()) <= 0:
         raise ValueError("coincident nodes give a degenerate geometry")
-    frames = _frames(scenario)
     k = scenario.n_users
 
     # user drop: uniform in a disk of cluster_radius around the center
@@ -452,51 +445,15 @@ def build_double_irs_scenario(scenario: SystemScenario, rng=None) -> ChannelSet:
         [radius * np.cos(angle), radius * np.sin(angle), np.zeros(k)], axis=1
     )
 
-    def user_link(irs_name, link_name, m):
-        if m == 0:
-            return np.zeros((0, k), dtype=complex)
-        cols = []
-        frame = frames[irs_name]
-        model = scenario.links[link_name]
-        for pos in users:
-            dist = float(np.linalg.norm(pos - frame.origin))
-            gain = scenario.link_gain(link_name, dist)
-            if model.kind == "rician":
-                los = frame.steer_toward(pos)
-                cols.append(rician_link(los, model.rician_k, gain, rng))
-            else:
-                col = geometric_link(
-                    model.paths,
-                    frame.steer_random,
-                    lambda r: np.ones(1, dtype=complex),
-                    math.sqrt(gain / model.paths),
-                    rng,
-                )
-                cols.append(col[:, 0])
-        return np.stack(cols, axis=1)
-
-    def node_link(rx_name, tx_name, link_name, rx_point, tx_point):
-        rx, tx = frames[rx_name], frames[tx_name]
-        gain = scenario.link_gain(link_name)
-        model = scenario.links[link_name]
-        n_rx = int(np.prod(rx.size)) if rx.kind == "ura" else rx.size
-        n_tx = int(np.prod(tx.size)) if tx.kind == "ura" else tx.size
-        if n_rx == 0 or n_tx == 0:
-            return np.zeros((n_rx, n_tx), dtype=complex)
-        if model.kind == "rician":
-            los = np.outer(rx.steer_toward(tx_point), tx.steer_toward(rx_point).conj())
-            return rician_link(los, model.rician_k, gain, rng)
-        return geometric_link(
-            model.paths, rx.steer_random, tx.steer_random, math.sqrt(gain / model.paths), rng
-        )
-
-    pos = scenario.node_positions()
-    u1 = user_link("irs1", "u1", scenario.m1)
-    u2 = user_link("irs2", "u2", scenario.m2)
-    d = node_link("irs2", "irs1", "d", pos["irs2"], pos["irs1"])
-    g1 = node_link("bs", "irs1", "g1", pos["bs"], pos["irs1"])
-    g2 = node_link("bs", "irs2", "g2", pos["bs"], pos["irs2"])
-    return ChannelSet.from_links(u1, u2, d, g1, g2)
+    nodes = _nodes(scenario, scenario.m1, scenario.m2)
+    nodes["users"] = [_Node(None, pos) for pos in users]
+    links = {}
+    for name, (rx, tx) in LINK_ENDS.items():
+        # a user link is one column per user, each drawn as its own link
+        ends = nodes[tx] if tx == "users" else [nodes[tx]]
+        draws = [_draw_link(scenario, name, scenario.links[name], nodes[rx], e, rng) for e in ends]
+        links[name] = np.concatenate(draws, axis=1)
+    return ChannelSet.from_links(**links)
 
 
 def build_single_irs_baseline_A1(double: ChannelSet) -> ChannelSet:
@@ -528,17 +485,15 @@ def build_single_irs_baseline_A2(scenario: SystemScenario, rank_g, rank_u, rng=N
     scatterers, so the numerical ranks match the paired double-IRS scenario's
     g2/u2 link ranks.
     """
-    rng = _as_rng(rng, scenario.seed)
+    rng = np.random.default_rng(scenario.seed if rng is None else rng)
     n, m, k = scenario.n_bs, scenario.m_total, scenario.n_users
     if not (1 <= rank_g <= min(n, m)):
         raise ValueError(f"rank_g={rank_g} infeasible for a {n}x{m} link")
     if not (1 <= rank_u <= min(m, k)):
         raise ValueError(f"rank_u={rank_u} infeasible for a {m}x{k} link")
-    irs = _ArrayFrame("ura", ura_shape(m), scenario.pos_irs2, scenario.irs2_azimuth, scenario.spacing)
-    bs = _frames(scenario)["bs"]
-
-    gain_g = scenario.link_gain("g2")
-    gbar = geometric_link(rank_g, bs.steer_random, irs.steer_random, math.sqrt(gain_g / rank_g), rng)
+    nodes = _nodes(scenario, 0, m)  # all M subsurfaces at the IRS2 position
+    irs = nodes["irs2"]
+    gbar = _draw_link(scenario, "g2", LinkModel("geometric", paths=rank_g), nodes["bs"], irs, rng)
 
     gain_u = scenario.link_gain("u2")
     ubar = np.zeros((m, k), dtype=complex)
@@ -555,10 +510,3 @@ def build_single_irs_baseline_A2(scenario: SystemScenario, rank_g, rank_u, rng=N
         g2=gbar,
     )
 
-
-def _as_rng(rng, fallback_seed):
-    if rng is None:
-        return np.random.default_rng(fallback_seed)
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng))
-    return rng

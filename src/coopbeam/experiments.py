@@ -2,12 +2,13 @@
 bundled rate/rank studies, CSV artifacts, and plot-ready series files.
 
 Each experiment is one row of ``EXPERIMENTS``: a description, a point
-function ``(spec, opts, value, rng, draw) -> row`` that evaluates one sweep
-value of one draw, the options it reads with their defaults and lower
-bounds, the methods it accepts, the check of its sweep values, and the
-summary function that turns the per-point values into the assertion
-records of ``<experiment>_summary.json``.  ``_run_one_draw`` holds the only
-sweep loop.
+function ``(scenarios, opts, value, rng, draw) -> row`` that evaluates one
+sweep value of one draw, the scenarios that point runs, the scenario fields
+its sweep and options set (a spec may not override them with other values),
+the options it reads with their defaults and lower bounds, the methods it
+accepts, the check of its sweep values, and the summary function that turns
+the per-point values into the assertion records of
+``<experiment>_summary.json``.  ``_run_one_draw`` holds the only sweep loop.
 
 Reproducibility contract: a run is a pure function of (spec, seed).  Draw
 seeds come from numpy SeedSequence spawning - the master sequence spawns one
@@ -153,8 +154,9 @@ def _su_snr_bound(chs, ctx):
     return float(ctx.powers[0] * amp**2 / ctx.noise)
 
 
-def _mu_point(scn, rng, opts):
+def _mu_point(scns, opts, value, rng, draw):
     """Max-min rates of the requested multi-user methods for one realization."""
+    (scn,) = scns
     out = {}
     methods = opts["methods"]
     ctx = SinrContext.from_scenario(scn)
@@ -189,36 +191,24 @@ def _mu_point(scn, rng, opts):
     return out
 
 
-def _fig4_point(spec, opts, p_dbm, rng, draw):
+def _fig4_point(scns, opts, p_dbm, rng, draw):
+    (scn,) = scns
     if "chs" not in draw:
         # one channel realization per draw, drawn from the first point's generator
-        draw["scn"] = _apply_overrides(
-            su_scenario(kappa_far_db=float(opts["kappa_far_db"])), spec.scenario
-        )
-        draw["chs"] = build_double_irs_scenario(draw["scn"], rng)
-    scn = draw["scn"]
-    ctx = SinrContext(np.full(scn.n_users, dbm_to_watt(p_dbm)), scn.noise_w)
-    return _su_solutions(draw["chs"], ctx, rng, opts["methods"], opts)
+        draw["chs"] = build_double_irs_scenario(scn, rng)
+    return _su_solutions(draw["chs"], SinrContext.from_scenario(scn), rng, opts["methods"], opts)
 
 
-def _fig5_point(spec, opts, m1, rng, draw):
-    m1, m_total = int(m1), int(opts["m_total"])
-    scn = _apply_overrides(
-        su_scenario(kappa_far_db=float(opts["kappa_far_db"]), m1=m1, m2=m_total - m1),
-        spec.scenario,
-    )
+def _fig5_point(scns, opts, m1, rng, draw):
+    (scn,) = scns
     chs = build_double_irs_scenario(scn, rng)
     return _su_solutions(chs, SinrContext.from_scenario(scn), rng, opts["methods"], opts)
 
 
-def _fig6_point(spec, opts, m, rng, draw):
-    m = int(m)
+def _fig6_point(scns, opts, m, rng, draw):
     row = {}
-    for kdb in opts["kappa_set_db"]:
+    for kdb, scn in zip(opts["kappa_set_db"], scns):
         sub = rng.spawn(1)[0]
-        scn = _apply_overrides(
-            su_scenario(kappa_far_db=float(kdb), m1=m // 2, m2=m - m // 2), spec.scenario
-        )
         chs = build_double_irs_scenario(scn, sub)
         ctx = SinrContext.from_scenario(scn)
         vals = _su_solutions(chs, ctx, sub, ["ao-ib", "single-irs"], opts)
@@ -227,22 +217,8 @@ def _fig6_point(spec, opts, m, rng, draw):
     return row
 
 
-def _mu_power_point(spec, opts, p_dbm, rng, draw):
-    scn = _apply_overrides(
-        mu_scenario(k_users=int(opts["k_users"]), power_dbm=float(p_dbm)), spec.scenario
-    )
-    return _mu_point(scn, rng, opts)
-
-
-def _fig9_point(spec, opts, k, rng, draw):
-    scn = _apply_overrides(
-        mu_scenario(k_users=int(k), power_dbm=float(opts["power_dbm"])), spec.scenario
-    )
-    return _mu_point(scn, rng, opts)
-
-
-def _prop1_point(spec, opts, kdb, rng, draw):
-    scn = _apply_overrides(su_scenario(kappa_far_db=float(kdb)), spec.scenario)
+def _prop1_point(scns, opts, kdb, rng, draw):
+    (scn,) = scns
     chs = build_double_irs_scenario(scn, rng)
     ctx = SinrContext.from_scenario(scn)
     base = build_single_irs_baseline_A1(chs)
@@ -258,8 +234,8 @@ def _prop1_point(spec, opts, kdb, rng, draw):
     }
 
 
-def _prop2_point(spec, opts, k, rng, draw):
-    scn = _apply_overrides(mu_scenario(k_users=int(k)), spec.scenario)
+def _prop2_point(scns, opts, k, rng, draw):
+    (scn,) = scns
     chs = build_double_irs_scenario(scn, rng)
     rank_g, rank_u = scn.links["g2"].paths, min(scn.n_users, scn.m_total)
     base = build_single_irs_baseline_A2(scn, rank_g=rank_g, rank_u=rank_u, rng=rng)
@@ -312,7 +288,7 @@ _ORACLE_CHECKS = {
 }
 
 
-def _oracle_point(spec, opts, check, rng, draw):
+def _oracle_point(scns, opts, check, rng, draw):
     return {check: _ORACLE_CHECKS[check](rng)}
 
 
@@ -355,7 +331,9 @@ class Opt(NamedTuple):
 
 class Experiment(NamedTuple):
     description: str
-    point: Callable        # (spec, opts, sweep value, rng, draw dict) -> {method: value}
+    point: Callable        # (scenarios, opts, sweep value, rng, draw dict) -> {method: value}
+    scenarios: Callable    # (opts, sweep value) -> the scenarios one point runs, before overrides
+    sets: tuple            # the scenario fields its sweep and options set
     options: dict          # name -> Opt of every option the point function reads
     methods: frozenset     # accepted options["methods"] entries (empty: no methods option)
     sweep_check: Callable  # (opts, sweep value) -> None, raises ValueError on a bad value
@@ -512,47 +490,56 @@ _MU_OPTS = {
 EXPERIMENTS = {
     "fig4-rate-vs-power": Experiment(
         "single-user achievable rate vs transmit power for the AO/SDR/codebook designs",
-        _fig4_point,
+        _fig4_point, lambda o, p: [su_scenario(o["kappa_far_db"], power_dbm=p)],
+        ("n_users", "tx_power_w", "links"),
         {**_SU_OPTS, "methods": Opt(["ao-ib", "ao-dft", "dft-search", "sdr", "single-irs"])},
         _SU_METHODS, _number, _no_summary),
     "fig5-rate-vs-M1-split": Experiment(
         "single-user rate vs subsurface split M1 under a fixed total budget",
-        _fig5_point,
+        _fig5_point, lambda o, m1: [su_scenario(o["kappa_far_db"], m1=m1, m2=o["m_total"] - m1)],
+        ("n_users", "m1", "m2", "links"),
         {**_SU_OPTS, "m_total": Opt(32, at_least=0),
          "methods": Opt(["ao-ib", "init-ib", "single-irs"])},
         _SU_METHODS, _split, _fig5_summary),
     "fig6-rate-vs-totalM": Experiment(
         "single-user rate vs total subsurfaces for several Rician factors",
-        _fig6_point, {**_SU_SOLVE, "kappa_set_db": Opt([-10.0, 0.0, 10.0])}, frozenset(),
+        _fig6_point,
+        lambda o, m: [su_scenario(k, m1=m // 2, m2=m - m // 2) for k in o["kappa_set_db"]],
+        ("n_users", "m1", "m2", "links"),
+        {**_SU_SOLVE, "kappa_set_db": Opt([-10.0, 0.0, 10.0])}, frozenset(),
         _count(0), _fig6_summary),
     "fig7-mu-alg": Experiment(
         "multi-user max-min rate vs power: alternating optimizer against codebook search",
-        _mu_power_point,
+        _mu_point, lambda o, p: [mu_scenario(o["k_users"], power_dbm=p)], ("n_users", "tx_power_w"),
         {**_MU_OPTS, "k_users": Opt(5, at_least=1),
          "methods": Opt(["alg1-zf", "alg1-mmse", "dft-zf", "dft-mmse"])},
         _MU_METHODS, _number, _fig7_summary),
     "fig8-mu-vs-power": Experiment(
         "multi-user max-min rate vs power: double-IRS against the single-IRS baseline",
-        _mu_power_point,
+        _mu_point, lambda o, p: [mu_scenario(o["k_users"], power_dbm=p)], ("n_users", "tx_power_w"),
         {**_MU_OPTS, "k_users": Opt(5, at_least=1),
          "methods": Opt(["double-mmse", "single-mmse"])},
         _MU_METHODS, _number, _fig8_summary),
     "fig9-rate-vs-K": Experiment(
         "multi-user max-min rate vs number of users at high power",
-        _fig9_point,
+        _mu_point, lambda o, k: [mu_scenario(k, power_dbm=o["power_dbm"])],
+        ("n_users", "tx_power_w"),
         {**_MU_OPTS, "power_dbm": Opt(30.0),
          "methods": Opt(["double-mmse", "double-zf", "single-mmse", "single-zf"])},
         _MU_METHODS, _count(1), _fig9_summary),
     "prop1-property": Experiment(
         "double-IRS-with-init SNR never below the single-IRS optimum",
-        _prop1_point, {"restarts": _SU_SOLVE["restarts"]}, frozenset(), _number,
-        _prop1_summary),
+        _prop1_point, lambda o, kdb: [su_scenario(kdb)], ("n_users", "links"),
+        {"restarts": _SU_SOLVE["restarts"]}, frozenset(), _number, _prop1_summary),
     "prop2-rank": Experiment(
-        "effective channel rank of the double/single systems", _prop2_point, {}, frozenset(),
-        _count(1), _prop2_summary),
+        "effective channel rank of the double/single systems",
+        _prop2_point, lambda o, k: [mu_scenario(k)], ("n_users",),
+        {}, frozenset(), _count(1), _prop2_summary),
+    # the oracles read no scenario; overriding the default one still checks the overrides
     "oracle-suite": Experiment(
-        "self-check batch of closed-form and identity oracles", _oracle_point, {}, frozenset(),
-        _oracle_check, _oracle_summary),
+        "self-check batch of closed-form and identity oracles",
+        _oracle_point, lambda o, check: [SystemScenario()], (),
+        {}, frozenset(), _oracle_check, _oracle_summary),
 }
 
 
@@ -582,9 +569,6 @@ class ExperimentSpec:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
-        # the draws build their scenarios and read their options from these;
-        # fail here, not in a worker
-        _apply_overrides(SystemScenario(), self.scenario)
         exp = EXPERIMENTS[self.experiment]
         if not isinstance(self.options, dict):
             raise ValueError("options must be an object")
@@ -614,15 +598,37 @@ class ExperimentSpec:
                     f"unknown methods {unknown} for {self.experiment}; "
                     f"known: {', '.join(sorted(exp.methods))}"
                 )
+        # the draws build their scenarios and read their options from these;
+        # fail here, not in a worker
         opts = self.merged_options
         for value in self.sweep:
             exp.sweep_check(opts, value)
+            self.scenarios(opts, value)
 
     @property
     def merged_options(self):
         """The experiment's default options, overridden by this spec's."""
         defaults = {name: opt.default for name, opt in EXPERIMENTS[self.experiment].options.items()}
         return {**defaults, **self.options}
+
+    def scenarios(self, opts, value):
+        """The scenarios of sweep point `value`: the experiment's, with this spec's overrides.
+
+        An override of a field that the sweep or options set is rejected unless it
+        repeats the value they set: a different value would beat the sweep, or be ignored.
+        """
+        exp = EXPERIMENTS[self.experiment]
+        out = []
+        for preset in exp.scenarios(opts, value):
+            scn = _apply_overrides(preset, self.scenario)
+            for name in exp.sets:  # unequal only where an override differs
+                if not np.array_equal(getattr(scn, name), getattr(preset, name)):
+                    raise ValueError(
+                        f"scenario field {name!r} is set by the sweep and options of "
+                        f"{self.experiment}; an override may only repeat that value"
+                    )
+            out.append(scn)
+        return out
 
     def to_dict(self):
         return asdict(self)
@@ -662,8 +668,7 @@ def _run_one_draw(args):
     Returns ``(draw_index, rows, errors)``: ``rows[i]`` is point i's row, or
     None when it failed, and ``errors`` lists ``(point_index, message)``.
     """
-    spec_dict, draw_index, seed_seq = args
-    spec = ExperimentSpec.from_dict(spec_dict)
+    spec, draw_index, seed_seq = args
     exp = EXPERIMENTS[spec.experiment]
     opts = spec.merged_options
     point_rngs = [np.random.default_rng(sq) for sq in seed_seq.spawn(len(spec.sweep))]
@@ -671,7 +676,7 @@ def _run_one_draw(args):
     rows, errors = [], []
     for value, rng in zip(spec.sweep, point_rngs):
         try:
-            rows.append(exp.point(spec, opts, value, rng, draw))
+            rows.append(exp.point(spec.scenarios(opts, value), opts, value, rng, draw))
         except (SdpSolverError, np.linalg.LinAlgError) as err:
             errors.append((len(rows), f"{type(err).__name__}: {err}"))
             rows.append(None)
@@ -709,7 +714,7 @@ def run_experiment(spec: ExperimentSpec, threads=1):
     t_start = time.perf_counter()
     master = np.random.SeedSequence(spec.seed)
     children = master.spawn(spec.draws)
-    tasks = [(spec.to_dict(), i, children[i]) for i in range(spec.draws)]
+    tasks = [(spec, i, children[i]) for i in range(spec.draws)]
     outcomes = _map_draws(_run_one_draw, tasks, threads)
     outcomes.sort(key=lambda o: o[0])
 

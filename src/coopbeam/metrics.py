@@ -132,7 +132,7 @@ def rank_gain_report(
     inequality flag uses the min(N, K)-clipped form of the rank-gain bound,
     since the raw additive bound can exceed the matrix dimensions.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     pats = [pat] + [
         ReflectPattern.random(double.m1, double.m2, rng) for _ in range(RANK_DRAWS - 1)
     ]

@@ -192,7 +192,7 @@ def algorithm1(
 
     Returns (MuSolveState, SolveReport).
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     if init is None:
         init = dft_codebook_search(chs, ctx, rx_mode=rx_mode if chs.n_users > 1 else None)
     state = MuSolveState(*(np.array(x, dtype=complex) for x in (init.theta1, init.theta2, init.w)))

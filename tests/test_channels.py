@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import coopbeam as cb
 from coopbeam.channels import LINK_NAMES, ura_shape
+from coopbeam.experiments import mu_scenario
 from conftest import explicit_channel, random_channel_set
 
 
@@ -43,19 +44,28 @@ class TestPathLoss:
 
 class TestArrayResponse:
     def test_single_element(self):
-        a = cb.array_response("ula", 1, (0.7, -0.3))
+        a = cb.array_response((1, 1), (0.7, -0.3))
         assert a.shape == (1,)
         assert a[0] == 1.0
 
     def test_broadside_ula_all_ones(self):
-        a = cb.array_response("ula", 4, (0.0, 0.0), spacing=0.5)
+        a = cb.array_response((1, 4), (0.0, 0.0), spacing=0.5)
         assert np.allclose(a, np.ones(4))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_row_matches_closed_form_ula_phase(self, n):
+        # a (1, n) array is a ULA: element i has phase 2*pi*s*i*sin(az)*cos(el)
+        az, el, s = 0.9, -0.4, 0.37
+        a = cb.array_response((1, n), (az, el), spacing=s)
+        ula = np.exp(2j * math.pi * s * np.arange(n) * math.sin(az) * math.cos(el))
+        assert a.shape == (n,)
+        assert np.allclose(a, ula, rtol=0, atol=1e-12)
 
     def test_ura_matches_elementwise_phase_oracle(self):
         # brute force: phase of element (r, c) is 2*pi*s*(c*uh + r*uv)
         az, el = math.pi / 4, math.pi / 4
         s = 0.5
-        a = cb.array_response("ura", (2, 2), (az, el), spacing=s)
+        a = cb.array_response((2, 2), (az, el), spacing=s)
         uh = math.sin(az) * math.cos(el)
         uv = math.sin(el)
         brute = np.array(
@@ -66,13 +76,13 @@ class TestArrayResponse:
             ]
         )
         assert np.allclose(a, brute, atol=1e-12)
-        horiz = cb.array_response("ula", 2, (az, el), spacing=s)
+        horiz = cb.array_response((1, 2), (az, el), spacing=s)
         vert = np.exp(2j * math.pi * s * np.arange(2) * uv)
         assert np.allclose(a, np.kron(vert, horiz), atol=1e-12)
 
     @given(az=st.floats(-np.pi, np.pi), el=st.floats(-np.pi / 2, np.pi / 2))
     def test_unit_modulus_and_reference_entry(self, az, el):
-        a = cb.array_response("ura", (2, 3), (az, el))
+        a = cb.array_response((2, 3), (az, el))
         assert np.allclose(np.abs(a), 1.0)
         assert a[0] == 1.0
 
@@ -117,7 +127,7 @@ class TestRicianLink:
 
 def _steer_sampler(n):
     def sample(rng):
-        return cb.array_response("ula", n, (rng.uniform(-np.pi / 2, np.pi / 2), 0.0))
+        return cb.array_response((1, n), (rng.uniform(-np.pi / 2, np.pi / 2), 0.0))
 
     return sample
 
@@ -221,6 +231,91 @@ class TestScenarioBuild:
                 chs.compose(t1, t2)
         with pytest.raises(ValueError, match="theta1 length"):
             chs.affine(2, np.ones((4, 2)))
+
+
+def _mixed_links():
+    return {
+        "u1": cb.LinkModel("geometric", paths=2), "u2": cb.LinkModel("rician", rician_k=0.5),
+        "d": cb.LinkModel("rician", rician_k=2.0), "g1": cb.LinkModel("geometric", paths=3),
+        "g2": cb.LinkModel("rician", rician_k=10.0),
+    }
+
+
+def _pinned_builds():
+    """name -> (ChannelSet, the generator's next uniform after the build or None)."""
+    out = {}
+    rng = np.random.default_rng(2024)
+    su = cb.build_double_irs_scenario(cb.SystemScenario(n_bs=3, m1=4, m2=4, seed=7), rng)
+    out["rician-su"] = (su, rng.uniform())
+    rng = np.random.default_rng(2025)
+    su0 = cb.build_double_irs_scenario(cb.SystemScenario(n_bs=3, m1=0, m2=6), rng)
+    out["rician-su-m1-0"] = (su0, rng.uniform())
+    mu = mu_scenario(k_users=3, n_bs=4, m1=4, m2=9, seed=8)
+    out["geometric-mu"] = (cb.build_double_irs_scenario(mu), None)  # the scenario-seed path
+    rng = np.random.default_rng(2026)
+    mixed = cb.SystemScenario(n_bs=2, m1=3, m2=5, n_users=2, links=_mixed_links())
+    out["mixed"] = (cb.build_double_irs_scenario(mixed, rng), rng.uniform())
+    out["a1"] = (cb.build_single_irs_baseline_A1(su), None)
+    rng = np.random.default_rng(2027)
+    out["a2"] = (cb.build_single_irs_baseline_A2(mu, rank_g=2, rank_u=3, rng=rng), rng.uniform())
+    return out
+
+
+# per link: squared Frobenius norm and the complex sum of the entries, then the
+# generator's next uniform; recorded from the synthesis these tests pin
+PINNED = {
+    "rician-su": (
+        {"u1": (0.009193920297557997, 0.14202084994006486 + 0.00013697537825525796j),
+         "u2": (5.78897527073195e-07, 0.00016800975486396547 - 0.00047825943080785887j),
+         "d": (8.055680610050569e-05, -0.00019169850784935558 - 0.00416393167702583j),
+         "g1": (1.672110328919514e-06, 0.0006937664299400109 + 0.00045852996602441893j),
+         "g2": (0.11894815492413775, 0.4149490447645203 + 0.14088680474389734j)},
+        0.2090192612295143),
+    "rician-su-m1-0": (
+        {"u1": (0.0, 0j),
+         "u2": (1.1425804728498408e-06, -0.0010992015044576317 + 0.0007932261211287602j),
+         "d": (0.0, 0j), "g1": (0.0, 0j),
+         "g2": (0.16473198106239653, 0.3607406454770343 + 0.2336161825318643j)},
+        0.2254540558069994),
+    "geometric-mu": (
+        {"u1": (0.04164598234733552, 0.31456430076216246 + 0.12099319256857247j),
+         "u2": (5.5514060730966145e-06, 0.0016787261487759557 - 0.0005938269698554013j),
+         "d": (0.00020688032246599932, -0.015984947538592573 - 0.005083820502623892j),
+         "g1": (3.226618987619383e-06, -0.0012611777894868093 + 0.00032058755035101975j),
+         "g2": (0.3661754641008307, 0.5784489274373393 + 0.04075894257210182j)},
+        None),
+    "mixed": (
+        {"u1": (0.07017670012641992, -0.004224360040974207 - 0.3315327317128716j),
+         "u2": (1.4693671187358146e-06, -0.000780852725672478 + 0.0011378065532139704j),
+         "d": (9.340497467073369e-05, 0.00980606319477901 - 0.00267077468877889j),
+         "g1": (1.039588591002975e-06, -0.0006242176063280481 - 0.00028783433582744425j),
+         "g2": (0.09827442764027132, -0.21906380134985784 + 0.24976377264887972j)},
+        0.6283478623630906),
+    "a1": (
+        {"u1": (0.0, 0j), "u2": (8.0, 8.0 + 0j), "d": (0.0, 0j), "g1": (0.0, 0j),
+         "g2": (2.119226815090074e-08, 0.00010440797021984146 - 7.613807412455367e-05j)},
+        None),
+    "a2": (
+        {"u1": (0.0, 0j),
+         "u2": (9.955066667513151e-06, 0.00269677104806031 - 1.3394048100262774e-05j),
+         "d": (0.0, 0j), "g1": (0.0, 0j),
+         "g2": (0.531255151312606, 0.002244997254495451 + 0.03101548788597308j)},
+        0.9913665438752679),
+}
+
+
+class TestDrawOrder:
+    def test_fixed_seed_builds_match_recorded_statistics(self):
+        # a change in the order or number of random draws moves these by O(1);
+        # a last-ulp difference between CPUs stays far below rtol
+        for name, (chs, next_uniform) in _pinned_builds().items():
+            links, expected_next = PINNED[name]
+            for link, (fro2, total) in links.items():
+                x = getattr(chs, link)
+                got = (np.sum(np.abs(x) ** 2), np.sum(x))
+                np.testing.assert_allclose(got, (fro2, total), rtol=1e-9, atol=1e-15,
+                                           err_msg=f"{name}/{link}")
+            assert next_uniform == expected_next, name  # exact: the generator's own bits
 
 
 class TestBaselines:

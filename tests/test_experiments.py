@@ -491,6 +491,20 @@ class TestCli:
              "restarts"),
             ({"experiment": "fig5-rate-vs-M1-split", "sweep": [4.5]}, "split 4.5"),
             ({"experiment": "fig9-rate-vs-K", "sweep": [2.5]}, "sweep value 2.5"),
+            ({"experiment": "prop1-property", "sweep": [0.0], "scenario": {"n_users": 2}},
+             "n_users"),
+            ({"experiment": "fig5-rate-vs-M1-split", "sweep": [8],
+              "scenario": {"tx_power_w": [0.1, 0.2]}}, "tx_power_w"),
+            ({"experiment": "fig9-rate-vs-K", "sweep": [1, 2, 4], "scenario": {"n_users": 3}},
+             "n_users"),
+            ({**FIG7, "sweep": [0, 30], "scenario": {"tx_power_w": 0.01}}, "tx_power_w"),
+            ({"experiment": "fig4-rate-vs-power", "sweep": [0], "scenario": {"tx_power_w": 0.01}},
+             "tx_power_w"),
+            ({"experiment": "fig5-rate-vs-M1-split", "sweep": [8], "scenario": {"m1": 4}}, "m1"),
+            ({"experiment": "fig6-rate-vs-totalM", "sweep": [8], "scenario": {"m2": 5}}, "m2"),
+            ({"experiment": "prop1-property", "sweep": [0.0],
+              "scenario": {"links": TINY_MU["links"]}}, "links"),
+            ({**PROP2, "scenario": {"n_users": 5}}, "n_users"),
         ],
         ids=[
             "oracle-check", "split-over-default-budget", "split-over-given-budget",
@@ -498,18 +512,39 @@ class TestCli:
             "seed-float", "seed-negative", "out-dir-type", "scenario-count-float",
             "k-users-zero", "n-rand-zero", "eps-zero", "fig6-negative-total",
             "fig9-zero-users", "prop2-zero-users", "restarts-zero", "split-fraction",
-            "fig9-users-fraction",
+            "fig9-users-fraction", "prop1-two-users", "fig5-power-vector",
+            "fig9-users-override", "fig7-power-override", "fig4-power-override",
+            "fig5-m1-override", "fig6-m2-override", "prop1-links-override",
+            "prop2-users-override",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, fields, named):
         # each of these passed validate and then stopped run, or ran something
         # other than the spec says: draws true ran one draw, restarts 0 ran one
-        # restart, and a fractional split or user count ran its integer part
+        # restart, a fractional split or user count ran its integer part, and
+        # a scenario override of a field the sweep or options set either beat
+        # the sweep (fig9 ran K = 3 in rows labelled 1, 2, 4) or was ignored
         path = write_spec(tmp_path, **fields)
         assert cli.main(["validate", path]) == 2
         err = capsys.readouterr().err
         assert named in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"experiment": "prop1-property", "sweep": [0.0], "scenario": {"n_users": 1}},
+            {"experiment": "fig9-rate-vs-K", "sweep": [3], "scenario": {"n_users": 3}},
+            {"experiment": "fig5-rate-vs-M1-split", "sweep": [8], "options": {"m_total": 12},
+             "scenario": {"m1": 8, "m2": 4}},
+            {**PROP2, "scenario": {"tx_power_w": [0.1, 0.2, 0.3]}},
+        ],
+        ids=["prop1-one-user", "fig9-same-users", "fig5-same-split", "prop2-power-vector"],
+    )
+    def test_validate_accepts_overrides_the_experiment_agrees_with(self, tmp_path, fields):
+        # an override that repeats what the sweep and options set changes nothing, and
+        # a field the experiment does not set is checked against the scenario it builds
+        assert cli.main(["validate", write_spec(tmp_path, **fields)]) == 0
 
     def test_run_rejects_zero_draws_override(self, tmp_path, capsys):
         path = write_spec(tmp_path, experiment="prop2-rank", sweep=[3], out_dir=str(tmp_path))
