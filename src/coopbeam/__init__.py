@@ -24,7 +24,6 @@ from .metrics import (
     numerical_rank,
     rank_gain_report,
     sinr_per_user,
-    zf_min_sinr_formula,
 )
 from .multi_user import (
     MuSolveState,
@@ -52,9 +51,7 @@ from .single_user import (
     SuSolveState,
     ao_single_user,
     init_from_single_irs,
-    mrc_receive,
     opt_theta_closed_form,
-    random_init,
     single_irs_opt,
     snr_value,
 )

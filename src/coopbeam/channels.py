@@ -51,6 +51,17 @@ def dbm_to_watt(x_dbm):
     return 10.0 ** ((np.asarray(x_dbm, dtype=float) - 30.0) / 10.0)
 
 
+def _finite_real(value):
+    """Whether value is a finite real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _finite_reals(value, n):
+    """Whether value is a list, tuple or array of n finite real numbers."""
+    seq = isinstance(value, (list, tuple, np.ndarray))
+    return seq and len(value) == n and all(map(_finite_real, value))
+
+
 def path_loss_linear(d, alpha, gamma0_db):
     """Linear power gain gamma0 / d**alpha with gamma0 given in dB at 1 m."""
     d = float(d)
@@ -74,10 +85,11 @@ class LinkModel:
     def __post_init__(self):
         if self.kind not in ("rician", "geometric"):
             raise ValueError(f"unknown link model kind {self.kind!r}")
-        if self.kind == "rician" and self.rician_k < 0:
-            raise ValueError("Rician factor must be >= 0")
-        if self.kind == "geometric" and self.paths < 1:
-            raise ValueError("scatterer count must be >= 1")
+        if not _finite_real(self.rician_k) or self.rician_k < 0:
+            raise ValueError(f"rician_k must be a finite real >= 0, got {self.rician_k!r}")
+        paths = self.paths
+        if isinstance(paths, bool) or not isinstance(paths, numbers.Integral) or paths < 1:
+            raise ValueError(f"paths must be an integer >= 1, got {paths!r}")
 
 
 def _default_links():
@@ -131,14 +143,25 @@ class SystemScenario:
             raise ValueError("need at least one BS antenna and one user")
         if self.m1 < 0 or self.m2 < 0:
             raise ValueError("subsurface counts must be non-negative")
+        for name in ("pos_bs", "pos_irs1", "pos_irs2", "pos_users"):
+            if not _finite_reals(getattr(self, name), 3):
+                raise ValueError(f"{name} must be 3 finite reals, got {getattr(self, name)!r}")
+        for name in ("gamma0_db", "noise_w", "aperture_gain", "cluster_radius", "spacing",
+                     "irs1_azimuth", "irs2_azimuth"):
+            if not _finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite real, got {getattr(self, name)!r}")
         if self.noise_w <= 0:
             raise ValueError("noise power must be positive")
+        if not (_finite_real(self.tx_power_w) or _finite_reals(self.tx_power_w, self.n_users)):
+            raise ValueError("tx_power_w must be one finite real or one per user")
         if np.any(np.asarray(self.tx_power_w) <= 0):
             raise ValueError("transmit powers must be positive")
-        if np.shape(self.tx_power_w) not in ((), (self.n_users,)):
-            raise ValueError("tx_power_w must be scalar or length n_users")
         if self.spacing <= 0:
             raise ValueError("element spacing must be positive")
+        if not isinstance(self.alpha, dict) or not all(map(_finite_real, self.alpha.values())):
+            raise ValueError(f"alpha must map link names to finite reals, got {self.alpha!r}")
+        if not isinstance(self.links, dict):
+            raise ValueError(f"links must map link names to link models, got {self.links!r}")
         missing = [n for n in LINK_NAMES if n not in self.alpha or n not in self.links]
         if missing:
             raise ValueError(f"missing per-link configuration for {missing}")
@@ -172,10 +195,10 @@ class SystemScenario:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        if "links" in d:
+        if isinstance(d.get("links"), dict):
             d["links"] = {k: LinkModel(**v) for k, v in d["links"].items()}
         for key in ("pos_bs", "pos_irs1", "pos_irs2", "pos_users"):
-            if key in d:
+            if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         return cls(**d)
 

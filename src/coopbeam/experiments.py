@@ -33,7 +33,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import (
-    ChannelSet,
     LinkModel,
     ReflectPattern,
     SystemScenario,
@@ -43,16 +42,11 @@ from .channels import (
     db_to_linear,
     dbm_to_watt,
 )
-from .metrics import SinrContext, max_min_rate, rank_gain_report, sinr_per_user
-from .multi_user import MuSolveState, algorithm1, dft_codebook_search, mmse_receivers, zf_receivers
-from .sdp import MaxMinSdpInstance, SdpSolverError
+from .metrics import SinrContext, max_min_rate, rank_gain_report
+from .multi_user import MuSolveState, algorithm1, dft_codebook_search
+from .sdp import SdpSolverError
 from .single_user import (
-    SuSolveState,
-    ao_single_user,
-    init_from_single_irs,
-    opt_theta_closed_form,
-    single_irs_opt,
-    snr_value,
+    SuSolveState, ao_single_user, init_from_single_irs, single_irs_opt, snr_value,
 )
 
 # ---------------------------------------------------------------------------
@@ -101,35 +95,31 @@ def _apply_overrides(scn: SystemScenario, overrides: dict) -> SystemScenario:
 
 
 def _su_solutions(chs, ctx, rng, methods, opts):
-    """Rates of the requested single-user methods on one channel realization."""
+    """SNRs of the requested single-user methods on one channel realization."""
     out = {}
     i0 = int(opts["i0"])
-    needs_base = {"ao-ib", "init-ib", "single-irs"} & set(methods)
-    base_state = None
-    if needs_base:
+    if {"ao-ib", "init-ib", "single-irs"} & set(methods):
         base = build_single_irs_baseline_A1(chs)
         base_state = single_irs_opt(
             base, ctx, restarts=int(opts["restarts"]), max_iters=i0, rng=rng
         )
     if "single-irs" in methods:
-        out["single-irs"] = max_min_rate([base_state.snr])
+        out["single-irs"] = base_state.snr
     if "init-ib" in methods or "ao-ib" in methods:
         init = init_from_single_irs(chs, base_state)
         if "init-ib" in methods:
-            out["init-ib"] = max_min_rate(
-                [snr_value(chs, init.w, init.theta1, init.theta2, ctx)]
-            )
+            out["init-ib"] = snr_value(chs, init.w, init.theta1, init.theta2, ctx)
         if "ao-ib" in methods:
             state, _ = ao_single_user(chs, ctx, init, max_iters=i0)
-            out["ao-ib"] = max_min_rate([state.snr])
+            out["ao-ib"] = state.snr
     if "dft-search" in methods or "ao-dft" in methods:
         found = dft_codebook_search(chs, ctx)
         if "dft-search" in methods:
-            out["dft-search"] = max_min_rate([found.min_sinr])
+            out["dft-search"] = found.min_sinr
         if "ao-dft" in methods:
             init = SuSolveState(found.w[:, 0], found.theta1, found.theta2)
             state, _ = ao_single_user(chs, ctx, init, max_iters=i0)
-            out["ao-dft"] = max_min_rate([state.snr])
+            out["ao-dft"] = state.snr
     if "sdr" in methods:
         w0 = np.ones(chs.n_bs, dtype=complex) / math.sqrt(chs.n_bs)
         init = MuSolveState(np.ones(chs.m1, complex), np.ones(chs.m2, complex), w0[:, None])
@@ -137,8 +127,13 @@ def _su_solutions(chs, ctx, rng, methods, opts):
             chs, ctx, init=init, rx_mode="mrc", max_iters=int(opts["sdr_iters"]), xi=1e-6,
             eps=1e-3 * _su_snr_bound(chs, ctx), rng=rng,
         )
-        out["sdr"] = max_min_rate([state.min_sinr])
+        out["sdr"] = state.min_sinr
     return out
+
+
+def _rates(snrs):
+    """Rate log2(1 + SNR) of each method of `_su_solutions`."""
+    return {method: max_min_rate([snr]) for method, snr in snrs.items()}
 
 
 def _su_snr_bound(chs, ctx):
@@ -196,13 +191,14 @@ def _fig4_point(scns, opts, p_dbm, rng, draw):
     if "chs" not in draw:
         # one channel realization per draw, drawn from the first point's generator
         draw["chs"] = build_double_irs_scenario(scn, rng)
-    return _su_solutions(draw["chs"], SinrContext.from_scenario(scn), rng, opts["methods"], opts)
+    ctx = SinrContext.from_scenario(scn)
+    return _rates(_su_solutions(draw["chs"], ctx, rng, opts["methods"], opts))
 
 
 def _fig5_point(scns, opts, m1, rng, draw):
     (scn,) = scns
     chs = build_double_irs_scenario(scn, rng)
-    return _su_solutions(chs, SinrContext.from_scenario(scn), rng, opts["methods"], opts)
+    return _rates(_su_solutions(chs, SinrContext.from_scenario(scn), rng, opts["methods"], opts))
 
 
 def _fig6_point(scns, opts, m, rng, draw):
@@ -211,7 +207,7 @@ def _fig6_point(scns, opts, m, rng, draw):
         sub = rng.spawn(1)[0]
         chs = build_double_irs_scenario(scn, sub)
         ctx = SinrContext.from_scenario(scn)
-        vals = _su_solutions(chs, ctx, sub, ["ao-ib", "single-irs"], opts)
+        vals = _rates(_su_solutions(chs, ctx, sub, ["ao-ib", "single-irs"], opts))
         row[f"double-ao[k={kdb:g}dB]"] = vals["ao-ib"]
         row[f"single-irs[k={kdb:g}dB]"] = vals["single-irs"]
     return row
@@ -221,16 +217,13 @@ def _prop1_point(scns, opts, kdb, rng, draw):
     (scn,) = scns
     chs = build_double_irs_scenario(scn, rng)
     ctx = SinrContext.from_scenario(scn)
-    base = build_single_irs_baseline_A1(chs)
-    base_state = single_irs_opt(base, ctx, restarts=int(opts["restarts"]), rng=rng)
-    init = init_from_single_irs(chs, base_state)
-    init_snr = snr_value(chs, init.w, init.theta1, init.theta2, ctx)
-    state, _ = ao_single_user(chs, ctx, init)
+    # prop1 has no i0 option: both AO stages run the default 100 iterations
+    snr = _su_solutions(chs, ctx, rng, ("ao-ib", "init-ib", "single-irs"), {**opts, "i0": 100})
     return {
-        "ao-ib": max_min_rate([state.snr]),
-        "single-irs": max_min_rate([base_state.snr]),
-        "_violation": float(state.snr < base_state.snr * (1 - 1e-9)),
-        "_init_violation": float(init_snr < base_state.snr * (1 - 1e-9)),
+        "ao-ib": max_min_rate([snr["ao-ib"]]),
+        "single-irs": max_min_rate([snr["single-irs"]]),
+        "_violation": float(snr["ao-ib"] < snr["single-irs"] * (1 - 1e-9)),
+        "_init_violation": float(snr["init-ib"] < snr["single-irs"] * (1 - 1e-9)),
     }
 
 
@@ -247,74 +240,6 @@ def _prop2_point(scns, opts, k, rng, draw):
         "_h_full": float(rep.rank_h == min(scn.n_bs, scn.n_users)),
         "_hbar_designed": float(rep.rank_hbar == min(rank_g, rank_u)),
     }
-
-
-def _oracle_closed_form_grid(rng):
-    chs = _random_channel_set(rng, n=3, m1=3, m2=3, k=1)
-    ctx = SinrContext(np.ones(1), 1.0)
-    w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    w = w / np.linalg.norm(w)
-    t1 = np.exp(1j * rng.uniform(0, 2 * math.pi, 3))
-    t2 = opt_theta_closed_form(chs, 2, t1, w)
-    grid = _grid_best_theta2(chs, t1, w, ctx, points=32)
-    return float(snr_value(chs, w, t1, t2, ctx) >= grid * (1 - 1e-9))
-
-
-def _oracle_homogenization(rng):
-    inst = _random_instance(rng, k=2, m=4)
-    theta = np.exp(1j * rng.uniform(0, 2 * math.pi, 5))
-    lhs = np.real(
-        theta.conj() @ inst.constraint_matrix(0, 1) @ theta
-    ) + np.abs(inst.qbar[0, 1]) ** 2
-    rec = np.conj(theta[-1]) * theta[:-1]
-    rhs = np.abs(inst.q[0, 1].conj() @ rec + inst.qbar[0, 1]) ** 2
-    return float(abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0))
-
-
-def _oracle_receivers(rng):
-    h = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-    ctx = SinrContext(np.ones(3), 0.5)
-    wz = zf_receivers(h, ctx.powers)
-    gz = sinr_per_user(h, wz, ctx)
-    gm = sinr_per_user(h, mmse_receivers(h, ctx.powers, ctx.noise), ctx)
-    ident = np.max(np.abs(wz.conj().T @ h - np.eye(3)))
-    return float(ident <= 1e-9 and np.all(gm >= gz * (1 - 1e-10)))
-
-
-_ORACLE_CHECKS = {
-    "closed-form-grid": _oracle_closed_form_grid,
-    "homogenization": _oracle_homogenization,
-    "receivers": _oracle_receivers,
-}
-
-
-def _oracle_point(scns, opts, check, rng, draw):
-    return {check: _ORACLE_CHECKS[check](rng)}
-
-
-def _random_channel_set(rng, n, m1, m2, k):
-    def c(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    return ChannelSet.from_links(c(m1, k), c(m2, k), c(m2, m1), c(n, m1), c(n, m2))
-
-
-def _grid_best_theta2(chs, t1, w, ctx, points=32):
-    m2 = chs.m2
-    phases = 2 * math.pi * np.arange(points) / points
-    grids = np.meshgrid(*([phases] * m2), indexing="ij")
-    combos = np.exp(1j * np.stack([g.ravel() for g in grids], axis=1))
-    x1 = t1 * chs.u1[:, 0]
-    b = (chs.g2 * (chs.d @ x1 + chs.u2[:, 0])).conj().T @ w
-    b0 = np.vdot(w, chs.g1 @ x1)
-    vals = np.abs(combos @ b.conj() + b0) ** 2
-    return float(ctx.powers[0] * vals.max() / ctx.noise)
-
-
-def _random_instance(rng, k, m):
-    q = rng.standard_normal((k, k, m)) + 1j * rng.standard_normal((k, k, m))
-    qb = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    return MaxMinSdpInstance(q, qb, np.ones(k))
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +283,6 @@ def _count(low):
 def _split(opts, m1):
     if not _integer(m1) or not 0 <= m1 <= opts["m_total"]:
         raise ValueError(f"split {m1!r} is not an integer within the budget 0..{opts['m_total']}")
-
-
-def _oracle_check(opts, check):
-    if not isinstance(check, str) or check not in _ORACLE_CHECKS:
-        raise ValueError(f"unknown oracle check {check!r}; known: {', '.join(_ORACLE_CHECKS)}")
 
 
 _KINDS = {int: numbers.Integral, float: numbers.Real, str: str}
@@ -462,14 +382,6 @@ def _prop2_summary(spec, per_point):
     }
 
 
-def _oracle_summary(spec, per_point):
-    checks = {}
-    for i, name in enumerate(spec.sweep):
-        vals = per_point[i].get(str(name), [])
-        checks[str(name)] = float(np.mean(vals)) if vals else 0.0
-    return {"check_pass_fraction": checks, "pass": all(v == 1.0 for v in checks.values())}
-
-
 # ---------------------------------------------------------------------------
 # the experiment table
 
@@ -535,11 +447,6 @@ EXPERIMENTS = {
         "effective channel rank of the double/single systems",
         _prop2_point, lambda o, k: [mu_scenario(k)], ("n_users",),
         {}, frozenset(), _count(1), _prop2_summary),
-    # the oracles read no scenario; overriding the default one still checks the overrides
-    "oracle-suite": Experiment(
-        "self-check batch of closed-form and identity oracles",
-        _oracle_point, lambda o, check: [SystemScenario()], (),
-        {}, frozenset(), _oracle_check, _oracle_summary),
 }
 
 

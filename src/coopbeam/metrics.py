@@ -3,7 +3,9 @@
 The channel itself is composed in one place, `ChannelSet.compose`;
 `effective_channel` checks the reflect pattern against the channel set and
 returns that (N, K) array.  The receivers (MRC, ZF, MMSE) live in
-`multi_user`."""
+`multi_user`.  `rank_gain_report` measures the two ranks that Proposition 2
+compares; the prop2-rank summary requires rank_h = min(N, K), which implies
+the min(N, K)-clipped rank-gain inequality."""
 
 from __future__ import annotations
 
@@ -70,21 +72,6 @@ def max_min_rate(sinrs):
     return float(np.log2(1.0 + sinrs.min()))
 
 
-def zf_min_sinr_formula(h, power, noise):
-    """Interference-free min SINR min_k P / (noise [(H^H H)^-1]_kk).
-
-    Valid for equal transmit power and a full column rank channel; raises
-    RankDeficiencyError otherwise.
-    """
-    h = np.asarray(h, dtype=complex)
-    n, k = h.shape
-    if numerical_rank(h) < k:
-        raise RankDeficiencyError("effective channel is column rank deficient")
-    gram = h.conj().T @ h
-    inv_diag = np.real(np.diag(np.linalg.inv(gram)))
-    return float(np.min(power / (noise * inv_diag)))
-
-
 def numerical_rank(a):
     """Rank by singular values above RANK_TOL * s_max."""
     a = np.asarray(a)
@@ -98,18 +85,10 @@ def numerical_rank(a):
 
 @dataclass
 class RankReport:
-    """Numerical ranks of one double/single channel pair and the Prop. 2 check.
-
-    `rank_h` and `rank_hbar` are the effective-channel ranks of the double-
-    and single-IRS systems, `bound` the rank gain min(rank g1, rank u1) of
-    the extra reflection path, and `clipped_gain_holds` whether
-    rank_h >= min(N, K, rank_hbar + bound).
-    """
+    """Effective-channel ranks of the double- (`rank_h`) and single-IRS (`rank_hbar`) systems."""
 
     rank_h: int
     rank_hbar: int
-    bound: int = 0
-    clipped_gain_holds: bool = False
 
 
 RANK_DRAWS = 10  # reflect patterns per majority vote of rank_gain_report
@@ -128,9 +107,7 @@ def rank_gain_report(
 
     The rank of H is the majority vote over `pat` and RANK_DRAWS - 1 random
     unit-modulus patterns, the rank of H_bar over RANK_DRAWS - 1 random
-    patterns, which avoids measure-zero phase alignments.  The reported
-    inequality flag uses the min(N, K)-clipped form of the rank-gain bound,
-    since the raw additive bound can exceed the matrix dimensions.
+    patterns, which avoids measure-zero phase alignments.
     """
     rng = np.random.default_rng(rng)
     pats = [pat] + [
@@ -140,13 +117,4 @@ def rank_gain_report(
 
     bpats = [ReflectPattern.random(baseline.m1, baseline.m2, rng) for _ in range(RANK_DRAWS - 1)]
     rank_hbar = _majority_rank([effective_channel(baseline, p) for p in bpats])
-
-    bound = min(numerical_rank(double.g1), numerical_rank(double.u1))
-    n, k = double.n_bs, double.n_users
-    clipped_target = min(min(n, k), rank_hbar + bound)
-    return RankReport(
-        rank_h=rank_h,
-        rank_hbar=rank_hbar,
-        bound=bound,
-        clipped_gain_holds=rank_h >= clipped_target,
-    )
+    return RankReport(rank_h=rank_h, rank_hbar=rank_hbar)

@@ -82,18 +82,10 @@ class MaxMinSdpInstance:
     def dim(self):
         return self.q.shape[2]
 
-    def constraint_matrix(self, k, j):
-        """Homogenized Hermitian B_{k,j} with zero bottom-right entry."""
-        return _homogenized(self.q[k, j], self.qbar[k, j])
-
-    def all_constraint_matrices(self):
-        """Every B_{k,j} at once, shape (K, K, M'+1, M'+1)."""
-        return _homogenized(self.q, self.qbar)
-
     @functools.cached_property
     def _margin_parts(self):
         """(B_kk, sum_{j!=k} B_kj, |qbar_kk|^2, sum_{j!=k} |qbar_kj|^2 + noise_k) over k."""
-        b = self.all_constraint_matrices()
+        b = _homogenized(self.q, self.qbar)  # every B_kj, shape (K, K, M'+1, M'+1)
         k = self.n_users
         users = np.arange(k)
         others = users[:, None] != users[None, :]  # row k picks j != k in index order
@@ -314,7 +306,7 @@ def matched_filter_bound(inst: MaxMinSdpInstance):
     n = inst.dim + 1
     bounds = []
     for k in range(inst.n_users):
-        b_kk = inst.constraint_matrix(k, k)
+        b_kk = _homogenized(inst.q[k, k], inst.qbar[k, k])
         lam = float(np.linalg.eigvalsh(b_kk).max()) if n else 0.0
         bounds.append((n * max(lam, 0.0) + abs(inst.qbar[k, k]) ** 2) / inst.noise[k])
     return float(min(bounds))

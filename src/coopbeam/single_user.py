@@ -6,9 +6,8 @@ that provably matches or beats the baseline SNR.
 and theta2 (R, M2), composing the channel once per sub-step with
 `ChannelSet.compose` and taking the MRC receiver (`multi_user.mrc_receivers`)
 and the SNR from it; a zero channel gets a unit receiver and SNR 0.
-`ao_single_user` is its R = 1 case.  `single_irs_opt` draws its R starts straight
-into those arrays, in the rng order of R `random_init` calls, and keeps the first
-best restart.
+`ao_single_user` is its R = 1 case.  `single_irs_opt` draws its R starts with
+`_random_starts` and keeps the first best restart.
 The single-user SDR benchmark is `multi_user.algorithm1` with K = 1 and MRC."""
 
 from __future__ import annotations
@@ -84,18 +83,11 @@ def opt_theta_closed_form(chs: ChannelSet, block, theta_other, w):
     return np.exp(1j * (ref + np.angle(a[..., 0, :, :].conj().swapaxes(-1, -2) @ w[..., None])[..., 0]))
 
 
-def mrc_receive(chs: ChannelSet, theta1, theta2):
-    """Optimal (maximum-ratio combining) unit-norm receive vector w = h/||h||."""
-    _require_single_user(chs)
-    return mrc_receivers(chs.compose(theta1, theta2))[:, 0]
-
-
 def _random_starts(chs: ChannelSet, rng, restarts):
     """`restarts` random starts as arrays w (R, N), theta1 (R, M1), theta2 (R, M2).
 
-    Each start draws its uniform phases (M1 + M2), then the real and the
-    imaginary part of w (N each), as `ReflectPattern.random` and one
-    `random_init` call do."""
+    Each start draws its uniform phases (M1 + M2), as `ReflectPattern.random`
+    does, then the real and the imaginary part of w (N each)."""
     theta = np.empty((restarts, chs.m1 + chs.m2), dtype=complex)
     w = np.empty((restarts, chs.n_bs), dtype=complex)
     for r in range(restarts):
@@ -103,11 +95,6 @@ def _random_starts(chs: ChannelSet, rng, restarts):
         w[r] = rng.standard_normal(chs.n_bs) + 1j * rng.standard_normal(chs.n_bs)
         w[r] /= np.linalg.norm(w[r])
     return w, theta[:, : chs.m1], theta[:, chs.m1 :]
-
-
-def random_init(chs: ChannelSet, rng) -> SuSolveState:
-    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
-    return SuSolveState(*(x[0] for x in _random_starts(chs, rng, 1)))
 
 
 def _ao(chs: ChannelSet, ctx: SinrContext, w, t1, t2, max_iters):
@@ -165,9 +152,8 @@ def single_irs_opt(baseline: ChannelSet, ctx: SinrContext, restarts=20, max_iter
 
     The baseline is a ChannelSet with m1 = 0, so each restart alternates the
     phase-alignment update theta = exp(j angle(Rbar^H w)) with MRC.  The starts
-    are drawn as by `restarts` `random_init` calls in a row (so `rng` ends as
-    after a one-by-one run), then all run through `_ao` together.  Returns the
-    best restart's SuSolveState, the first one on a tie."""
+    are drawn one after another by `_random_starts`, then all run through `_ao`
+    together.  Returns the best restart's SuSolveState, the first one on a tie."""
     _require_single_user(baseline)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, Verbosity, settings
 
 import coopbeam as cb
+from coopbeam.single_user import _random_starts
 
 settings.register_profile(
     "default",
@@ -45,6 +46,34 @@ def explicit_su_terms(chs, block, theta_other, w):
         phi2 = np.diag(theta_other)
         mat, rest = (chs.g2 @ phi2 @ chs.d + chs.g1) @ np.diag(u1), chs.g2 @ phi2 @ u2
     return mat.conj().T @ w, np.vdot(w, rest)
+
+
+def random_init(chs, rng):
+    """One random single-user start, drawn as one restart of `single_irs_opt` is."""
+    w, t1, t2 = _random_starts(chs, np.random.default_rng(rng), 1)
+    return cb.SuSolveState(w[0], t1[0], t2[0])
+
+
+def constraint_matrix(inst, k, j):
+    """Homogenized B_{k,j} = [[q q^H, qbar q], [conj(qbar) q^H, 0]] of an instance, written out."""
+    q, qb = inst.q[k, j], inst.qbar[k, j]
+    b = np.zeros((q.size + 1, q.size + 1), dtype=complex)
+    b[:-1, :-1] = np.outer(q, q.conj())
+    b[:-1, -1], b[-1, :-1] = qb * q, np.conj(qb) * q.conj()
+    return b
+
+
+def zf_min_sinr_formula(h, power, noise):
+    """Interference-free ZF min SINR min_k P / (noise [(H^H H)^-1]_kk).
+
+    Valid for equal transmit power and a full column rank channel; raises
+    RankDeficiencyError otherwise.
+    """
+    h = np.asarray(h, dtype=complex)
+    if cb.numerical_rank(h) < h.shape[1]:
+        raise cb.RankDeficiencyError("effective channel is column rank deficient")
+    inv_diag = np.real(np.diag(np.linalg.inv(h.conj().T @ h)))
+    return float(np.min(power / (noise * inv_diag)))
 
 
 @pytest.fixture

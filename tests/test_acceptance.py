@@ -10,7 +10,8 @@ import pytest
 
 import coopbeam as cb
 from coopbeam.experiments import mu_scenario, su_scenario
-from conftest import explicit_su_terms, random_channel_set
+from coopbeam.sdp import _homogenized
+from conftest import explicit_su_terms, random_channel_set, zf_min_sinr_formula
 
 RESULTS = {}
 
@@ -297,7 +298,8 @@ def test_criterion_6_sdr_machinery(saturation_suite, tiny_suite, capsys):
         inst = cb.MaxMinSdpInstance(q, qb, np.ones(k))
         tt = np.exp(1j * rng.uniform(0, 2 * np.pi, m + 1))
         a, b = int(rng.integers(0, k)), int(rng.integers(0, k))
-        lhs = np.real(tt.conj() @ inst.constraint_matrix(a, b) @ tt) + abs(inst.qbar[a, b]) ** 2
+        b_ab = _homogenized(inst.q[a, b], inst.qbar[a, b])
+        lhs = np.real(tt.conj() @ b_ab @ tt) + abs(inst.qbar[a, b]) ** 2
         rec = np.conj(tt[-1]) * tt[:-1]
         rhs = abs(inst.q[a, b].conj() @ rec + inst.qbar[a, b]) ** 2
         ident_failures += abs(lhs - rhs) > 1e-10 * max(rhs, 1.0)
@@ -367,7 +369,7 @@ def test_criterion_8_receiver_identities(capsys):
         wz = cb.zf_receivers(h, ctx.powers)
         ident = wz.conj().T @ h - np.diag(1 / np.sqrt(ctx.powers))
         zf_fail += np.max(np.abs(ident)) > 1e-9
-        lam = cb.zf_min_sinr_formula(h, powers, 0.7)
+        lam = zf_min_sinr_formula(h, powers, 0.7)
         pipe = float(cb.sinr_per_user(h, wz, ctx).min())
         formula_fail += abs(lam - pipe) > 1e-8 * max(lam, 1e-30)
         gm = cb.sinr_per_user(h, cb.mmse_receivers(h, ctx.powers, ctx.noise), ctx)

@@ -85,6 +85,11 @@ class TestSpecValidation:
             spec = ex.load_spec(ROOT / "scripts" / "specs" / f"{exp_id}.json")
             assert spec.experiment == exp_id
 
+    def test_bundled_specs_match_experiments_one_to_one(self):
+        # CI runs every bundled spec, so this makes it run every experiment
+        specs = (ROOT / "scripts" / "specs").glob("*.json")
+        assert sorted(ex.load_spec(p).experiment for p in specs) == sorted(ex.EXPERIMENTS)
+
     def test_bundled_and_benchmark_specs_load(self):
         paths = sorted((ROOT / "scripts" / "specs").glob("*.json"))
         paths += sorted((ROOT / "perfbench" / "workloads").glob("*.json"))
@@ -298,17 +303,6 @@ class TestRunExperiment:
         double_span = summary["assertions"]["rate_span[double-mmse]"]
         assert double_span["last"] > span["last"]
 
-    def test_oracle_suite_passes(self, tmp_path):
-        spec = ex.ExperimentSpec(
-            "oracle-suite",
-            sweep=["closed-form-grid", "homogenization", "receivers"],
-            draws=5,
-            seed=1,
-            out_dir=str(tmp_path),
-        )
-        summary = ex.run_experiment(spec)
-        assert summary["assertions"]["pass"], summary["assertions"]
-
     @pytest.mark.parametrize(
         "experiment, sweep, draws, scenario, options, expected",
         [
@@ -465,7 +459,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "fields, named",
         [
-            ({"experiment": "oracle-suite", "sweep": ["bogus"]}, "bogus"),
+            ({"experiment": "prop1-property", "sweep": [True]}, "sweep value True"),
             ({"experiment": "fig5-rate-vs-M1-split", "sweep": [40]}, "split 40"),
             (
                 {"experiment": "fig5-rate-vs-M1-split", "sweep": [12], "options": {"m_total": 8}},
@@ -505,9 +499,24 @@ class TestCli:
             ({"experiment": "prop1-property", "sweep": [0.0],
               "scenario": {"links": TINY_MU["links"]}}, "links"),
             ({**PROP2, "scenario": {"n_users": 5}}, "n_users"),
+            ({**PROP2, "scenario": {"pos_bs": [1.0, 2.0]}}, "pos_bs"),
+            ({**PROP2, "scenario": {"pos_users": [1.0, "a", 0.0]}}, "pos_users"),
+            ({**PROP2, "scenario": {"pos_irs1": 5}}, "pos_irs1"),
+            ({**PROP2, "scenario": {"gamma0_db": math.nan}}, "gamma0_db"),
+            ({**PROP2, "scenario": {"gamma0_db": "x"}}, "gamma0_db"),
+            ({**PROP2, "scenario": {"aperture_gain": "x"}}, "aperture_gain"),
+            ({**PROP2, "scenario": {"cluster_radius": "x"}}, "cluster_radius"),
+            ({**PROP2, "scenario": {"irs1_azimuth": "x"}}, "irs1_azimuth"),
+            ({**PROP2, "scenario": {"tx_power_w": math.inf}}, "tx_power_w"),
+            ({**PROP2, "scenario": {"alpha": {"u1": "x", "u2": 3.0, "d": 3.0, "g1": 3.0,
+                                              "g2": 2.2}}}, "alpha"),
+            ({**PROP2, "scenario": {"links": {**TINY_MU["links"],
+                                              "g1": {"kind": "geometric", "paths": 2.5}}}},
+             "paths"),
+            ({**PROP2, "scenario": {"links": ["u1", "u2", "d", "g1", "g2"]}}, "links"),
         ],
         ids=[
-            "oracle-check", "split-over-default-budget", "split-over-given-budget",
+            "prop1-bool-sweep", "split-over-default-budget", "split-over-given-budget",
             "option-type", "sweep-type", "draws-float", "draws-bool", "seed-string",
             "seed-float", "seed-negative", "out-dir-type", "scenario-count-float",
             "k-users-zero", "n-rand-zero", "eps-zero", "fig6-negative-total",
@@ -515,7 +524,9 @@ class TestCli:
             "fig9-users-fraction", "prop1-two-users", "fig5-power-vector",
             "fig9-users-override", "fig7-power-override", "fig4-power-override",
             "fig5-m1-override", "fig6-m2-override", "prop1-links-override",
-            "prop2-users-override",
+            "prop2-users-override", "pos-short", "pos-non-real", "pos-scalar",
+            "gamma0-nan", "gamma0-string", "aperture-string", "radius-string",
+            "azimuth-string", "power-inf", "alpha-string", "paths-fraction", "links-list",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, fields, named):
@@ -523,7 +534,9 @@ class TestCli:
         # other than the spec says: draws true ran one draw, restarts 0 ran one
         # restart, a fractional split or user count ran its integer part, and
         # a scenario override of a field the sweep or options set either beat
-        # the sweep (fig9 ran K = 3 in rows labelled 1, 2, 4) or was ignored
+        # the sweep (fig9 ran K = 3 in rows labelled 1, 2, 4) or was ignored,
+        # and a malformed scenario field stopped run with a broadcast error or
+        # an uncaught TypeError
         path = write_spec(tmp_path, **fields)
         assert cli.main(["validate", path]) == 2
         err = capsys.readouterr().err
@@ -574,11 +587,12 @@ class TestCli:
         out_dir = tmp_path / "results"
         paths = [
             write_spec(tmp_path, "a.json", **PROP2, draws=1, scenario=tiny),
-            write_spec(tmp_path, "b.json", experiment="oracle-suite", sweep=["receivers"], draws=1),
+            write_spec(tmp_path, "b.json", experiment="prop1-property", sweep=[0.0], draws=1,
+                       scenario={"n_bs": 3, "m1": 3, "m2": 3}, options={"restarts": 2}),
         ]
         assert cli.main(["run", *paths, "--out", str(out_dir)]) == 0
         assert sorted(p.name for p in out_dir.glob("*.csv")) == [
-            "oracle-suite.csv", "prop2-rank.csv",
+            "prop1-property.csv", "prop2-rank.csv",
         ]
         # one summary document per spec, in the order given
         out, decoder, pos, names = capsys.readouterr().out, json.JSONDecoder(), 0, []
@@ -586,7 +600,7 @@ class TestCli:
             summary, end = decoder.raw_decode(out, pos)
             names.append(summary["experiment"])
             pos = end + 1  # the newline after each document
-        assert names == ["prop2-rank", "oracle-suite"]
+        assert names == ["prop2-rank", "prop1-property"]
 
     def test_run_rejects_specs_writing_the_same_csv(self, tmp_path, capsys):
         paths = [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import coopbeam as cb
-from conftest import random_channel_set
+from conftest import random_channel_set, random_init, zf_min_sinr_formula
 
 
 @pytest.fixture
@@ -81,7 +81,7 @@ class TestReceivers:
         ctx = cb.SinrContext(np.full(3, 2.5), 0.7)
         w = cb.zf_receivers(h, ctx.powers)
         got = cb.sinr_per_user(h, w, ctx).min()
-        assert got == pytest.approx(cb.zf_min_sinr_formula(h, 2.5, 0.7), rel=1e-8)
+        assert got == pytest.approx(zf_min_sinr_formula(h, 2.5, 0.7), rel=1e-8)
 
     def test_zf_rank_deficient_raises(self):
         h = np.ones((4, 2), dtype=complex)
@@ -152,7 +152,8 @@ class TestDftCodebook:
         chs = random_channel_set(rng, n=3, m1=2, m2=2, k=1)
         ctx = cb.SinrContext(np.ones(1), 1.0)
         found = cb.dft_codebook_search(chs, ctx)
-        assert np.allclose(found.w[:, 0], cb.mrc_receive(chs, found.theta1, found.theta2))
+        mrc = cb.mrc_receivers(chs.compose(found.theta1, found.theta2))
+        assert np.allclose(found.w, mrc)
 
 
 class TestAlgorithm1:
@@ -175,7 +176,7 @@ class TestAlgorithm1:
     def test_single_user_matches_closed_form_ao(self, rng):
         chs = random_channel_set(rng, n=3, m1=3, m2=3, k=1)
         ctx = cb.SinrContext(np.ones(1), 1.0)
-        su_state, _ = cb.ao_single_user(chs, ctx, cb.random_init(chs, rng))
+        su_state, _ = cb.ao_single_user(chs, ctx, random_init(chs, rng))
         eps = max(su_state.snr * 1e-3, 1e-9)
         mu_state, _ = cb.algorithm1(chs, ctx, max_iters=8, eps=eps, n_rand=200, rng=rng)
         assert mu_state.min_sinr >= 0.98 * su_state.snr

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 import coopbeam as cb
 from coopbeam.experiments import mu_scenario
-from coopbeam.sdp import FEAS_TOL, BisectionResult, SdpSolverError, _constraint_data, _dual_bound
+from coopbeam.sdp import (
+    FEAS_TOL, BisectionResult, SdpSolverError, _constraint_data, _dual_bound, _homogenized,
+)
+from conftest import constraint_matrix
 
 
 def random_instance(rng, k=2, m=4, noise=1.0):
@@ -45,7 +48,8 @@ def oracle_margins(inst, delta, psi):
     out = np.empty(np.shape(psi)[:-2] + (k,))
     for a in range(k):
         others = [j for j in range(k) if j != a]
-        c = inst.constraint_matrix(a, a) - delta * sum(inst.constraint_matrix(a, j) for j in others)
+        interf = sum(constraint_matrix(inst, a, j) for j in others)
+        c = constraint_matrix(inst, a, a) - delta * interf
         e = abs(inst.qbar[a, a]) ** 2 - delta * (
             sum(abs(inst.qbar[a, j]) ** 2 for j in others) + inst.noise[a]
         )
@@ -103,12 +107,28 @@ def assert_certified(inst, res):
 class TestInstance:
     def test_constraint_matrix_structure(self, rng):
         inst = random_instance(rng, k=3, m=5)
+        batched = _homogenized(inst.q, inst.qbar)  # the (K, K) stack the margins are built from
         for k in range(3):
             for j in range(3):
-                b = inst.constraint_matrix(k, j)
+                b = _homogenized(inst.q[k, j], inst.qbar[k, j])
                 assert np.allclose(b, b.conj().T)
                 assert b[-1, -1] == 0.0
-                assert np.allclose(b[:-1, :-1], np.outer(inst.q[k, j], inst.q[k, j].conj()))
+                assert np.array_equal(b, constraint_matrix(inst, k, j))
+                assert np.array_equal(batched[k, j], b)
+
+    @pytest.mark.parametrize("k, m", [(1, 1), (1, 4), (3, 1), (3, 5)])
+    def test_matched_filter_bound_value(self, k, m):
+        # min_k ((M'+1) max(lambda_max(B_kk), 0) + |qbar_kk|^2) / noise_k, B_kk written out
+        rng = np.random.default_rng(10 * k + m)
+        q = rng.standard_normal((k, k, m)) + 1j * rng.standard_normal((k, k, m))
+        qb = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        inst = cb.MaxMinSdpInstance(q, qb, rng.uniform(0.5, 2.0, k))
+        expect = min(
+            ((m + 1) * max(np.linalg.eigvalsh(constraint_matrix(inst, u, u)).max(), 0.0)
+             + abs(qb[u, u]) ** 2) / inst.noise[u]
+            for u in range(k)
+        )
+        assert cb.matched_filter_bound(inst) == pytest.approx(expect, rel=1e-12)
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=25)
@@ -117,7 +137,8 @@ class TestInstance:
         inst = random_instance(rng, k=2, m=4)
         theta_tilde = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
         k, j = rng.integers(0, 2), rng.integers(0, 2)
-        lhs = np.real(theta_tilde.conj() @ inst.constraint_matrix(k, j) @ theta_tilde)
+        b = _homogenized(inst.q[k, j], inst.qbar[k, j])
+        lhs = np.real(theta_tilde.conj() @ b @ theta_tilde)
         lhs += abs(inst.qbar[k, j]) ** 2
         recovered = np.conj(theta_tilde[-1]) * theta_tilde[:-1]
         rhs = abs(inst.q[k, j].conj() @ recovered + inst.qbar[k, j]) ** 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import coopbeam as cb
-from conftest import explicit_channel, explicit_su_terms, random_channel_set
+from conftest import explicit_channel, explicit_su_terms, random_channel_set, random_init
 
 
 @pytest.fixture
@@ -42,7 +42,7 @@ def one_by_one_single_irs_opt(chs, ctx, restarts, rng):
     """The restarts one after another: `random_init`, then `ao_single_user`; first best kept."""
     best = None
     for _ in range(restarts):
-        state, _ = cb.ao_single_user(chs, ctx, cb.random_init(chs, rng))
+        state, _ = cb.ao_single_user(chs, ctx, random_init(chs, rng))
         if best is None or state.snr > best.snr:
             best = state
     return best
@@ -129,7 +129,7 @@ class TestMrc:
         chs = random_channel_set(rng, n=1, m1=2, m2=2, k=1)
         t1 = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         t2 = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
-        w = cb.mrc_receive(chs, t1, t2)
+        w = cb.mrc_receivers(chs.compose(t1, t2))[:, 0]
         h = explicit_channel(chs, t1, t2)[:, 0]
         assert np.allclose(w, h / abs(h[0]))
         assert cb.snr_value(chs, w, t1, t2, ctx) == pytest.approx(
@@ -140,7 +140,7 @@ class TestMrc:
         chs = random_channel_set(rng, n=4, m1=2, m2=2, k=1)
         t1 = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         t2 = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
-        w = cb.mrc_receive(chs, t1, t2)
+        w = cb.mrc_receivers(chs.compose(t1, t2))[:, 0]
         snr = cb.snr_value(chs, w, t1, t2, ctx)
         for _ in range(100):
             w_rand = unit(rng.standard_normal(4) + 1j * rng.standard_normal(4))
@@ -150,7 +150,7 @@ class TestMrc:
         chs = random_channel_set(rng, n=4, m1=2, m2=3, k=1)
         t1 = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
         t2 = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
-        w = cb.mrc_receive(chs, t1, t2)
+        w = cb.mrc_receivers(chs.compose(t1, t2))[:, 0]
         h = cb.effective_channel(chs, cb.ReflectPattern(t1, t2))
         expect = ctx.powers[0] * np.linalg.norm(h[:, 0]) ** 2 / ctx.noise
         assert cb.snr_value(chs, w, t1, t2, ctx) == pytest.approx(expect, rel=1e-10)
@@ -160,10 +160,10 @@ class TestMrc:
             np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((3, 2))
         )
         t = np.ones(2, complex)
-        w = cb.mrc_receive(zero, t, t)
+        w = cb.mrc_receivers(zero.compose(t, t))[:, 0]
         assert np.linalg.norm(w) == 1.0
         assert cb.snr_value(zero, w, t, t, ctx) == 0.0
-        state, _ = cb.ao_single_user(zero, ctx, cb.random_init(zero, 0))
+        state, _ = cb.ao_single_user(zero, ctx, random_init(zero, 0))
         assert state.snr == 0.0 and np.linalg.norm(state.w) == 1.0
         # column by column: only the zero column gets the first unit vector
         w = cb.mrc_receivers([[0, 3], [0, 4j]])
@@ -178,7 +178,7 @@ class TestReflectVectorLength:
         with pytest.raises(ValueError, match="does not match"):
             cb.snr_value(chs, w, np.ones(1), np.ones(2), ctx)
         with pytest.raises(ValueError, match="does not match"):
-            cb.mrc_receive(chs, np.ones(1), np.ones(2))
+            chs.compose(np.ones(1), np.ones(2))
         with pytest.raises(ValueError, match="does not match"):
             cb.ao_single_user(chs, ctx, cb.SuSolveState(w, np.ones(1), np.ones(2)))
         base = random_channel_set(rng, n=3, m1=0, m2=2, k=1)
@@ -190,13 +190,13 @@ class TestAlternatingOptimization:
     def test_monotone_trace(self, rng, ctx):
         for _ in range(5):
             chs = random_channel_set(rng, n=3, m1=4, m2=4, k=1)
-            state, _ = cb.ao_single_user(chs, ctx, cb.random_init(chs, rng))
+            state, _ = cb.ao_single_user(chs, ctx, random_init(chs, rng))
             trace = np.asarray(state.trace)
             assert np.all(np.diff(trace) >= -1e-10 * max(trace.max(), 1.0))
 
     def test_stationary_init_returns_unchanged(self, rng, ctx):
         chs = random_channel_set(rng, n=3, m1=3, m2=3, k=1)
-        state, _ = cb.ao_single_user(chs, ctx, cb.random_init(chs, rng))
+        state, _ = cb.ao_single_user(chs, ctx, random_init(chs, rng))
         again, rep = cb.ao_single_user(chs, ctx, state)
         assert rep.iterations == 1
         assert rep.converged
@@ -208,7 +208,7 @@ class TestAlternatingOptimization:
         chs = cb.ChannelSet.from_links(
             chs.u1, chs.u2, np.zeros_like(chs.d), np.zeros_like(chs.g1), chs.g2
         )
-        state, _ = cb.ao_single_user(chs, ctx, cb.random_init(chs, rng))
+        state, _ = cb.ao_single_user(chs, ctx, random_init(chs, rng))
         # MRC makes the objective P ||R2 theta2||^2 / noise; enumerate it
         best = max(
             np.linalg.norm(chs.g2 @ np.diag(c) @ chs.u2[:, 0]) ** 2
@@ -218,14 +218,14 @@ class TestAlternatingOptimization:
 
     def test_matches_sdr_benchmark(self, rng, ctx):
         chs = random_channel_set(rng, n=2, m1=4, m2=4, k=1)
-        state, _ = cb.ao_single_user(chs, ctx, cb.random_init(chs, rng))
+        state, _ = cb.ao_single_user(chs, ctx, random_init(chs, rng))
         bench = sdr_benchmark(chs, ctx, state.w, rng)
         assert state.snr >= 0.98 * bench.min_sinr
         assert bench.min_sinr <= conditional_bound(chs, ctx, bench) * (1 + 1e-9)
 
     def test_bound_covers_ao_solution(self, rng, ctx):
         chs = random_channel_set(rng, n=2, m1=3, m2=3, k=1)
-        state, _ = cb.ao_single_user(chs, ctx, cb.random_init(chs, rng))
+        state, _ = cb.ao_single_user(chs, ctx, random_init(chs, rng))
         bench = sdr_benchmark(chs, ctx, state.w, rng, pattern=state.pattern())
         assert conditional_bound(chs, ctx, bench) >= state.snr * (1 - 1e-9)
         assert bench.min_sinr >= state.snr * (1 - 1e-9)  # monotone acceptance from the AO point
@@ -298,7 +298,7 @@ class TestBatchedRestarts:
         zero = cb.ChannelSet.from_links(
             np.zeros((0, 1)), np.zeros((3, 1)), np.zeros((3, 0)), np.zeros((2, 0)), np.zeros((2, 3))
         )
-        first = cb.random_init(zero, np.random.default_rng(7))
+        first = random_init(zero, np.random.default_rng(7))
         best = cb.single_irs_opt(zero, ctx, restarts=3, max_iters=0, rng=np.random.default_rng(7))
         assert best.snr == 0.0 and best.iteration == 0 and best.trace == [0.0]
         assert np.array_equal(best.w, first.w) and np.array_equal(best.theta2, first.theta2)
@@ -306,7 +306,7 @@ class TestBatchedRestarts:
     def test_double_irs_trace_has_every_sub_step(self, rng, ctx):
         for _ in range(5):
             chs = random_channel_set(rng, n=3, m1=4, m2=4, k=1)
-            state, rep = cb.ao_single_user(chs, ctx, cb.random_init(chs, rng))
+            state, rep = cb.ao_single_user(chs, ctx, random_init(chs, rng))
             assert len(state.trace) == 3 * state.iteration + 1
             assert rep.trace == state.trace and rep.iterations == state.iteration
             assert np.all(np.diff(state.trace) >= -1e-10 * max(state.trace))
@@ -359,7 +359,7 @@ class TestSdrBenchmark:
         chs = random_channel_set(rng, n=3, m1=0, m2=1, k=1)
         w = unit(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         bench = sdr_benchmark(chs, ctx, w, rng, eps=1e-5)
-        w_fin = cb.mrc_receive(chs, np.zeros(0), bench.theta2)
+        w_fin = cb.mrc_receivers(chs.compose(np.zeros(0), bench.theta2))[:, 0]
         b = (chs.g2 @ np.diag(chs.u2[:, 0])).conj().T @ w_fin
         expect = ctx.powers[0] * np.sum(np.abs(b)) ** 2 / ctx.noise
         bound = conditional_bound(chs, ctx, bench, eps=1e-5)
