@@ -491,20 +491,24 @@ class ExperimentSpec:
                     f"option {name!r} must have the type of its default {opt.default!r}, "
                     f"got {value!r}"
                 )
+            if isinstance(value, list) and not value:
+                raise ValueError(f"option {name!r} must be a non-empty list")
             if opt.at_least is not None and value < opt.at_least:
                 raise ValueError(f"option {name!r} must be >= {opt.at_least}, got {value!r}")
             if opt.above is not None and value <= opt.above:
                 raise ValueError(f"option {name!r} must be > {opt.above}, got {value!r}")
         if "methods" in self.options:
-            methods = self.options["methods"]
-            if not methods:
-                raise ValueError("methods must be a non-empty list")
-            unknown = sorted(set(methods) - exp.methods)
+            unknown = sorted(set(self.options["methods"]) - exp.methods)
             if unknown:
                 raise ValueError(
                     f"unknown methods {unknown} for {self.experiment}; "
                     f"known: {', '.join(sorted(exp.methods))}"
                 )
+        if isinstance(self.scenario, dict) and "seed" in self.scenario:
+            raise ValueError(
+                "scenario field 'seed' is never read: every draw's channels come from the "
+                "spec's seed tree, so set the spec's top-level 'seed' instead"
+            )
         # the draws build their scenarios and read their options from these;
         # fail here, not in a worker
         opts = self.merged_options

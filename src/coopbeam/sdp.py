@@ -1,31 +1,21 @@
 """Feasibility-check SDP solver and bisection driver for max-min SINR.
 
-The per-target feasibility problem (does a unit-norm-diagonal PSD matrix
-exist meeting all SINR constraints?) is decided by maximizing the worst
-normalized constraint margin with a log-barrier path-following method over
-the complex Hermitian cone.  The margin sign at the certified optimum gives
-the feasibility verdict; a duality-gap certificate allows early exit on
-clearly feasible/infeasible targets.
+The per-target feasibility problem (does a unit-diagonal PSD matrix exist
+meeting all SINR constraints?) is decided by maximizing the worst normalized
+constraint margin with a primal-dual interior-point method over the complex
+Hermitian cone (`_solve_max_margin`).  Each verdict carries its proof: a
+feasible Psi is positive definite with worst margin at least -FEAS_TOL, and
+an infeasible verdict carries dual weights (mu, nu) whose weak-duality bound
+(`_dual_bound`) is below -FEAS_TOL.
 
-The bisection skips a target when a weak-duality bound (`_dual_bound`)
-proves it infeasible.  Any weights mu >= 0 on the constraints and any real
-nu bound the best worst margin from above with one eigenvalue of an n x n
-matrix.  The weights tried are each user alone, all users alike, and the
-exit dual (mu, nu) of every earlier infeasible solve of the same bisection,
-which `feasibility_check` returns with the verdict.  A bound below -FEAS_TOL
-means no Psi reaches the feasible threshold, so the solve could only have
-said "infeasible": verdicts, delta_star and the returned Psi are those of
-solving every target, and each solve still goes through `feasibility_check`.
+The bisection (`bisection_maxmin`) skips a target that the same bound, with
+weights tried before any solve, proves infeasible.
 
 Instances are tiny (dimension M'+1 up to a few dozen) and one bisection runs
-many checks, so each Newton step is a few BLAS calls.  The homogenized
-blocks B_{k,j} of an instance are built once, in one vectorized pass, and
-summed into the signal and interference parts of each constraint.  The K
-margin matrices C_k are flattened to the rows of one (K, n*n) array, so
-every trace tr(C_k X) and tr(C_k Psi C_l Psi) is a matrix
-product.  The step is assembled in closed form through the inverse Hessian
-of the log-det barrier, and one Cholesky factor of Psi per step serves both
-Psi^{-1} and the step-length bound that keeps the iterate positive definite.
+many checks, so each interior-point iteration is a few BLAS calls.  The
+homogenized blocks B_{k,j} of an instance are built once, in one vectorized
+pass, and the K margin matrices C_k are flattened to the rows of one
+(K, n*n) array, so every trace tr(C_k X) is a matrix product.
 
 An instance holds only (q, qbar, noise) and is a pure function of the channel
 realization and the fixed variables it was built from, so it has no file
@@ -41,7 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FEAS_TOL = 1e-6  # constraints satisfied within this relative slack count as feasible
-MAX_NEWTON = 60  # Newton steps per barrier parameter t
+MAX_ITER = 100  # interior-point iterations (Newton systems) per check
+GAP_TOL = 1e-9  # duality gap at which a check without a certificate ends
+STEP_FRACTION = 0.95  # share of the way to the cone boundary a step may go
 
 
 class SdpSolverError(RuntimeError):
@@ -129,7 +121,7 @@ class PsdSolution:
     psi: np.ndarray
     status: str                 # feasible | infeasible | numerical-failure
     margins: np.ndarray         # normalized constraint margins at psi
-    s: float                    # certified worst margin (max-margin value)
+    s: float                    # epigraph variable of the exit iterate, below every margin
     delta: float
     iterations: int
     message: str = ""
@@ -153,152 +145,124 @@ def _constraint_data(inst: MaxMinSdpInstance, delta):
 def feasibility_check(inst: MaxMinSdpInstance, delta) -> PsdSolution:
     """Decide whether the SINR target `delta` is achievable in relaxation.
 
-    Runs the max-margin barrier solve; status is 'feasible' when the worst
-    normalized margin is >= -FEAS_TOL.  The returned Psi has unit diagonal and
-    is strictly positive definite.  An infeasible verdict carries the dual
-    point of the barrier problem at exit, (mu, nu) with mu_k = 1 / (t g_k sigma_k)
-    and nu = Re diag(sum_k mu_k C_k + Psi^{-1} / t), for `_dual_bound`.
+    Runs the max-margin solve of `_solve_max_margin`.  'feasible': the
+    returned Psi has unit diagonal, is positive definite and its margins
+    exceed s >= -FEAS_TOL.  'infeasible': `_dual_bound` at the returned
+    `dual` = (mu / sigma, nu) is below -FEAS_TOL.
     """
     if delta < 0:
         raise ValueError("SINR target must be non-negative")
-    c_mats, e, scales = _constraint_data(inst, delta)
+    return _solve_max_margin(float(delta), *_constraint_data(inst, delta))
+
+
+def _solve_max_margin(delta, c_mats, e, scales):
+    """maximize s  s.t.  tr(C^_k Psi) + e^_k >= s,  diag(Psi) = 1,  Psi >= 0,
+
+    with constraint k divided by sigma_k = scales[k], and its dual: minimize
+    sum_k mu_k e^_k + sum_i nu_i  s.t.  sum(mu) = 1,  mu >= 0,
+    Z = Diag nu - sum_k mu_k C^_k >= 0.  With g = margins - s, the duality
+    gap is mu.g + tr(Z Psi).
+
+    Feasible-start primal-dual path following from Psi = I, s one below the
+    least margin, mu = 1/K and nu = (lambda_max(sum mu C^) + 1) 1.  Both
+    iterates stay exactly feasible: a step leaves diag Psi alone, and g and
+    Z are rebuilt from the variables.  Each iteration forms one reduced
+    Newton system of the HKM direction (Helmberg, Rendl, Vanderbei and
+    Wolkowicz 1996) in (d_nu, d_mu, d_s), of size n + K + 1, and solves it
+    for Mehrotra's (1992) predictor and then his corrector.
+
+    The verdict is read before each step: 'feasible' once s >= -FEAS_TOL at
+    a Psi whose Cholesky factor exists, 'infeasible' once `_dual_bound` at
+    (mu / sigma, nu) is below -FEAS_TOL.  `iterations` counts Newton systems.
+    """
+    kk, n = c_mats.shape[0], c_mats.shape[1]
     c_hat = c_mats / scales[:, None, None]
     e_hat = e / scales
-    s, psi, margins, iters, t, ok, msg = _solve_max_margin(c_hat, e_hat)
-    if not ok:
-        return PsdSolution(psi, "numerical-failure", margins, s, float(delta), iters, msg)
-    if s >= -FEAS_TOL:
-        return PsdSolution(psi, "feasible", margins, s, float(delta), iters, msg)
-    lam = 1.0 / (t * (margins - s))  # multipliers of the normalized constraints
-    nu = lam @ np.diagonal(c_hat, axis1=1, axis2=2).real + np.linalg.inv(psi).diagonal().real / t
-    return PsdSolution(psi, "infeasible", margins, s, float(delta), iters, msg, (lam / scales, nu))
-
-
-def _solve_max_margin(c_hat, e_hat):
-    """maximize s  s.t.  tr(c_k Psi) + e_k >= s,  diag(Psi) = 1,  Psi >= 0.
-
-    Log-barrier path following.  The Newton step reduces the KKT system to a
-    dense (K + 1 + n)-dimensional solve through the closed-form inverse of
-    the log-det Hessian, Psi (.) Psi.  With the constraints flattened to rows
-    of `c_flat` (K, n*n), every trace is a matrix product:
-    tr(C_k X) = c_flat @ vec(X^T), and tr(C_k S_l) = c_flat @ conj(s_flat)^T
-    for the Hermitian S_l = Psi C_l Psi.  One Cholesky factor L of Psi per
-    step gives both Psi^{-1} = L^{-H} L^{-1} and the step-length bound from
-    the eigenvalues of L^{-1} Delta L^{-H}.  The barrier value of an accepted
-    point is carried into the next step at the same t.  Returns (s, Psi,
-    margins at Psi, iterations, t, ok, message); `s` is certified to within
-    the final duality gap.
-    """
-    kk, n = c_hat.shape[0], c_hat.shape[1]
-    nu = n + kk  # barrier complexity
-    gap_target = max(1e-3 * FEAS_TOL, 1e-12)
     c_flat = c_hat.reshape(kk, n * n)
 
     def tr_c(x):
-        """tr(C_k X) for every k."""
+        """tr(C^_k X) for every k."""
         return (c_flat @ x.T.ravel()).real
 
-    def objective(psi_m, s_v, g_v, t_v):
-        sign, logdet = np.linalg.slogdet(psi_m)
-        if sign.real <= 0:
-            return np.inf
-        return -t_v * s_v - logdet - np.log(g_v).sum()
+    def step_length(l_inv, d_mat, v, dv):
+        """STEP_FRACTION of the way to the edge of {L L^H + a d_mat >= 0, v + a dv >= 0}, at most 1."""
+        mid = l_inv @ d_mat @ l_inv.conj().T
+        rate = max(-np.linalg.eigvalsh(mid)[0], float(np.max(-dv / v)), 0.0)
+        return min(1.0, STEP_FRACTION / rate) if rate > 0 else 1.0
 
-    # Newton system [[C + diag(g^2), 1, P], [1^T, 0, 0], [P^T, 0, |Psi|^2]];
-    # the constant blocks are set once, the rest refilled every step
-    users = np.arange(kk)
-    a_sys = np.zeros((kk + 1 + n, kk + 1 + n))
-    rhs = np.zeros(kk + 1 + n)
-    a_sys[:kk, kk] = 1.0
-    a_sys[kk, :kk] = 1.0
+    # Newton system in (d_nu, d_mu, d_s) with W = Z^{-1}, P_ik = Re(W C^_k Psi)_ii and
+    # M_kl = Re tr(C^_k W C^_l Psi): [[Re(W o conj Psi), -P, 0], [-P^T, M + Diag(g/mu), -1],
+    # [0, -1^T, 0]]; the constant blocks are set once, the rest every iteration
+    a_sys = np.zeros((n + kk + 1, n + kk + 1))
+    a_sys[n:-1, -1] = a_sys[-1, n:-1] = -1.0
 
     psi = np.eye(n, dtype=complex)
     margins = tr_c(psi) + e_hat
     s = float(margins.min()) - 1.0
-    t = 1.0
-    total_newton = 0
+    mu = np.full(kk, 1.0 / kk)
+    nu = np.full(n, np.linalg.eigvalsh(np.tensordot(mu, c_hat, 1))[-1] + 1.0)
 
-    for _outer in range(80):
-        f_cur = None  # barrier value at (psi, s) for this t
-        for _ in range(MAX_NEWTON):
-            total_newton += 1
-            g = margins - s
-            if (g <= 0).any():  # safeguard, should not happen
-                return s, psi, margins, total_newton, t, False, "left the barrier domain"
-            inv_g = 1.0 / g
-            try:
-                lo_inv = np.linalg.inv(np.linalg.cholesky(psi))
-            except np.linalg.LinAlgError:
-                return s, psi, margins, total_newton, t, False, "iterate left the PSD cone"
-            s_mats = psi @ c_hat @ psi
-            s_flat = s_mats.reshape(kk, n * n)
-            c_cross = (c_flat @ s_flat.conj().T).real
-            p_mat = np.diagonal(s_mats, axis1=1, axis2=2).real
+    def done(status, message, dual=None):
+        return PsdSolution(psi, status, margins, s, delta, it, message, dual)
 
-            a_sys[:kk, :kk] = c_cross
-            a_sys[users, users] += g**2
-            a_sys[:kk, kk + 1 :] = p_mat
-            a_sys[kk + 1 :, :kk] = p_mat.T
-            a_sys[kk + 1 :, kk + 1 :] = np.abs(psi) ** 2
-            rhs[:kk] = tr_c(psi) + c_cross @ inv_g
-            rhs[kk] = inv_g.sum() - t
-            rhs[kk + 1 :] = 1.0 + inv_g @ p_mat
-            try:
-                sol = np.linalg.solve(a_sys, rhs)
-            except np.linalg.LinAlgError:
-                return s, psi, margins, total_newton, t, False, "singular Newton system"
-            alpha, ds, nu_mult = sol[:kk], sol[kk], sol[kk + 1 :]
+    for it in range(MAX_ITER + 1):
+        g = margins - s
+        if (g <= 0).any():  # safeguard, should not happen
+            return done("numerical-failure", "primal iterate left the domain")
+        try:
+            lp_inv = np.linalg.inv(np.linalg.cholesky(psi))
+        except np.linalg.LinAlgError:
+            return done("numerical-failure", "primal iterate left the PSD cone")
+        if s >= -FEAS_TOL:
+            return done("feasible", "feasible margin")
+        dual = (mu / scales, nu)
+        if _dual_bound(c_mats, e, scales, dual[0][None], nu[None])[0] < -FEAS_TOL:
+            return done("infeasible", "dual bound certificate", dual)
+        z = np.diag(nu) - np.tensordot(mu, c_hat, 1)
+        gap = mu @ g + np.vdot(z, psi).real
+        if gap <= GAP_TOL:  # no certificate either way, and s < -FEAS_TOL
+            return done("infeasible", "duality gap closed", dual)
+        if it == MAX_ITER:
+            return done("numerical-failure", "interior-point iteration cap")
+        try:
+            lz_inv = np.linalg.inv(np.linalg.cholesky(z))
+        except np.linalg.LinAlgError:
+            return done("numerical-failure", "dual iterate left the PSD cone")
+        w = lz_inv.conj().T @ lz_inv  # Z^{-1}
+        t_mats = w @ c_hat @ psi      # W C^_k Psi
+        p_mat = np.diagonal(t_mats, axis1=1, axis2=2).real.T
+        a_sys[:n, :n] = (w * psi.conj()).real
+        a_sys[:n, n:-1] = -p_mat
+        a_sys[n:-1, :n] = -p_mat.T
+        a_sys[n:-1, n:-1] = (c_flat @ t_mats.transpose(0, 2, 1).reshape(kk, n * n).T).real
+        a_sys[n + np.arange(kk), n + np.arange(kk)] += g / mu
 
-            delta = psi + ((inv_g - alpha) @ s_flat).reshape(n, n) - (psi * nu_mult) @ psi
-            delta = 0.5 * (delta + delta.conj().T)
-            np.fill_diagonal(delta, 0.0)
+        def direction(r_mat, r_g):
+            """Step with d_Psi = R - sym(W d_Z Psi), zero diagonal, mu d_g + g d_mu = r_g; and its lengths."""
+            rhs = np.concatenate([np.diagonal(r_mat).real, r_g / mu - tr_c(r_mat), [0.0]])
+            d_nu, d_mu, d_s = np.split(np.linalg.solve(a_sys, rhs), [n, n + kk])
+            d_psi = r_mat - (w * d_nu) @ psi + np.tensordot(d_mu, t_mats, 1)
+            d_psi = 0.5 * (d_psi + d_psi.conj().T)
+            np.fill_diagonal(d_psi, 0.0)
+            d_z = np.diag(d_nu) - np.tensordot(d_mu, c_hat, 1)
+            d_g = tr_c(d_psi) - d_s
+            a_p, a_d = step_length(lp_inv, d_psi, g, d_g), step_length(lz_inv, d_z, mu, d_mu)
+            return d_psi, d_s[0], d_g, d_nu, d_mu, d_z, a_p, a_d
 
-            r_psi = lo_inv.conj().T @ lo_inv + (inv_g @ c_flat).reshape(n, n)
-            r_s = t - inv_g.sum()
-            dec2 = np.vdot(r_psi, delta).real + r_s * ds
-            if dec2 <= 1e-10:
-                break
-
-            dg = tr_c(delta) - ds
-            beta = 1.0
-            mid = lo_inv @ delta @ lo_inv.conj().T
-            lam_min = float(np.linalg.eigvalsh(0.5 * (mid + mid.conj().T)).min())
-            if lam_min < 0:
-                beta = min(beta, -0.99 / lam_min)
-            neg = dg < 0
-            if neg.any():
-                beta = min(beta, 0.99 * float(np.min(g[neg] / -dg[neg])))
-
-            if f_cur is None:
-                f_cur = objective(psi, s, g, t)
-            accepted = False
-            for _bt in range(50):
-                psi_new = psi + beta * delta
-                s_new = s + beta * ds
-                m_new = tr_c(psi_new) + e_hat
-                g_new = m_new - s_new
-                if (g_new > 0).all():
-                    f_new = objective(psi_new, s_new, g_new, t)
-                    if f_new <= f_cur - 1e-4 * beta * dec2:
-                        accepted = True
-                        break
-                beta *= 0.5
-            if not accepted:
-                # stalled: decide with what we have if the gap already allows
-                break
-            psi, s, margins, f_cur = psi_new, s_new, m_new, f_new
-            if s >= FEAS_TOL:
-                return s, psi, margins, total_newton, t, True, "early feasible"
-
-        gap = nu / t
-        if s >= FEAS_TOL:
-            return s, psi, margins, total_newton, t, True, "feasible margin"
-        if s + 2.0 * gap < -FEAS_TOL:
-            return s, psi, margins, total_newton, t, True, "infeasibility certificate"
-        if gap <= gap_target:
-            return s, psi, margins, total_newton, t, True, "path converged"
-        t *= 10.0
-    return s, psi, margins, total_newton, t, False, "barrier iteration cap"
+        try:
+            d_psi, _, d_g, _, d_mu, d_z, a_p, a_d = direction(-psi, -mu * g)  # predictor
+            gap_aff = (mu + a_d * d_mu) @ (g + a_p * d_g) + np.vdot(z + a_d * d_z, psi + a_p * d_psi).real
+            target = (gap_aff / gap) ** 3 * gap / (n + kk)  # Mehrotra's centering sigma * tau
+            d_psi, d_s, _, d_nu, d_mu, _, a_p, a_d = direction(
+                target * w - psi - w @ d_z @ d_psi, target - mu * g - d_mu * d_g
+            )
+        except np.linalg.LinAlgError as err:
+            return done("numerical-failure", f"Newton step failed: {err}")
+        psi = psi + a_p * d_psi
+        s += a_p * d_s
+        mu = mu + a_d * d_mu
+        nu = nu + a_d * d_nu
+        margins = tr_c(psi) + e_hat
 
 
 def matched_filter_bound(inst: MaxMinSdpInstance):
@@ -348,11 +312,13 @@ def bisection_maxmin(inst: MaxMinSdpInstance, delta_lo, delta_hi, eps):
     feasible delta_hi short-circuits with the `saturated` flag set.
 
     Every target after delta_lo is first tested against weak-duality bounds
-    (`_dual_bound`).  A bound below -FEAS_TOL means no Psi reaches the
-    feasible threshold, so the solve could only have said "infeasible": the
-    target is recorded as such without one and counted in `certified`.  The
-    verdicts, delta_star and the returned solution are those of solving every
-    target.
+    (`_dual_bound`) with the weights of each user alone, all users alike, and
+    the dual (mu, nu) of every earlier infeasible verdict.  A bound below
+    -FEAS_TOL means no Psi reaches the feasible threshold, so the solve could
+    only have said "infeasible": the target is recorded as such without one
+    and counted in `certified`.  The verdicts, delta_star and the returned
+    solution are those of solving every target, and each solve still goes
+    through `feasibility_check`.
     """
     if delta_hi < delta_lo:
         raise ValueError("invalid bracket: delta_hi < delta_lo")

@@ -179,14 +179,18 @@ class TestRunExperiment:
         assert first == second
 
     def test_thread_count_does_not_change_artifacts(self, tmp_path):
-        kw = dict(sweep=[-10.0], draws=3, seed=2, scenario={"n_bs": 3, "m1": 3, "m2": 3})
-        spec = ex.ExperimentSpec("prop1-property", out_dir=str(tmp_path / "s"), **kw)
-        ex.run_experiment(spec, threads=1)
-        spec2 = ex.ExperimentSpec("prop1-property", out_dir=str(tmp_path / "t"), **kw)
-        ex.run_experiment(spec2, threads=3)
-        assert (tmp_path / "s" / "prop1-property.csv").read_bytes() == (
-            tmp_path / "t" / "prop1-property.csv"
-        ).read_bytes()
+        # prop1 never reaches sdp; the tiny fig7 spec (the mu-tiny benchmark's, K = 2,
+        # N = 2, M1 = M2 = 2) runs Algorithm 1 and its feasibility checks in the workers
+        tiny_fig7 = dict(sweep=[10], draws=2, seed=2, scenario=TINY_MU, options={
+            "k_users": 2, "methods": ["alg1-mmse", "dft-mmse"], "eps": 1e-3})
+        prop1 = dict(sweep=[-10.0], draws=3, seed=2, scenario={"n_bs": 3, "m1": 3, "m2": 3})
+        for name, kw, threads in (("prop1-property", prop1, 3), ("fig7-mu-alg", tiny_fig7, 2)):
+            csvs = []
+            for t in (1, threads):
+                spec = ex.ExperimentSpec(name, out_dir=str(tmp_path / f"{name}-{t}"), **kw)
+                ex.run_experiment(spec, threads=t)
+                csvs.append((tmp_path / f"{name}-{t}" / f"{name}.csv").read_bytes())
+            assert csvs[0] == csvs[1], name
 
     def test_workers_run_one_blas_thread(self, monkeypatch):
         # a caller allowing two BLAS threads must not pass them on to the --threads workers
@@ -514,6 +518,10 @@ class TestCli:
                                               "g1": {"kind": "geometric", "paths": 2.5}}}},
              "paths"),
             ({**PROP2, "scenario": {"links": ["u1", "u2", "d", "g1", "g2"]}}, "links"),
+            ({"experiment": "fig6-rate-vs-totalM", "sweep": [8], "options": {"kappa_set_db": []}},
+             "kappa_set_db"),
+            ({"experiment": "prop1-property", "sweep": [0.0], "scenario": {"seed": 12345}},
+             "top-level 'seed'"),
         ],
         ids=[
             "prop1-bool-sweep", "split-over-default-budget", "split-over-given-budget",
@@ -527,6 +535,7 @@ class TestCli:
             "prop2-users-override", "pos-short", "pos-non-real", "pos-scalar",
             "gamma0-nan", "gamma0-string", "aperture-string", "radius-string",
             "azimuth-string", "power-inf", "alpha-string", "paths-fraction", "links-list",
+            "empty-list-option", "scenario-seed",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, fields, named):
@@ -535,8 +544,10 @@ class TestCli:
         # restart, a fractional split or user count ran its integer part, and
         # a scenario override of a field the sweep or options set either beat
         # the sweep (fig9 ran K = 3 in rows labelled 1, 2, 4) or was ignored,
-        # and a malformed scenario field stopped run with a broadcast error or
-        # an uncaught TypeError
+        # a malformed scenario field stopped run with a broadcast error or
+        # an uncaught TypeError, an empty kappa_set_db wrote a header-only CSV,
+        # and a scenario seed was ignored (the draws' channels come from the
+        # spec's seed tree)
         path = write_spec(tmp_path, **fields)
         assert cli.main(["validate", path]) == 2
         err = capsys.readouterr().err

@@ -58,6 +58,33 @@ def oracle_margins(inst, delta, psi):
     return out
 
 
+MU_MAXMIN = dict(k_users=5, power_dbm=20.0)  # the mu-maxmin benchmark scenario at 20 dBm
+
+
+def a2_baseline(scn, rng):
+    """The A2 single-IRS baseline paired with `scn`, drawn as the multi-user experiments draw it."""
+    return cb.build_single_irs_baseline_A2(
+        scn, rank_g=scn.links["g2"].paths, rank_u=min(scn.n_users, scn.m_total), rng=rng
+    )
+
+
+def subproblems(scenario, build=cb.build_double_irs_scenario):
+    """(P3.1) and (P3.4) at the DFT start of the draws of seeds 0 and 1, as Algorithm 1 builds them.
+
+    `build` draws the channel set; like Algorithm 1, a subproblem over an IRS with no
+    subsurfaces is skipped, so the A2 baseline gives (P3.1) only.
+    """
+    scn = mu_scenario(**scenario)
+    ctx = cb.SinrContext.from_scenario(scn)
+    for seed in range(2):
+        chs = build(scn, np.random.default_rng(seed))
+        init = cb.dft_codebook_search(chs, ctx, rx_mode="mmse")
+        blocks = ((cb.build_p31_instance, init.theta1, chs.m2), (cb.build_p34_instance, init.theta2, chs.m1))
+        for make, fixed, m in blocks:
+            if m:
+                yield make(chs, fixed, init.w, ctx.powers, ctx.noise)
+
+
 def plain_bisection(inst, delta_lo, delta_hi, eps):
     """The bisection without dual bounds: every target is solved."""
     history = []
@@ -90,7 +117,8 @@ def plain_bisection(inst, delta_lo, delta_hi, eps):
 
 
 def assert_certified(inst, res):
-    """The returned Psi is a valid relaxation point and its reported margins are its own."""
+    """The returned Psi is a valid relaxation point, its reported margins are its own, and an
+    infeasible verdict's dual weights prove it through the weak-duality bound."""
     psi = res.psi
     assert np.allclose(psi, psi.conj().T, rtol=0, atol=1e-12)
     assert np.max(np.abs(np.diag(psi) - 1.0)) <= 1e-9
@@ -102,6 +130,9 @@ def assert_certified(inst, res):
     assert res.feasible == (res.s >= -FEAS_TOL)
     if res.feasible:
         assert np.all(expect >= -FEAS_TOL)
+    if res.status == "infeasible":
+        mu, nu = res.dual
+        assert _dual_bound(*_constraint_data(inst, res.delta), mu[None], nu[None])[0] < -FEAS_TOL
 
 
 class TestInstance:
@@ -210,20 +241,36 @@ class TestBenchmarkShapes:
             assert res.status == "infeasible", (res.s, res.message)
             assert_certified(inst, res)
 
-    @pytest.mark.parametrize("k, m", [(2, 2), (5, 16)])
-    def test_margins_match_oracle_on_bisection_path(self, k, m):
+    @pytest.mark.parametrize(
+        "k, m, build, min_certified",
+        [
+            (2, 2, None, 1),
+            # every target of the random K = 5 instances is infeasible (delta* = 0), and an exit
+            # dual that only just certifies its own target certifies no lower one, so the
+            # certified skips of this case come from the A2 baseline's (P3.1), M' = 32
+            (5, 16, a2_baseline, 1),
+            # no dual bound fires on these draws, so every verdict comes from a solve
+            (None, None, cb.build_double_irs_scenario, 0),
+        ],
+        ids=["2-2", "5-16", "mu-maxmin"],
+    )
+    def test_margins_match_oracle_on_bisection_path(self, k, m, build, min_certified):
         # every target a bisection visits, feasible, infeasible or certified infeasible
+        cases = []
+        if k:
+            insts = [random_instance(np.random.default_rng(seed), k=k, m=m) for seed in (3, 0)]
+            cases += [(inst, cb.matched_filter_bound(inst) / 16) for inst in insts]
+        if build:
+            cases += [(inst, 0.1) for inst in subproblems(MU_MAXMIN, build)]
         certified = 0
-        for seed in (3, 0):
-            inst = random_instance(np.random.default_rng(seed), k=k, m=m)
-            hi = cb.matched_filter_bound(inst)
-            res = cb.bisection_maxmin(inst, 0.0, hi, eps=hi / 16)
+        for inst, eps in cases:
+            res = cb.bisection_maxmin(inst, 0.0, cb.matched_filter_bound(inst), eps)
             certified += res.certified
             for delta, status in res.history:
                 sol = cb.feasibility_check(inst, delta)
                 assert sol.status == status
                 assert_certified(inst, sol)
-        assert certified >= 1
+        assert certified >= min_certified
 
 
 class TestDualBound:
@@ -251,14 +298,23 @@ class TestDualBound:
             best = max(best, oracle_margins(inst, delta, sol.psi).min())
         assert bounds.min() >= best - 1e-12 * max(1.0, abs(bounds).max())
 
-    @pytest.mark.parametrize("k, m, eps_frac", [(2, 2, 1e-3), (5, 16, 1 / 64)])
-    def test_matches_bisection_without_bounds(self, k, m, eps_frac):
+    @pytest.mark.parametrize(
+        "k, m, eps_frac, build",
+        # K = 5: the certified skips come from the A2 baseline's (P3.1), as in
+        # test_margins_match_oracle_on_bisection_path
+        [(2, 2, 1e-3, None), (5, 16, 1 / 64, a2_baseline)],
+        ids=["2-2-0.001", "5-16-0.015625"],
+    )
+    def test_matches_bisection_without_bounds(self, k, m, eps_frac, build):
+        insts = [random_instance(np.random.default_rng(seed), k=k, m=m) for seed in range(4)]
+        cases = [(inst, eps_frac * cb.matched_filter_bound(inst)) for inst in insts]
+        if build:
+            cases += [(inst, 0.1) for inst in subproblems(MU_MAXMIN, build)]
         certified = 0
-        for seed in range(4):
-            inst = random_instance(np.random.default_rng(seed), k=k, m=m)
+        for inst, eps in cases:
             hi = cb.matched_filter_bound(inst)
-            got = cb.bisection_maxmin(inst, 0.0, hi, eps=eps_frac * hi)
-            want = plain_bisection(inst, 0.0, hi, eps=eps_frac * hi)
+            got = cb.bisection_maxmin(inst, 0.0, hi, eps=eps)
+            want = plain_bisection(inst, 0.0, hi, eps=eps)
             assert got.delta_star == want.delta_star
             assert got.history == want.history
             assert got.steps == want.steps and got.saturated == want.saturated
@@ -269,30 +325,24 @@ class TestDualBound:
     @pytest.mark.parametrize(
         "scenario, eps, min_certified",
         [
-            # mu-tiny: K = 2, M' = 2 at 10 dBm; mu-maxmin: K = 5, M' = 16 at 20 dBm, where the
-            # solver's exit duals are far from central and no bound fires on these draws
+            # mu-tiny: K = 2, M' = 2 at 10 dBm; mu-maxmin: K = 5, M' = 16 at 20 dBm, where no
+            # bound fires on these draws
             (dict(k_users=2, power_dbm=10.0, n_bs=2, m1=2, m2=2, paths_g1=2, paths_d=2, paths_user=2),
              1e-3, 1),
-            (dict(k_users=5, power_dbm=20.0), 0.1, 0),
+            (MU_MAXMIN, 0.1, 0),
         ],
         ids=["mu-tiny", "mu-maxmin"],
     )
     def test_matches_bisection_without_bounds_on_subproblems(self, scenario, eps, min_certified):
         # (P3.1) and (P3.4) at the DFT start of a draw, as Algorithm 1 builds them
-        scn = mu_scenario(**scenario)
-        ctx = cb.SinrContext.from_scenario(scn)
         certified = 0
-        for seed in range(2):
-            chs = cb.build_double_irs_scenario(scn, np.random.default_rng(seed))
-            init = cb.dft_codebook_search(chs, ctx, rx_mode="mmse")
-            for build, fixed in ((cb.build_p31_instance, init.theta1), (cb.build_p34_instance, init.theta2)):
-                inst = build(chs, fixed, init.w, ctx.powers, ctx.noise)
-                hi = cb.matched_filter_bound(inst)
-                got = cb.bisection_maxmin(inst, 0.0, hi, eps)
-                want = plain_bisection(inst, 0.0, hi, eps)
-                assert (got.delta_star, got.history) == (want.delta_star, want.history)
-                assert np.array_equal(got.solution.psi, want.solution.psi)
-                certified += got.certified
+        for inst in subproblems(scenario):
+            hi = cb.matched_filter_bound(inst)
+            got = cb.bisection_maxmin(inst, 0.0, hi, eps)
+            want = plain_bisection(inst, 0.0, hi, eps)
+            assert (got.delta_star, got.history) == (want.delta_star, want.history)
+            assert np.array_equal(got.solution.psi, want.solution.psi)
+            certified += got.certified
         assert certified >= min_certified
 
 
