@@ -207,7 +207,7 @@ def algorithm1(
         build = build_p31_instance if block == 2 else build_p34_instance
         inst = build(chs, thetas[2 - block], state.w, ctx.powers, ctx.noise)
         hi = max(matched_filter_bound(inst), 1e-12)
-        bis = bisection_maxmin(inst, 0.0, hi, eps)
+        bis = bisection_maxmin(inst, thetas[block - 1], hi, eps)
         rand = gaussian_randomization(bis.solution.psi, inst, n_rand, rng)
         state.sdr_records.append((bis.delta_star, rand.objective))
         thetas[block - 1] = rand.theta

@@ -8,7 +8,9 @@ feasible Psi is positive definite with worst margin at least -FEAS_TOL, and
 an infeasible verdict carries dual weights (mu, nu) whose weak-duality bound
 (`_dual_bound`) is below -FEAS_TOL.
 
-The bisection (`bisection_maxmin`) skips a target that the same bound, with
+The bisection (`bisection_maxmin`) is a certified bracket: its low end
+starts at the exact min SINR of the incumbent's rank-one Psi and rises by
+ratio steps and checks, and it skips a target that the same bound, with
 weights tried before any solve, proves infeasible.
 
 Instances are tiny (dimension M'+1 up to a few dozen) and one bisection runs
@@ -102,6 +104,13 @@ class MaxMinSdpInstance:
         vals = self.sinr_values(theta)
         return vals.min(axis=-1)
 
+    def powers(self, psi):
+        """(N_k, D_k): signal and interference-plus-noise power of each user at a
+        unit-diagonal Psi; [theta; 1][theta; 1]^H gives the exact SINRs of theta."""
+        b_own, b_interf, e_own, e_interf = self._margin_parts
+        return (np.einsum("kij,ji->k", b_own, psi).real + e_own,
+                np.einsum("kij,ji->k", b_interf, psi).real + e_interf)
+
 
 def _homogenized(q, qbar):
     """[[q q^H, qbar q], [conj(qbar) q^H, 0]] for q (..., M') and qbar (...)."""
@@ -125,7 +134,7 @@ class PsdSolution:
     delta: float
     iterations: int
     message: str = ""
-    dual: tuple | None = None   # (mu, nu) at the exit of an infeasible verdict, see _dual_bound
+    dual: tuple | None = None   # exit (mu, nu) of an infeasible verdict or a gap_tol solve, see _dual_bound
 
     @property
     def feasible(self):
@@ -142,20 +151,24 @@ def _constraint_data(inst: MaxMinSdpInstance, delta):
     return c_mats, e, scales
 
 
-def feasibility_check(inst: MaxMinSdpInstance, delta) -> PsdSolution:
+def feasibility_check(inst: MaxMinSdpInstance, delta, scales=None, gap_tol=None) -> PsdSolution:
     """Decide whether the SINR target `delta` is achievable in relaxation.
 
     Runs the max-margin solve of `_solve_max_margin`.  'feasible': the
     returned Psi has unit diagonal, is positive definite and its margins
     exceed s >= -FEAS_TOL.  'infeasible': `_dual_bound` at the returned
     `dual` = (mu / sigma, nu) is below -FEAS_TOL.
+
+    A ratio step of `bisection_maxmin` passes `scales` to divide the
+    constraints by in place of sigma, and a `gap_tol` (see `_solve_max_margin`).
     """
     if delta < 0:
         raise ValueError("SINR target must be non-negative")
-    return _solve_max_margin(float(delta), *_constraint_data(inst, delta))
+    c_mats, e, sigma = _constraint_data(inst, delta)
+    return _solve_max_margin(float(delta), c_mats, e, sigma if scales is None else scales, gap_tol)
 
 
-def _solve_max_margin(delta, c_mats, e, scales):
+def _solve_max_margin(delta, c_mats, e, scales, gap_tol=None):
     """maximize s  s.t.  tr(C^_k Psi) + e^_k >= s,  diag(Psi) = 1,  Psi >= 0,
 
     with constraint k divided by sigma_k = scales[k], and its dual: minimize
@@ -173,7 +186,9 @@ def _solve_max_margin(delta, c_mats, e, scales):
 
     The verdict is read before each step: 'feasible' once s >= -FEAS_TOL at
     a Psi whose Cholesky factor exists, 'infeasible' once `_dual_bound` at
-    (mu / sigma, nu) is below -FEAS_TOL.  `iterations` counts Newton systems.
+    (mu / sigma, nu) is below -FEAS_TOL.  With `gap_tol` set, 'feasible' also
+    waits for a duality gap of at most max(gap_tol, 0.1 s) and returns the
+    exit dual.  `iterations` counts Newton systems.
     """
     kk, n = c_mats.shape[0], c_mats.shape[1]
     c_hat = c_mats / scales[:, None, None]
@@ -213,13 +228,15 @@ def _solve_max_margin(delta, c_mats, e, scales):
             lp_inv = np.linalg.inv(np.linalg.cholesky(psi))
         except np.linalg.LinAlgError:
             return done("numerical-failure", "primal iterate left the PSD cone")
-        if s >= -FEAS_TOL:
+        if s >= -FEAS_TOL and gap_tol is None:
             return done("feasible", "feasible margin")
         dual = (mu / scales, nu)
         if _dual_bound(c_mats, e, scales, dual[0][None], nu[None])[0] < -FEAS_TOL:
             return done("infeasible", "dual bound certificate", dual)
         z = np.diag(nu) - np.tensordot(mu, c_hat, 1)
         gap = mu @ g + np.vdot(z, psi).real
+        if s >= -FEAS_TOL and gap <= max(gap_tol, 0.1 * s):
+            return done("feasible", "duality gap closed", dual)
         if gap <= GAP_TOL:  # no certificate either way, and s < -FEAS_TOL
             return done("infeasible", "duality gap closed", dual)
         if it == MAX_ITER:
@@ -304,66 +321,108 @@ class BisectionResult:
     certified: int = 0  # targets decided infeasible by a dual bound, without a solve
 
 
-def bisection_maxmin(inst: MaxMinSdpInstance, delta_lo, delta_hi, eps):
-    """Largest feasible SINR target on an eps-grid inside [delta_lo, delta_hi].
+def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
+    """Largest SINR target up to delta_hi within eps of the relaxation's feasibility boundary.
 
-    `eps` is an absolute SINR accuracy: the returned target is within eps of
-    the relaxation's feasibility boundary.  delta_lo must be feasible; a
-    feasible delta_hi short-circuits with the `saturated` flag set.
+    `eps` is an absolute SINR accuracy.  The low end lo starts at the exact
+    min SINR of the unit-modulus start vector `theta`, whose rank-one Psi
+    certifies it; every verified Psi a solve returns, feasible or not, may
+    raise lo to its own min_k N_k / D_k.  A feasible delta_hi (checked first)
+    returns it with the `saturated` flag set.
 
-    Every target after delta_lo is first tested against weak-duality bounds
-    (`_dual_bound`) with the weights of each user alone, all users alike, and
-    the dual (mu, nu) of every earlier infeasible verdict.  A bound below
-    -FEAS_TOL means no Psi reaches the feasible threshold, so the solve could
-    only have said "infeasible": the target is recorded as such without one
-    and counted in `certified`.  The verdicts, delta_star and the returned
-    solution are those of solving every target, and each solve still goes
-    through `feasibility_check`.
+    Ratio steps (generalized Dinkelbach: Dinkelbach 1967; Crouzeix, Ferland
+    and Schaible 1985) solve the max-margin problem at target lo with
+    constraint k divided by D_k of the best Psi, and are recorded as (lo,
+    "feasible") since that Psi certifies lo.  They stop once lo + eps is
+    proved infeasible, a step fails numerically (its solve's status shows
+    it; the draw goes on) or gains less than the finish's first step, the
+    larger of eps and FEAS_TOL max_k sigma_k / D_k (the SINR width of the
+    FEAS_TOL slack).  The finish gallops up from lo, doubling that step while
+    checks say "feasible", and halves the bracket down to eps.  Before any
+    solve, a target is tried against `_dual_bound` with each user alone, all
+    users alike and the exit dual of every earlier solve; a bound below
+    -FEAS_TOL records it as infeasible without a solve, in `certified`.
+
+    "Feasible" allows margins down to -FEAS_TOL after dividing by sigma_k
+    (dividing by D_k(I) instead failed numerically on a fig9 check), a slack
+    of FEAS_TOL sigma_k / D_k in SINR units that grows with the target.  So
+    `solution`, the best verified Psi at target delta_star, reaches min_k
+    N_k / D_k >= delta_star - FEAS_TOL max_k sigma_k / D_k, not delta_star.
     """
-    if delta_hi < delta_lo:
-        raise ValueError("invalid bracket: delta_hi < delta_lo")
+    theta = np.asarray(theta, dtype=complex)
+    if theta.shape != (inst.dim,) or not np.allclose(np.abs(theta), 1.0):
+        raise ValueError("start vector must be unit-modulus of length M'")
     if eps <= 0:
         raise ValueError("bisection accuracy must be positive")
     history = []
     certified = 0
     # dual weights tried at every target, as one batch: the cold ones (each user
-    # alone, all users alike; nu = 0), then the exit dual of each infeasible solve
+    # alone, all users alike; nu = 0), then the exit dual of each solve
     k, n = inst.n_users, inst.dim + 1
     mu, nu = np.vstack([np.eye(k), np.ones((1, k))]), np.zeros((k + 1, n))
 
-    def check(value, certify=True):
-        """The solution at `value`, or None when a dual bound proves it infeasible."""
-        nonlocal certified, mu, nu
-        if certify and (_dual_bound(*_constraint_data(inst, value), mu, nu) < -FEAS_TOL).any():
+    def proved_infeasible(value):
+        return bool((_dual_bound(*_constraint_data(inst, value), mu, nu) < -FEAS_TOL).any())
+
+    def take(res, floor=0.0):
+        """Keep a solve's exit dual, and raise lo to what its Psi reaches (at least `floor`)."""
+        nonlocal mu, nu, lo, best, d_best
+        if res.dual is not None:
+            mu, nu = np.vstack([mu, res.dual[0]]), np.vstack([nu, res.dual[1]])
+        if res.status != "numerical-failure":
+            n_k, d_k = inst.powers(res.psi)
+            reach = max(floor, float((n_k / d_k).min()))
+            if reach > lo:
+                lo, best, d_best = reach, res.psi, d_k
+
+    def check(value):
+        """Feasible at `value`?  Certified by a dual bound or decided by a solve."""
+        nonlocal certified
+        if proved_infeasible(value):
             certified += 1
             history.append((value, "infeasible"))
-            return None
+            return False
         res = feasibility_check(inst, value)
         if res.status == "numerical-failure":
             raise SdpSolverError(f"feasibility check failed at target {value}: {res.message}")
         history.append((value, res.status))
-        if res.dual is not None:
-            mu, nu = np.vstack([mu, res.dual[0]]), np.vstack([nu, res.dual[1]])
-        return res
+        take(res, value if res.feasible else 0.0)
+        return res.feasible
 
-    best = check(delta_lo, certify=False)
-    if not best.feasible:
-        raise ValueError(f"invalid bracket: delta_lo={delta_lo} is infeasible")
-    res_hi = check(delta_hi)
-    if res_hi is not None and res_hi.feasible:
-        return BisectionResult(float(delta_hi), res_hi, True, 0, history, certified)
+    tilde = np.append(theta, 1.0)
+    best = np.outer(tilde, tilde.conj())
+    d_best = inst.powers(best)[1]
+    lo = float(inst.min_sinr(theta))
+    up = float(delta_hi)
+    saturated = lo >= up or check(up)
 
-    lo, hi = float(delta_lo), float(delta_hi)
-    steps = 0
-    while hi - lo > eps:
-        mid = 0.5 * (lo + hi)
-        res = check(mid)
-        steps += 1
-        if res is not None and res.feasible:
-            lo, best = mid, res
+    def first_step():
+        """eps, or the SINR width of the FEAS_TOL slack at lo when wider."""
+        return max(eps, FEAS_TOL * float((_constraint_data(inst, lo)[2] / d_best).max()))
+
+    closed = False  # lo + eps proved infeasible
+    while not saturated and up > lo + eps and not (closed := proved_infeasible(lo + eps)):
+        start, step = lo, first_step()
+        # solved to a gap of a quarter step or 0.1 s: a quarter eps alone drove Psi
+        # towards rank one until its Cholesky factor failed
+        res = feasibility_check(inst, start, scales=d_best, gap_tol=0.25 * step)
+        history.append((start, "feasible"))
+        take(res)
+        if res.status == "numerical-failure" or lo - start < step:
+            break
+
+    step = eps if closed else first_step()
+    while not saturated and up > lo + eps:  # gallop by doubling steps, then halve
+        target = min(lo + step, 0.5 * (lo + up))
+        if check(target):
+            step *= 2
         else:
-            hi = mid
-    return BisectionResult(lo, best, False, steps, history, certified)
+            up = target
+    delta_star = up if saturated else lo
+    c_mats, e, sigma = _constraint_data(inst, delta_star)
+    margins = ((c_mats.reshape(k, n * n) @ best.T.ravel()).real + e) / sigma
+    solution = PsdSolution(best, "feasible", margins, float(margins.min()), delta_star, 0, "best verified point")
+    return BisectionResult(delta_star, solution, saturated, len(history), history, certified)
 
 
 @dataclass

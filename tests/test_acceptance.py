@@ -314,7 +314,7 @@ def test_criterion_6_sdr_machinery(saturation_suite, tiny_suite, capsys):
         )
         true_opt = (abs(qv) + abs(qbv)) ** 2 / noise
         eps = 1e-4 * true_opt
-        res = cb.bisection_maxmin(inst, 0.0, 2 * true_opt, eps=eps)
+        res = cb.bisection_maxmin(inst, np.ones(inst.dim), 2 * true_opt, eps=eps)
         boundary_failures += abs(res.delta_star - true_opt) > eps + 1e-6 * true_opt
 
     dominance_failures = 0

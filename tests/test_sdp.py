@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coopbeam as cb
+from coopbeam import sdp
 from coopbeam.experiments import mu_scenario
 from coopbeam.sdp import (
     FEAS_TOL, BisectionResult, SdpSolverError, _constraint_data, _dual_bound, _homogenized,
@@ -59,6 +60,7 @@ def oracle_margins(inst, delta, psi):
 
 
 MU_MAXMIN = dict(k_users=5, power_dbm=20.0)  # the mu-maxmin benchmark scenario at 20 dBm
+MU_TINY = dict(k_users=2, power_dbm=10.0, n_bs=2, m1=2, m2=2, paths_g1=2, paths_d=2, paths_user=2)
 
 
 def a2_baseline(scn, rng):
@@ -114,6 +116,24 @@ def plain_bisection(inst, delta_lo, delta_hi, eps):
         else:
             hi = mid
     return BisectionResult(lo, best, False, steps, history)
+
+
+def assert_same_guarantee(inst, eps):
+    """The bracket from the all-ones start and the plain bisection from 0 on [0, matched-filter
+    bound] land within eps of each other; the bracket's delta* is at least the start's min SINR
+    and delta* + eps is proved infeasible by a certificate or a solve.  Returns the certified
+    skips."""
+    hi = cb.matched_filter_bound(inst)
+    start = np.ones(inst.dim)
+    got = cb.bisection_maxmin(inst, start, hi, eps)
+    want = plain_bisection(inst, 0.0, hi, eps)
+    assert abs(got.delta_star - want.delta_star) < eps
+    assert got.saturated == want.saturated
+    assert got.delta_star >= float(inst.min_sinr(start))
+    if not got.saturated:
+        assert min(t for t, verdict in got.history if verdict == "infeasible") <= got.delta_star + eps
+        assert cb.feasibility_check(inst, got.delta_star + eps).status == "infeasible"
+    return got.certified
 
 
 def assert_certified(inst, res):
@@ -204,7 +224,7 @@ class TestFeasibility:
         # returned Psi satisfies every constraint within the documented slack
         inst = random_instance(rng, k=3, m=5)
         hi = cb.matched_filter_bound(inst)
-        res = cb.bisection_maxmin(inst, 0.0, hi, eps=0.05)
+        res = cb.bisection_maxmin(inst, np.ones(inst.dim), hi, eps=0.05)
         sol = res.solution
         assert sol.feasible
         assert np.all(sol.margins >= -FEAS_TOL)
@@ -264,7 +284,7 @@ class TestBenchmarkShapes:
             cases += [(inst, 0.1) for inst in subproblems(MU_MAXMIN, build)]
         certified = 0
         for inst, eps in cases:
-            res = cb.bisection_maxmin(inst, 0.0, cb.matched_filter_bound(inst), eps)
+            res = cb.bisection_maxmin(inst, np.ones(inst.dim), cb.matched_filter_bound(inst), eps)
             certified += res.certified
             for delta, status in res.history:
                 sol = cb.feasibility_check(inst, delta)
@@ -312,14 +332,7 @@ class TestDualBound:
             cases += [(inst, 0.1) for inst in subproblems(MU_MAXMIN, build)]
         certified = 0
         for inst, eps in cases:
-            hi = cb.matched_filter_bound(inst)
-            got = cb.bisection_maxmin(inst, 0.0, hi, eps=eps)
-            want = plain_bisection(inst, 0.0, hi, eps=eps)
-            assert got.delta_star == want.delta_star
-            assert got.history == want.history
-            assert got.steps == want.steps and got.saturated == want.saturated
-            assert np.array_equal(got.solution.psi, want.solution.psi)
-            certified += got.certified
+            certified += assert_same_guarantee(inst, eps)
         assert certified > 0
 
     @pytest.mark.parametrize(
@@ -327,8 +340,7 @@ class TestDualBound:
         [
             # mu-tiny: K = 2, M' = 2 at 10 dBm; mu-maxmin: K = 5, M' = 16 at 20 dBm, where no
             # bound fires on these draws
-            (dict(k_users=2, power_dbm=10.0, n_bs=2, m1=2, m2=2, paths_g1=2, paths_d=2, paths_user=2),
-             1e-3, 1),
+            (MU_TINY, 1e-3, 1),
             (MU_MAXMIN, 0.1, 0),
         ],
         ids=["mu-tiny", "mu-maxmin"],
@@ -337,19 +349,14 @@ class TestDualBound:
         # (P3.1) and (P3.4) at the DFT start of a draw, as Algorithm 1 builds them
         certified = 0
         for inst in subproblems(scenario):
-            hi = cb.matched_filter_bound(inst)
-            got = cb.bisection_maxmin(inst, 0.0, hi, eps)
-            want = plain_bisection(inst, 0.0, hi, eps)
-            assert (got.delta_star, got.history) == (want.delta_star, want.history)
-            assert np.array_equal(got.solution.psi, want.solution.psi)
-            certified += got.certified
+            certified += assert_same_guarantee(inst, eps)
         assert certified >= min_certified
 
 
 class TestBisection:
     def test_saturated_bracket_flagged(self, rng):
         inst, true_opt = scalar_instance(rng)
-        res = cb.bisection_maxmin(inst, 0.0, 0.5 * true_opt, eps=1e-3)
+        res = cb.bisection_maxmin(inst, np.ones(inst.dim), 0.5 * true_opt, eps=1e-3)
         assert res.saturated
         assert res.delta_star == pytest.approx(0.5 * true_opt)
 
@@ -357,7 +364,7 @@ class TestBisection:
         for _ in range(5):
             inst, true_opt = scalar_instance(rng)
             eps = 1e-4 * true_opt
-            res = cb.bisection_maxmin(inst, 0.0, 2.0 * true_opt, eps=eps)
+            res = cb.bisection_maxmin(inst, np.ones(inst.dim), 2.0 * true_opt, eps=eps)
             assert abs(res.delta_star - true_opt) <= eps + FEAS_TOL * true_opt
 
     def test_feasibility_monotone_in_target(self, rng):
@@ -365,7 +372,7 @@ class TestBisection:
         for _ in range(20):
             inst = random_instance(rng, k=2, m=3)
             hi = cb.matched_filter_bound(inst)
-            res = cb.bisection_maxmin(inst, 0.0, hi, eps=hi / 64)
+            res = cb.bisection_maxmin(inst, np.ones(inst.dim), hi, eps=hi / 64)
             if res.delta_star > 0:
                 assert cb.feasibility_check(inst, res.delta_star / 2).feasible
 
@@ -373,17 +380,53 @@ class TestBisection:
         inst = random_instance(rng, k=2, m=3)
         hi = cb.matched_filter_bound(inst)
         eps = hi / 100
-        res = cb.bisection_maxmin(inst, 0.0, hi, eps=eps)
+        res = cb.bisection_maxmin(inst, np.ones(inst.dim), hi, eps=eps)
         assert res.steps <= math.ceil(math.log2(hi / eps)) + 1
 
     def test_invalid_bracket_rejected(self, rng):
         inst = random_instance(rng)
         hi = cb.matched_filter_bound(inst)
         with pytest.raises(ValueError):
-            cb.bisection_maxmin(inst, hi, hi / 2, eps=0.1)
+            cb.bisection_maxmin(inst, np.ones(inst.dim + 1), hi, eps=0.1)  # wrong length
         with pytest.raises(ValueError):
-            # infeasible lower edge
-            cb.bisection_maxmin(inst, 10.0 * hi, 20.0 * hi, eps=0.1)
+            cb.bisection_maxmin(inst, 2.0 * np.ones(inst.dim), hi, eps=0.1)  # not unit modulus
+        with pytest.raises(ValueError):
+            cb.bisection_maxmin(inst, np.ones(inst.dim), hi, eps=0.0)
+
+    @pytest.mark.parametrize("build", [cb.build_double_irs_scenario, a2_baseline], ids=["double", "a2"])
+    def test_solution_reaches_delta_star_up_to_the_feasible_slack(self, build):
+        # "feasible" allows margins down to -FEAS_TOL after dividing by sigma_k, which is
+        # FEAS_TOL sigma_k / D_k in SINR units: the returned Psi reaches delta* up to that
+        for inst in subproblems(MU_MAXMIN, build):
+            res = cb.bisection_maxmin(inst, np.ones(inst.dim), cb.matched_filter_bound(inst), 0.1)
+            n_k, d_k = inst.powers(res.solution.psi)
+            slack = FEAS_TOL * (_constraint_data(inst, res.delta_star)[2] / d_k).max()
+            assert (n_k / d_k).min() >= res.delta_star - slack - 1e-12 * res.delta_star
+            assert res.solution.feasible and res.solution.delta == res.delta_star
+
+    def test_failed_ratio_step_ends_the_ratio_phase(self, rng, monkeypatch):
+        # a ratio step that fails numerically hands over to the certified finish
+        real = cb.feasibility_check
+        ratio_steps = []
+
+        def failing(inst, delta, scales=None, gap_tol=None):
+            res = real(inst, delta, scales, gap_tol)
+            if scales is not None:
+                ratio_steps.append(delta)
+                res.status, res.message = "numerical-failure", "synthetic failure"
+            return res
+
+        monkeypatch.setattr(sdp, "feasibility_check", failing)
+        for _ in range(5):
+            inst = random_instance(rng, k=2, m=3)
+            hi, eps = cb.matched_filter_bound(inst), 1e-3
+            start = np.ones(inst.dim)
+            ratio_steps.clear()
+            res = cb.bisection_maxmin(inst, start, hi, eps)
+            assert len(ratio_steps) == 1 and (ratio_steps[0], "feasible") in res.history
+            assert res.delta_star >= float(inst.min_sinr(start))
+            assert real(inst, res.delta_star + eps).status == "infeasible"
+            assert abs(res.delta_star - plain_bisection(inst, 0.0, hi, eps).delta_star) < eps
 
 
 class TestRandomization:
@@ -398,7 +441,7 @@ class TestRandomization:
 
     def test_unit_modulus_output(self, rng):
         inst = random_instance(rng, k=2, m=4)
-        res = cb.bisection_maxmin(inst, 0.0, cb.matched_filter_bound(inst), eps=0.1)
+        res = cb.bisection_maxmin(inst, np.ones(inst.dim), cb.matched_filter_bound(inst), eps=0.1)
         rand = cb.gaussian_randomization(res.solution.psi, inst, 25, rng)
         assert np.allclose(np.abs(rand.theta_tilde), 1.0, atol=1e-12)
         assert np.allclose(np.abs(rand.theta), 1.0, atol=1e-12)
@@ -408,7 +451,7 @@ class TestRandomization:
             inst = random_instance(rng, k=2, m=3)
             hi = cb.matched_filter_bound(inst)
             eps = max(hi / 1000, 1e-9)
-            res = cb.bisection_maxmin(inst, 0.0, hi, eps=eps)
+            res = cb.bisection_maxmin(inst, np.ones(inst.dim), hi, eps=eps)
             rand = cb.gaussian_randomization(res.solution.psi, inst, 100, rng)
             assert rand.objective <= res.delta_star + eps + FEAS_TOL * max(res.delta_star, 1.0)
 

@@ -61,7 +61,7 @@ def conditional_bound(chs, ctx, state, eps=1e-3):
         if m:
             inst = build(chs, other, state.w, ctx.powers, ctx.noise)
             hi = max(cb.matched_filter_bound(inst), 1e-12)
-            bounds.append(cb.bisection_maxmin(inst, 0.0, hi, eps).delta_star + eps)
+            bounds.append(cb.bisection_maxmin(inst, np.ones(inst.dim), hi, eps).delta_star + eps)
     return min(bounds, default=state.min_sinr)
 
 
