@@ -493,6 +493,10 @@ class ExperimentSpec:
                 )
             if isinstance(value, list) and not value:
                 raise ValueError(f"option {name!r} must be a non-empty list")
+            # NaN passes every range check below, as it fails every comparison
+            values = value if isinstance(value, list) else [value]
+            if any(isinstance(v, numbers.Real) and not math.isfinite(v) for v in values):
+                raise ValueError(f"option {name!r} must be finite, got {value!r}")
             if opt.at_least is not None and value < opt.at_least:
                 raise ValueError(f"option {name!r} must be >= {opt.at_least}, got {value!r}")
             if opt.above is not None and value <= opt.above:

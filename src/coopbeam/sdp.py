@@ -14,10 +14,16 @@ ratio steps and checks, and it skips a target that the same bound, with
 weights tried before any solve, proves infeasible.
 
 Instances are tiny (dimension M'+1 up to a few dozen) and one bisection runs
-many checks, so each interior-point iteration is a few BLAS calls.  The
+many checks, so on the smallest ones an interior-point iteration costs numpy
+call overhead more than arithmetic, and it is written to make few calls.  The
 homogenized blocks B_{k,j} of an instance are built once, in one vectorized
 pass, and the K margin matrices C_k are flattened to the rows of one
-(K, n*n) array, so every trace tr(C_k X) is a matrix product.
+(K, n*n) array, so every trace tr(C_k X) and every weighted sum
+sum_k mu_k C_k is one matrix product.  The primal and dual step lengths of a
+Newton direction come from one eigvalsh of a stacked (2, n, n) array.  A
+target's constraint data (C_k, e_k, sigma_k) is built once for both its dual
+bounds and its solve: `_constraint_data` keeps the last target's on the
+instance.
 
 An instance holds only (q, qbar, noise) and is a pure function of the channel
 realization and the fixed variables it was built from, so it has no file
@@ -142,12 +148,22 @@ class PsdSolution:
 
 
 def _constraint_data(inst: MaxMinSdpInstance, delta):
-    """Margin data: constraint k reads tr(C_k Psi) + e_k >= 0, normalized by sigma_k."""
+    """Margin data: constraint k reads tr(C_k Psi) + e_k >= 0, normalized by sigma_k.
+
+    The data of the last target asked for stays on the instance, read-only: a
+    bisection asks for a target's data for its dual bounds and again for its solve.
+    """
+    last = inst.__dict__.get("_last_constraints")
+    if last is not None and last[0] == delta:
+        return last[1]
     b_own, b_interf, e_own, e_interf = inst._margin_parts
     k = inst.n_users
     c_mats = b_own - delta * b_interf
     e = e_own - delta * e_interf
     scales = np.array([max(np.linalg.norm(c_mats[j]), abs(e[j]), 1e-300) for j in range(k)])
+    for arr in (c_mats, e, scales):
+        arr.flags.writeable = False
+    inst._last_constraints = (delta, (c_mats, e, scales))
     return c_mats, e, scales
 
 
@@ -162,8 +178,8 @@ def feasibility_check(inst: MaxMinSdpInstance, delta, scales=None, gap_tol=None)
     A ratio step of `bisection_maxmin` passes `scales` to divide the
     constraints by in place of sigma, and a `gap_tol` (see `_solve_max_margin`).
     """
-    if delta < 0:
-        raise ValueError("SINR target must be non-negative")
+    if not math.isfinite(delta) or delta < 0:
+        raise ValueError(f"SINR target must be finite and non-negative, got {delta!r}")
     c_mats, e, sigma = _constraint_data(inst, delta)
     return _solve_max_margin(float(delta), c_mats, e, sigma if scales is None else scales, gap_tol)
 
@@ -199,23 +215,34 @@ def _solve_max_margin(delta, c_mats, e, scales, gap_tol=None):
         """tr(C^_k X) for every k."""
         return (c_flat @ x.T.ravel()).real
 
-    def step_length(l_inv, d_mat, v, dv):
-        """STEP_FRACTION of the way to the edge of {L L^H + a d_mat >= 0, v + a dv >= 0}, at most 1."""
-        mid = l_inv @ d_mat @ l_inv.conj().T
-        rate = max(-np.linalg.eigvalsh(mid)[0], float(np.max(-dv / v)), 0.0)
-        return min(1.0, STEP_FRACTION / rate) if rate > 0 else 1.0
+    def step_lengths(d_psi, d_z, d_g, d_mu):
+        """STEP_FRACTION of the way to the edge of {Psi + a d_Psi >= 0, g + a d_g >= 0} and of
+        {Z + a d_Z >= 0, mu + a d_mu >= 0}, at most 1.  Both cone edges come from one eigvalsh
+        of the stack L^-1 (d_Psi, d_Z) L^-H, with L L^H = Psi and Z."""
+        d_mats[0], d_mats[1] = d_psi, d_z
+        lam = np.linalg.eigvalsh(l_inv @ d_mats @ l_inv_h)[:, 0]
+        out = []
+        for low, v, dv in ((lam[0], g, d_g), (lam[1], mu, d_mu)):
+            rate = max(-low, float((-dv / v).max()), 0.0)
+            out.append(min(1.0, STEP_FRACTION / rate) if rate > 0 else 1.0)
+        return out
 
     # Newton system in (d_nu, d_mu, d_s) with W = Z^{-1}, P_ik = Re(W C^_k Psi)_ii and
     # M_kl = Re tr(C^_k W C^_l Psi): [[Re(W o conj Psi), -P, 0], [-P^T, M + Diag(g/mu), -1],
-    # [0, -1^T, 0]]; the constant blocks are set once, the rest every iteration
+    # [0, -1^T, 0]]; the constant blocks and the right-hand side's last entry are set once,
+    # the rest every iteration
     a_sys = np.zeros((n + kk + 1, n + kk + 1))
     a_sys[n:-1, -1] = a_sys[-1, n:-1] = -1.0
+    m_diag = (n + np.arange(kk),) * 2
+    rhs = np.zeros(n + kk + 1)
+    l_inv = np.empty((2, n, n), dtype=complex)  # inverse Cholesky factors of Psi and Z
+    d_mats = np.empty((2, n, n), dtype=complex)  # a step's d_Psi and d_Z
 
     psi = np.eye(n, dtype=complex)
     margins = tr_c(psi) + e_hat
     s = float(margins.min()) - 1.0
     mu = np.full(kk, 1.0 / kk)
-    nu = np.full(n, np.linalg.eigvalsh(np.tensordot(mu, c_hat, 1))[-1] + 1.0)
+    nu = np.full(n, np.linalg.eigvalsh(np.dot(mu, c_flat).reshape(n, n))[-1] + 1.0)
 
     def done(status, message, dual=None):
         return PsdSolution(psi, status, margins, s, delta, it, message, dual)
@@ -225,7 +252,7 @@ def _solve_max_margin(delta, c_mats, e, scales, gap_tol=None):
         if (g <= 0).any():  # safeguard, should not happen
             return done("numerical-failure", "primal iterate left the domain")
         try:
-            lp_inv = np.linalg.inv(np.linalg.cholesky(psi))
+            l_inv[0] = np.linalg.inv(np.linalg.cholesky(psi))
         except np.linalg.LinAlgError:
             return done("numerical-failure", "primal iterate left the PSD cone")
         if s >= -FEAS_TOL and gap_tol is None:
@@ -233,7 +260,7 @@ def _solve_max_margin(delta, c_mats, e, scales, gap_tol=None):
         dual = (mu / scales, nu)
         if _dual_bound(c_mats, e, scales, dual[0][None], nu[None])[0] < -FEAS_TOL:
             return done("infeasible", "dual bound certificate", dual)
-        z = np.diag(nu) - np.tensordot(mu, c_hat, 1)
+        z = np.diag(nu) - np.dot(mu, c_flat).reshape(n, n)
         gap = mu @ g + np.vdot(z, psi).real
         if s >= -FEAS_TOL and gap <= max(gap_tol, 0.1 * s):
             return done("feasible", "duality gap closed", dual)
@@ -242,29 +269,33 @@ def _solve_max_margin(delta, c_mats, e, scales, gap_tol=None):
         if it == MAX_ITER:
             return done("numerical-failure", "interior-point iteration cap")
         try:
-            lz_inv = np.linalg.inv(np.linalg.cholesky(z))
+            l_inv[1] = np.linalg.inv(np.linalg.cholesky(z))
         except np.linalg.LinAlgError:
             return done("numerical-failure", "dual iterate left the PSD cone")
-        w = lz_inv.conj().T @ lz_inv  # Z^{-1}
+        l_inv_h = l_inv.conj().transpose(0, 2, 1)
+        w = l_inv_h[1] @ l_inv[1]     # Z^{-1}
         t_mats = w @ c_hat @ psi      # W C^_k Psi
+        t_flat = t_mats.reshape(kk, n * n)
         p_mat = np.diagonal(t_mats, axis1=1, axis2=2).real.T
         a_sys[:n, :n] = (w * psi.conj()).real
         a_sys[:n, n:-1] = -p_mat
         a_sys[n:-1, :n] = -p_mat.T
         a_sys[n:-1, n:-1] = (c_flat @ t_mats.transpose(0, 2, 1).reshape(kk, n * n).T).real
-        a_sys[n + np.arange(kk), n + np.arange(kk)] += g / mu
+        a_sys[m_diag] += g / mu
 
         def direction(r_mat, r_g):
             """Step with d_Psi = R - sym(W d_Z Psi), zero diagonal, mu d_g + g d_mu = r_g; and its lengths."""
-            rhs = np.concatenate([np.diagonal(r_mat).real, r_g / mu - tr_c(r_mat), [0.0]])
-            d_nu, d_mu, d_s = np.split(np.linalg.solve(a_sys, rhs), [n, n + kk])
-            d_psi = r_mat - (w * d_nu) @ psi + np.tensordot(d_mu, t_mats, 1)
+            rhs[:n] = np.diagonal(r_mat).real
+            rhs[n:-1] = r_g / mu - tr_c(r_mat)
+            sol = np.linalg.solve(a_sys, rhs)
+            d_nu, d_mu, d_s = sol[:n], sol[n:-1], sol[-1]
+            d_psi = r_mat - (w * d_nu) @ psi + np.dot(d_mu, t_flat).reshape(n, n)
             d_psi = 0.5 * (d_psi + d_psi.conj().T)
             np.fill_diagonal(d_psi, 0.0)
-            d_z = np.diag(d_nu) - np.tensordot(d_mu, c_hat, 1)
+            d_z = np.diag(d_nu) - np.dot(d_mu, c_flat).reshape(n, n)
             d_g = tr_c(d_psi) - d_s
-            a_p, a_d = step_length(lp_inv, d_psi, g, d_g), step_length(lz_inv, d_z, mu, d_mu)
-            return d_psi, d_s[0], d_g, d_nu, d_mu, d_z, a_p, a_d
+            a_p, a_d = step_lengths(d_psi, d_z, d_g, d_mu)
+            return d_psi, d_s, d_g, d_nu, d_mu, d_z, a_p, a_d
 
         try:
             d_psi, _, d_g, _, d_mu, d_z, a_p, a_d = direction(-psi, -mu * g)  # predictor
@@ -283,14 +314,11 @@ def _solve_max_margin(delta, c_mats, e, scales, gap_tol=None):
 
 
 def matched_filter_bound(inst: MaxMinSdpInstance):
-    """Interference-free upper bound on the achievable min SINR."""
-    n = inst.dim + 1
-    bounds = []
-    for k in range(inst.n_users):
-        b_kk = _homogenized(inst.q[k, k], inst.qbar[k, k])
-        lam = float(np.linalg.eigvalsh(b_kk).max()) if n else 0.0
-        bounds.append((n * max(lam, 0.0) + abs(inst.qbar[k, k]) ** 2) / inst.noise[k])
-    return float(min(bounds))
+    """Interference-free upper bound on the achievable min SINR:
+    min_k ((M'+1) max(lambda_max(B_kk), 0) + |qbar_kk|^2) / noise_k."""
+    b_own, _, e_own, _ = inst._margin_parts
+    lam = np.linalg.eigvalsh(b_own)[:, -1]  # lambda_max(B_kk) of every user
+    return float((((inst.dim + 1) * np.maximum(lam, 0.0) + e_own) / inst.noise).min())
 
 
 def _dual_bound(c_mats, e, scales, mu, nu):
@@ -305,9 +333,10 @@ def _dual_bound(c_mats, e, scales, mu, nu):
     section 5.9).  So each of the D bounds is valid whatever mu and nu are;
     they only decide how tight it is.  nu = 0 gives n lam_max(M).
     """
-    d, n = mu.shape[0], c_mats.shape[-1]
-    m = (mu @ c_mats.reshape(len(e), n * n)).reshape(d, n, n)
-    lam = np.linalg.eigvalsh(m - nu[:, :, None] * np.eye(n))[:, -1]
+    d, n = nu.shape
+    m = mu @ c_mats.reshape(len(e), n * n)
+    m[:, :: n + 1] -= nu  # M - Diag nu
+    lam = np.linalg.eigvalsh(m.reshape(d, n, n))[:, -1]
     return (mu @ e + nu.sum(axis=1) + n * lam) / (mu @ scales)
 
 
@@ -352,8 +381,10 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
     theta = np.asarray(theta, dtype=complex)
     if theta.shape != (inst.dim,) or not np.allclose(np.abs(theta), 1.0):
         raise ValueError("start vector must be unit-modulus of length M'")
-    if eps <= 0:
-        raise ValueError("bisection accuracy must be positive")
+    if not math.isfinite(delta_hi):
+        raise ValueError(f"upper SINR target must be finite, got {delta_hi!r}")
+    if not math.isfinite(eps) or eps <= 0:
+        raise ValueError(f"bisection accuracy must be finite and positive, got {eps!r}")
     history = []
     certified = 0
     # dual weights tried at every target, as one batch: the cold ones (each user

@@ -554,6 +554,27 @@ class TestCli:
         assert named in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "experiment, sweep, option, wrap",
+        [
+            ("fig7-mu-alg", 20, "eps", False),
+            ("fig7-mu-alg", 20, "xi", False),
+            ("fig4-rate-vs-power", 20, "kappa_far_db", False),
+            ("fig6-rate-vs-totalM", 8, "kappa_set_db", True),
+        ],
+        ids=["eps", "xi", "kappa-far", "kappa-set"],
+    )
+    def test_validate_rejects_non_finite_option(self, tmp_path, capsys, experiment, sweep, option,
+                                                wrap, value):
+        # NaN fails every comparison, so it passed the range checks: eps = NaN ran, and wrote
+        # ok rows whose bisections never rose above their start
+        opts = {option: [0.0, value] if wrap else value}
+        path = write_spec(tmp_path, experiment=experiment, sweep=[sweep], options=opts)
+        assert cli.main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert option in err and "finite" in err
+
     @pytest.mark.parametrize(
         "fields",
         [

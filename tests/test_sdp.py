@@ -167,6 +167,16 @@ class TestInstance:
                 assert np.array_equal(b, constraint_matrix(inst, k, j))
                 assert np.array_equal(batched[k, j], b)
 
+    def test_constraint_data_is_the_targets_own(self, rng):
+        # the last target's data stays on the instance, read-only; another target replaces it
+        inst = random_instance(rng, k=3, m=4)
+        psi = np.eye(inst.dim + 1)
+        for delta in (0.5, 2.0, 2.0, 0.5):
+            c_mats, e, sigma = _constraint_data(inst, delta)
+            assert not (c_mats.flags.writeable or e.flags.writeable or sigma.flags.writeable)
+            margins = (np.einsum("kij,ji->k", c_mats, psi).real + e) / sigma
+            assert np.allclose(margins, oracle_margins(inst, delta, psi), rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("k, m", [(1, 1), (1, 4), (3, 1), (3, 5)])
     def test_matched_filter_bound_value(self, k, m):
         # min_k ((M'+1) max(lambda_max(B_kk), 0) + |qbar_kk|^2) / noise_k, B_kk written out
@@ -219,6 +229,12 @@ class TestFeasibility:
     def test_negative_target_rejected(self, rng):
         with pytest.raises(ValueError):
             cb.feasibility_check(random_instance(rng), -0.1)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_target_rejected(self, rng, delta):
+        # both reached the kernel and escaped as a LinAlgError, not an SdpSolverError
+        with pytest.raises(ValueError, match="finite"):
+            cb.feasibility_check(random_instance(rng), delta)
 
     def test_feasible_solution_certificate(self, rng):
         # returned Psi satisfies every constraint within the documented slack
@@ -291,6 +307,50 @@ class TestBenchmarkShapes:
                 assert sol.status == status
                 assert_certified(inst, sol)
         assert certified >= min_certified
+
+
+class TestKernelTrajectory:
+    """Exit records of fixed solves, written down from the kernel before its iteration was
+    rewritten with fewer numpy calls: a refactor that keeps the iterates keeps these.
+
+    The targets sit a few percent from the feasibility boundary.  Nearer to it, a change of
+    one ulp in the instance data moved s by 1e-10 relative, more than a different BLAS build
+    may; here it moved s and the margins by at most 3e-13."""
+
+    @pytest.mark.parametrize(
+        "k, m, delta, ratio_step, status, message, iterations, s, margins",
+        [
+            (2, 2, 1.3, False, "feasible", "feasible margin", 3, 0.03529690536912401,
+             [0.03740498654526636, 0.042969170282722596]),
+            (2, 2, 1.4, False, "infeasible", "dual bound certificate", 2, -0.07702894827995888,
+             [-0.06737608546543083, -0.04051611661098464]),
+            (5, 16, 3.2, False, "feasible", "feasible margin", 5, 0.01889969546628945,
+             [0.01973422389552092, 0.019363555156146475, 0.019469458683095894,
+              0.02017088528657992, 0.019302525267916787]),
+            (5, 16, 3.6, False, "infeasible", "dual bound certificate", 4, -0.037435441455158786,
+             [-0.0318052593902346, -0.03442312499817974, -0.03373566991195752,
+              -0.029920437432903964, -0.03477375538794669]),
+            # a ratio step: target the all-ones start's min SINR, constraints divided by its D_k
+            (5, 16, None, True, "feasible", "duality gap closed", 4, 0.7267789379430809,
+             [0.7394126764272855, 0.7440278951278902, 0.7393475410047049, 0.7496677805240175,
+              0.7343025547757159]),
+        ],
+        ids=["3x3-feasible", "3x3-infeasible", "17x17-feasible", "17x17-infeasible",
+             "17x17-ratio-step"],
+    )
+    def test_exit_record_unchanged(self, k, m, delta, ratio_step, status, message, iterations,
+                                   s, margins):
+        inst = random_instance(np.random.default_rng(0), k=k, m=m)
+        if ratio_step:
+            start = np.ones(m + 1)
+            d_start = inst.powers(np.outer(start, start))[1]
+            res = cb.feasibility_check(inst, float(inst.min_sinr(start[:-1])), scales=d_start,
+                                       gap_tol=1e-3)
+        else:
+            res = cb.feasibility_check(inst, delta)
+        assert (res.status, res.message, res.iterations) == (status, message, iterations)
+        assert res.s == pytest.approx(s, rel=1e-12, abs=0)
+        assert res.margins == pytest.approx(margins, rel=1e-12, abs=0)
 
 
 class TestDualBound:
@@ -392,6 +452,17 @@ class TestBisection:
             cb.bisection_maxmin(inst, 2.0 * np.ones(inst.dim), hi, eps=0.1)  # not unit modulus
         with pytest.raises(ValueError):
             cb.bisection_maxmin(inst, np.ones(inst.dim), hi, eps=0.0)
+
+    @pytest.mark.parametrize(
+        "hi, eps", [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf)],
+        ids=["hi-nan", "hi-inf", "eps-nan", "eps-inf"],
+    )
+    def test_non_finite_bracket_rejected(self, rng, hi, eps):
+        # a non-finite delta_hi escaped as a LinAlgError, and a non-finite eps returned the
+        # start's min SINR after one check
+        inst = random_instance(rng)
+        with pytest.raises(ValueError, match="finite"):
+            cb.bisection_maxmin(inst, np.ones(inst.dim), hi, eps)
 
     @pytest.mark.parametrize("build", [cb.build_double_irs_scenario, a2_baseline], ids=["double", "a2"])
     def test_solution_reaches_delta_star_up_to_the_feasible_slack(self, build):
