@@ -22,11 +22,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-import multiprocessing
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
@@ -603,6 +601,9 @@ def _map_draws(fn, tasks, threads):
     with one BLAS thread each, so they neither oversubscribe the cores nor inherit the caller's."""
     if threads <= 1:
         return [fn(t) for t in tasks]
+    import multiprocessing  # only here: a one-thread run does not pay for the import
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     os.environ.update(dict.fromkeys(saved, "1"))
     try:

@@ -11,7 +11,10 @@ an infeasible verdict carries dual weights (mu, nu) whose weak-duality bound
 The bisection (`bisection_maxmin`) is a certified bracket: its low end
 starts at the exact min SINR of the incumbent's rank-one Psi and rises by
 ratio steps and checks, and it skips a target that the same bound, with
-weights tried before any solve, proves infeasible.
+weights tried before any solve, proves infeasible.  Its solves and bounds
+divide constraint k by D_k, the interference-plus-noise power of the best
+verified Psi, instead of sigma_k, so the FEAS_TOL slack is about FEAS_TOL in
+SINR units and the target it returns is one its Psi reaches.
 
 Instances are tiny (dimension M'+1 up to a few dozen) and one bisection runs
 many checks, so on the smallest ones an interior-point iteration costs numpy
@@ -173,10 +176,11 @@ def feasibility_check(inst: MaxMinSdpInstance, delta, scales=None, gap_tol=None)
     Runs the max-margin solve of `_solve_max_margin`.  'feasible': the
     returned Psi has unit diagonal, is positive definite and its margins
     exceed s >= -FEAS_TOL.  'infeasible': `_dual_bound` at the returned
-    `dual` = (mu / sigma, nu) is below -FEAS_TOL.
+    `dual` = (mu / scale, nu) is below -FEAS_TOL, scale being sigma or `scales`.
 
-    A ratio step of `bisection_maxmin` passes `scales` to divide the
-    constraints by in place of sigma, and a `gap_tol` (see `_solve_max_margin`).
+    `bisection_maxmin` passes `scales` on every solve, D_k of its best
+    verified Psi, to divide the constraints by in place of sigma; its ratio
+    steps also pass a `gap_tol` (see `_solve_max_margin`).
     """
     if not math.isfinite(delta) or delta < 0:
         raise ValueError(f"SINR target must be finite and non-negative, got {delta!r}")
@@ -359,24 +363,26 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
     raise lo to its own min_k N_k / D_k.  A feasible delta_hi (checked first)
     returns it with the `saturated` flag set.
 
-    Ratio steps (generalized Dinkelbach: Dinkelbach 1967; Crouzeix, Ferland
-    and Schaible 1985) solve the max-margin problem at target lo with
-    constraint k divided by D_k of the best Psi, and are recorded as (lo,
-    "feasible") since that Psi certifies lo.  They stop once lo + eps is
-    proved infeasible, a step fails numerically (its solve's status shows
-    it; the draw goes on) or gains less than the finish's first step, the
-    larger of eps and FEAS_TOL max_k sigma_k / D_k (the SINR width of the
-    FEAS_TOL slack).  The finish gallops up from lo, doubling that step while
-    checks say "feasible", and halves the bracket down to eps.  Before any
-    solve, a target is tried against `_dual_bound` with each user alone, all
-    users alike and the exit dual of every earlier solve; a bound below
-    -FEAS_TOL records it as infeasible without a solve, in `certified`.
+    Every solve and every `_dual_bound` test divides constraint k by D_k of
+    the best verified Psi so far (`d_best`), the normalization of generalized
+    fractional programming (Crouzeix, Ferland and Schaible 1985).  "Feasible"
+    at target delta then means N_k >= delta D_k - FEAS_TOL D_k^best for every
+    k, a slack of about FEAS_TOL in SINR units, far below any eps in use; so
+    `solution`, the best verified Psi, reaches min_k N_k / D_k >= delta_star
+    up to that slack.  `_dual_bound` holds for any positive scales, so an
+    "infeasible" verdict keeps its proof.  `solution.margins` and `.s` are on
+    the same scale.
 
-    "Feasible" allows margins down to -FEAS_TOL after dividing by sigma_k
-    (dividing by D_k(I) instead failed numerically on a fig9 check), a slack
-    of FEAS_TOL sigma_k / D_k in SINR units that grows with the target.  So
-    `solution`, the best verified Psi at target delta_star, reaches min_k
-    N_k / D_k >= delta_star - FEAS_TOL max_k sigma_k / D_k, not delta_star.
+    Ratio steps (generalized Dinkelbach: Dinkelbach 1967) solve the
+    max-margin problem at target lo and are recorded as (lo, "feasible")
+    since the Psi they return certifies lo.  They stop once lo + eps is
+    proved infeasible, a step fails numerically (its solve's status shows it;
+    the draw goes on) or gains less than eps.  The finish gallops up from lo,
+    doubling a step of eps while checks say "feasible", and halves the
+    bracket down to eps.  Before any solve, a target is tried against
+    `_dual_bound` with each user alone, all users alike and the exit dual of
+    every earlier solve; a bound below -FEAS_TOL records it as infeasible
+    without a solve, in `certified`.
     """
     theta = np.asarray(theta, dtype=complex)
     if theta.shape != (inst.dim,) or not np.allclose(np.abs(theta), 1.0):
@@ -393,7 +399,8 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
     mu, nu = np.vstack([np.eye(k), np.ones((1, k))]), np.zeros((k + 1, n))
 
     def proved_infeasible(value):
-        return bool((_dual_bound(*_constraint_data(inst, value), mu, nu) < -FEAS_TOL).any())
+        c_mats, e, _ = _constraint_data(inst, value)
+        return bool((_dual_bound(c_mats, e, d_best, mu, nu) < -FEAS_TOL).any())
 
     def take(res, floor=0.0):
         """Keep a solve's exit dual, and raise lo to what its Psi reaches (at least `floor`)."""
@@ -413,7 +420,7 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
             certified += 1
             history.append((value, "infeasible"))
             return False
-        res = feasibility_check(inst, value)
+        res = feasibility_check(inst, value, scales=d_best)
         if res.status == "numerical-failure":
             raise SdpSolverError(f"feasibility check failed at target {value}: {res.message}")
         history.append((value, res.status))
@@ -427,31 +434,26 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
     up = float(delta_hi)
     saturated = lo >= up or check(up)
 
-    def first_step():
-        """eps, or the SINR width of the FEAS_TOL slack at lo when wider."""
-        return max(eps, FEAS_TOL * float((_constraint_data(inst, lo)[2] / d_best).max()))
-
-    closed = False  # lo + eps proved infeasible
-    while not saturated and up > lo + eps and not (closed := proved_infeasible(lo + eps)):
-        start, step = lo, first_step()
-        # solved to a gap of a quarter step or 0.1 s: a quarter eps alone drove Psi
-        # towards rank one until its Cholesky factor failed
-        res = feasibility_check(inst, start, scales=d_best, gap_tol=0.25 * step)
+    while not saturated and up > lo + eps and not proved_infeasible(lo + eps):
+        start = lo
+        # solved to a gap of a quarter eps or 0.1 s; near rank one such a solve can
+        # lose its Cholesky factor, and that failure only ends the ratio phase
+        res = feasibility_check(inst, start, scales=d_best, gap_tol=0.25 * eps)
         history.append((start, "feasible"))
         take(res)
-        if res.status == "numerical-failure" or lo - start < step:
+        if res.status == "numerical-failure" or lo - start < eps:
             break
 
-    step = eps if closed else first_step()
-    while not saturated and up > lo + eps:  # gallop by doubling steps, then halve
+    step = eps
+    while not saturated and up > lo + eps:  # gallop up by doubling steps, then halve
         target = min(lo + step, 0.5 * (lo + up))
         if check(target):
             step *= 2
         else:
             up = target
     delta_star = up if saturated else lo
-    c_mats, e, sigma = _constraint_data(inst, delta_star)
-    margins = ((c_mats.reshape(k, n * n) @ best.T.ravel()).real + e) / sigma
+    c_mats, e, _ = _constraint_data(inst, delta_star)
+    margins = ((c_mats.reshape(k, n * n) @ best.T.ravel()).real + e) / d_best
     solution = PsdSolution(best, "feasible", margins, float(margins.min()), delta_star, 0, "best verified point")
     return BisectionResult(delta_star, solution, saturated, len(history), history, certified)
 
