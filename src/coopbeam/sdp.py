@@ -9,12 +9,14 @@ an infeasible verdict carries dual weights (mu, nu) whose weak-duality bound
 (`_dual_bound`) is below -FEAS_TOL.
 
 The bisection (`bisection_maxmin`) is a certified bracket: its low end
-starts at the exact min SINR of the incumbent's rank-one Psi and rises by
-ratio steps and checks, and it skips a target that the same bound, with
-weights tried before any solve, proves infeasible.  Its solves and bounds
-divide constraint k by D_k, the interference-plus-noise power of the best
-verified Psi, instead of sigma_k, so the FEAS_TOL slack is about FEAS_TOL in
-SINR units and the target it returns is one its Psi reaches.
+starts at the exact min SINR of the incumbent's rank-one Psi, and one loop
+of generalized Dinkelbach steps, each a solve at the low end plus eps,
+raises it until a target is proved infeasible; a target that the same
+bound, with weights tried before any solve, proves infeasible needs no
+solve.  Its solves and bounds divide constraint k by D_k, the
+interference-plus-noise power of the best verified Psi, instead of sigma_k,
+so the FEAS_TOL slack is about FEAS_TOL in SINR units and the target it
+returns is one its Psi reaches.
 
 Instances are tiny (dimension M'+1 up to a few dozen) and one bisection runs
 many checks, so on the smallest ones an interior-point iteration costs numpy
@@ -179,8 +181,8 @@ def feasibility_check(inst: MaxMinSdpInstance, delta, scales=None, gap_tol=None)
     `dual` = (mu / scale, nu) is below -FEAS_TOL, scale being sigma or `scales`.
 
     `bisection_maxmin` passes `scales` on every solve, D_k of its best
-    verified Psi, to divide the constraints by in place of sigma; its ratio
-    steps also pass a `gap_tol` (see `_solve_max_margin`).
+    verified Psi, to divide the constraints by in place of sigma; its
+    Dinkelbach steps also pass a `gap_tol` (see `_solve_max_margin`).
     """
     if not math.isfinite(delta) or delta < 0:
         raise ValueError(f"SINR target must be finite and non-negative, got {delta!r}")
@@ -206,8 +208,9 @@ def _solve_max_margin(delta, c_mats, e, scales, gap_tol=None):
 
     The verdict is read before each step: 'feasible' once s >= -FEAS_TOL at
     a Psi whose Cholesky factor exists, 'infeasible' once `_dual_bound` at
-    (mu / sigma, nu) is below -FEAS_TOL.  With `gap_tol` set, 'feasible' also
-    waits for a duality gap of at most max(gap_tol, 0.1 s) and returns the
+    (mu / sigma, nu) is below -FEAS_TOL.  With `gap_tol` set, either verdict
+    also waits for a duality gap of at most max(gap_tol, 0.1 s), so the Psi
+    it returns is near the max-margin optimum on both sides, and returns the
     exit dual.  `iterations` counts Newton systems.
     """
     kk, n = c_mats.shape[0], c_mats.shape[1]
@@ -262,12 +265,16 @@ def _solve_max_margin(delta, c_mats, e, scales, gap_tol=None):
         if s >= -FEAS_TOL and gap_tol is None:
             return done("feasible", "feasible margin")
         dual = (mu / scales, nu)
-        if _dual_bound(c_mats, e, scales, dual[0][None], nu[None])[0] < -FEAS_TOL:
+        proved = _dual_bound(c_mats, e, scales, dual[0][None], nu[None])[0] < -FEAS_TOL
+        if proved and gap_tol is None:
             return done("infeasible", "dual bound certificate", dual)
         z = np.diag(nu) - np.dot(mu, c_flat).reshape(n, n)
         gap = mu @ g + np.vdot(z, psi).real
-        if s >= -FEAS_TOL and gap <= max(gap_tol, 0.1 * s):
-            return done("feasible", "duality gap closed", dual)
+        if gap_tol is not None and gap <= max(gap_tol, 0.1 * s):  # either verdict waits for the gap
+            if s >= -FEAS_TOL:
+                return done("feasible", "duality gap closed", dual)
+            if proved:
+                return done("infeasible", "dual bound certificate", dual)
         if gap <= GAP_TOL:  # no certificate either way, and s < -FEAS_TOL
             return done("infeasible", "duality gap closed", dual)
         if it == MAX_ITER:
@@ -360,8 +367,8 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
     `eps` is an absolute SINR accuracy.  The low end lo starts at the exact
     min SINR of the unit-modulus start vector `theta`, whose rank-one Psi
     certifies it; every verified Psi a solve returns, feasible or not, may
-    raise lo to its own min_k N_k / D_k.  A feasible delta_hi (checked first)
-    returns it with the `saturated` flag set.
+    raise lo to its own min_k N_k / D_k.  A low end that reaches delta_hi
+    returns delta_hi with the `saturated` flag set.
 
     Every solve and every `_dual_bound` test divides constraint k by D_k of
     the best verified Psi so far (`d_best`), the normalization of generalized
@@ -373,19 +380,19 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
     "infeasible" verdict keeps its proof.  `solution.margins` and `.s` are on
     the same scale.
 
-    Ratio steps (generalized Dinkelbach: Dinkelbach 1967) solve the
-    max-margin problem at target lo and are recorded as (lo, "feasible")
-    since the Psi they return certifies lo.  They stop once lo + eps is
-    proved infeasible, a step fails numerically (its solve's status shows it;
-    the draw goes on) or gains less than eps.  The finish gallops up from lo,
-    doubling a step of eps while checks say "feasible", and halves the
-    bracket down to eps.  Before any solve, a target is tried against
+    Each pass targets lo + eps.  The target is first tried against
     `_dual_bound` with each user alone, all users alike and the exit dual of
     every earlier solve; a bound below -FEAS_TOL records it as infeasible
-    without a solve, in `certified`.
+    without a solve, in `certified`.  Otherwise one generalized Dinkelbach
+    step (Dinkelbach 1967) solves the max-margin problem at the target to a
+    duality gap of a quarter eps: "feasible" raises lo to the target or
+    beyond, to what its Psi reaches, and "infeasible" closes the bracket at
+    width eps.  Near rank one such a solve can fail numerically; the rest of
+    the call then halves [lo, up] with plain checks, whose own failure raises
+    `SdpSolverError`.
     """
     theta = np.asarray(theta, dtype=complex)
-    if theta.shape != (inst.dim,) or not np.allclose(np.abs(theta), 1.0):
+    if theta.shape != (inst.dim,) or not np.all(np.abs(np.abs(theta) - 1.0) <= 2e-9):
         raise ValueError("start vector must be unit-modulus of length M'")
     if not math.isfinite(delta_hi):
         raise ValueError(f"upper SINR target must be finite, got {delta_hi!r}")
@@ -397,61 +404,38 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
     # alone, all users alike; nu = 0), then the exit dual of each solve
     k, n = inst.n_users, inst.dim + 1
     mu, nu = np.vstack([np.eye(k), np.ones((1, k))]), np.zeros((k + 1, n))
-
-    def proved_infeasible(value):
-        c_mats, e, _ = _constraint_data(inst, value)
-        return bool((_dual_bound(c_mats, e, d_best, mu, nu) < -FEAS_TOL).any())
-
-    def take(res, floor=0.0):
-        """Keep a solve's exit dual, and raise lo to what its Psi reaches (at least `floor`)."""
-        nonlocal mu, nu, lo, best, d_best
-        if res.dual is not None:
-            mu, nu = np.vstack([mu, res.dual[0]]), np.vstack([nu, res.dual[1]])
-        if res.status != "numerical-failure":
-            n_k, d_k = inst.powers(res.psi)
-            reach = max(floor, float((n_k / d_k).min()))
-            if reach > lo:
-                lo, best, d_best = reach, res.psi, d_k
-
-    def check(value):
-        """Feasible at `value`?  Certified by a dual bound or decided by a solve."""
-        nonlocal certified
-        if proved_infeasible(value):
-            certified += 1
-            history.append((value, "infeasible"))
-            return False
-        res = feasibility_check(inst, value, scales=d_best)
-        if res.status == "numerical-failure":
-            raise SdpSolverError(f"feasibility check failed at target {value}: {res.message}")
-        history.append((value, res.status))
-        take(res, value if res.feasible else 0.0)
-        return res.feasible
-
     tilde = np.append(theta, 1.0)
     best = np.outer(tilde, tilde.conj())
     d_best = inst.powers(best)[1]
     lo = float(inst.min_sinr(theta))
     up = float(delta_hi)
-    saturated = lo >= up or check(up)
+    halving = False  # set once a Dinkelbach step fails numerically
 
-    while not saturated and up > lo + eps and not proved_infeasible(lo + eps):
-        start = lo
-        # solved to a gap of a quarter eps or 0.1 s; near rank one such a solve can
-        # lose its Cholesky factor, and that failure only ends the ratio phase
-        res = feasibility_check(inst, start, scales=d_best, gap_tol=0.25 * eps)
-        history.append((start, "feasible"))
-        take(res)
-        if res.status == "numerical-failure" or lo - start < eps:
-            break
-
-    step = eps
-    while not saturated and up > lo + eps:  # gallop up by doubling steps, then halve
-        target = min(lo + step, 0.5 * (lo + up))
-        if check(target):
-            step *= 2
-        else:
+    while up > lo + eps:
+        target = 0.5 * (lo + up) if halving else lo + eps
+        c_mats, e, _ = _constraint_data(inst, target)
+        if (_dual_bound(c_mats, e, d_best, mu, nu) < -FEAS_TOL).any():
+            certified += 1
+            history.append((target, "infeasible"))
             up = target
-    delta_star = up if saturated else lo
+            continue
+        res = feasibility_check(inst, target, scales=d_best, gap_tol=None if halving else 0.25 * eps)
+        if res.status == "numerical-failure":
+            if halving:
+                raise SdpSolverError(f"feasibility check failed at target {target}: {res.message}")
+            halving = True
+            continue
+        history.append((target, res.status))
+        if res.dual is not None:
+            mu, nu = np.vstack([mu, res.dual[0]]), np.vstack([nu, res.dual[1]])
+        n_k, d_k = inst.powers(res.psi)
+        reach = max(target if res.feasible else 0.0, float((n_k / d_k).min()))
+        if reach > lo:
+            lo, best, d_best = reach, res.psi, d_k
+        if not res.feasible:
+            up = target
+    saturated = lo >= delta_hi
+    delta_star = min(lo, float(delta_hi))
     c_mats, e, _ = _constraint_data(inst, delta_star)
     margins = ((c_mats.reshape(k, n * n) @ best.T.ravel()).real + e) / d_best
     solution = PsdSolution(best, "feasible", margins, float(margins.min()), delta_star, 0, "best verified point")

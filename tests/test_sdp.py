@@ -120,9 +120,9 @@ def plain_bisection(inst, delta_lo, delta_hi, eps):
 
 def assert_same_guarantee(inst, eps):
     """The bracket from the all-ones start and the plain bisection from 0 on [0, matched-filter
-    bound] land within eps of each other; the bracket's delta* is at least the start's min SINR
-    and delta* + eps is proved infeasible by a certificate or a solve.  Returns the certified
-    skips."""
+    bound] land within eps of each other; the bracket's delta* is at least the start's min SINR,
+    it visits no target above delta* + eps, and delta* + eps is proved infeasible by a
+    certificate or a solve.  Returns the certified skips."""
     hi = cb.matched_filter_bound(inst)
     start = np.ones(inst.dim)
     got = cb.bisection_maxmin(inst, start, hi, eps)
@@ -130,6 +130,7 @@ def assert_same_guarantee(inst, eps):
     assert abs(got.delta_star - want.delta_star) < eps
     assert got.saturated == want.saturated
     assert got.delta_star >= float(inst.min_sinr(start))
+    assert max((t for t, _ in got.history), default=0.0) <= got.delta_star + eps
     if not got.saturated:
         assert min(t for t, verdict in got.history if verdict == "infeasible") <= got.delta_star + eps
         assert cb.feasibility_check(inst, got.delta_star + eps).status == "infeasible"
@@ -281,10 +282,10 @@ class TestBenchmarkShapes:
         "k, m, build, min_certified",
         [
             (2, 2, None, 1),
-            # every target of the random K = 5 instances is infeasible (delta* = 0), and an exit
-            # dual that only just certifies its own target certifies no lower one, so the
-            # certified skips of this case come from the A2 baseline's (P3.1), M' = 32
-            (5, 16, a2_baseline, 1),
+            # the A2 baseline's (P3.1) adds M' = 32; no target above delta* + eps is visited,
+            # and on these K = 5 draws no bound fires at lo + eps, so every verdict comes from a
+            # solve (the bound's soundness at K = 5 is test_bound_covers_unit_diagonal_psi[5-16])
+            (5, 16, a2_baseline, 0),
             # no dual bound fires on these draws, so every verdict comes from a solve
             (None, None, cb.build_double_irs_scenario, 0),
         ],
@@ -302,6 +303,7 @@ class TestBenchmarkShapes:
         for inst, eps in cases:
             res = cb.bisection_maxmin(inst, np.ones(inst.dim), cb.matched_filter_bound(inst), eps)
             certified += res.certified
+            assert max((t for t, _ in res.history), default=0.0) <= res.delta_star + eps
             for delta, status in res.history:
                 sol = cb.feasibility_check(inst, delta)
                 assert sol.status == status
@@ -330,7 +332,8 @@ class TestKernelTrajectory:
             (5, 16, 3.6, False, "infeasible", "dual bound certificate", 4, -0.037435441455158786,
              [-0.0318052593902346, -0.03442312499817974, -0.03373566991195752,
               -0.029920437432903964, -0.03477375538794669]),
-            # a ratio step: target the all-ones start's min SINR, constraints divided by its D_k
+            # a Dinkelbach step (a gap_tol solve): target the all-ones start's min SINR,
+            # constraints divided by its D_k
             (5, 16, None, True, "feasible", "duality gap closed", 4, 0.7267789379430809,
              [0.7394126764272855, 0.7440278951278902, 0.7393475410047049, 0.7496677805240175,
               0.7343025547757159]),
@@ -379,13 +382,12 @@ class TestDualBound:
         assert bounds.min() >= best - 1e-12 * max(1.0, abs(bounds).max())
 
     @pytest.mark.parametrize(
-        "k, m, eps_frac, build",
-        # K = 5: the certified skips come from the A2 baseline's (P3.1), as in
-        # test_margins_match_oracle_on_bisection_path
-        [(2, 2, 1e-3, None), (5, 16, 1 / 64, a2_baseline)],
+        "k, m, eps_frac, build, min_certified",
+        # K = 5: no bound fires on these draws, as in test_margins_match_oracle_on_bisection_path
+        [(2, 2, 1e-3, None, 1), (5, 16, 1 / 64, a2_baseline, 0)],
         ids=["2-2-0.001", "5-16-0.015625"],
     )
-    def test_matches_bisection_without_bounds(self, k, m, eps_frac, build):
+    def test_matches_bisection_without_bounds(self, k, m, eps_frac, build, min_certified):
         insts = [random_instance(np.random.default_rng(seed), k=k, m=m) for seed in range(4)]
         cases = [(inst, eps_frac * cb.matched_filter_bound(inst)) for inst in insts]
         if build:
@@ -393,7 +395,7 @@ class TestDualBound:
         certified = 0
         for inst, eps in cases:
             certified += assert_same_guarantee(inst, eps)
-        assert certified > 0
+        assert certified >= min_certified
 
     @pytest.mark.parametrize(
         "scenario, eps, min_certified",
@@ -451,6 +453,9 @@ class TestBisection:
         with pytest.raises(ValueError):
             cb.bisection_maxmin(inst, 2.0 * np.ones(inst.dim), hi, eps=0.1)  # not unit modulus
         with pytest.raises(ValueError):
+            # within np.allclose of unit modulus, but its rank-one Psi has diagonal 1.00001
+            cb.bisection_maxmin(inst, (1 + 5e-6) * np.ones(inst.dim), hi, eps=0.1)
+        with pytest.raises(ValueError):
             cb.bisection_maxmin(inst, np.ones(inst.dim), hi, eps=0.0)
 
     @pytest.mark.parametrize(
@@ -478,29 +483,45 @@ class TestBisection:
             assert (n_k / d_k).min() >= res.delta_star - eps
             assert res.solution.feasible and res.solution.delta == res.delta_star
 
-    def test_failed_ratio_step_ends_the_ratio_phase(self, rng, monkeypatch):
-        # a ratio step that fails numerically hands over to the certified finish
+    @staticmethod
+    def failing_solves(monkeypatch, plain_too=False):
+        """Make every Dinkelbach step (a solve with a gap tolerance) fail numerically, and with
+        `plain_too` every plain check as well; returns the list of failed targets."""
         real = cb.feasibility_check
-        ratio_steps = []
+        failed = []
 
         def failing(inst, delta, scales=None, gap_tol=None):
             res = real(inst, delta, scales, gap_tol)
-            if gap_tol is not None:  # only ratio steps pass a gap tolerance
-                ratio_steps.append(delta)
+            if gap_tol is not None or plain_too:
+                failed.append(delta)
                 res.status, res.message = "numerical-failure", "synthetic failure"
             return res
 
         monkeypatch.setattr(sdp, "feasibility_check", failing)
+        return failed
+
+    def test_failed_step_hands_over_to_halving(self, rng, monkeypatch):
+        # a Dinkelbach step that fails numerically hands the rest of the call to plain checks
+        # that halve the bracket; the failed solve has no verdict
+        failed = self.failing_solves(monkeypatch)
         for _ in range(5):
             inst = random_instance(rng, k=2, m=3)
             hi, eps = cb.matched_filter_bound(inst), 1e-3
             start = np.ones(inst.dim)
-            ratio_steps.clear()
+            failed.clear()
             res = cb.bisection_maxmin(inst, start, hi, eps)
-            assert len(ratio_steps) == 1 and (ratio_steps[0], "feasible") in res.history
+            assert len(failed) == 1 and failed[0] not in [t for t, _ in res.history]
             assert res.delta_star >= float(inst.min_sinr(start))
-            assert real(inst, res.delta_star + eps).status == "infeasible"
+            assert cb.feasibility_check(inst, res.delta_star + eps).status == "infeasible"
             assert abs(res.delta_star - plain_bisection(inst, 0.0, hi, eps).delta_star) < eps
+
+    def test_failed_halving_check_raises(self, rng, monkeypatch):
+        # after the hand-over, a plain check that fails too raises, naming its target
+        failed = self.failing_solves(monkeypatch, plain_too=True)
+        inst = random_instance(rng, k=2, m=3)
+        with pytest.raises(SdpSolverError, match="feasibility check failed at target") as err:
+            cb.bisection_maxmin(inst, np.ones(inst.dim), cb.matched_filter_bound(inst), 1e-3)
+        assert len(failed) == 2 and str(failed[1]) in str(err.value)
 
 
 class TestRandomization:
