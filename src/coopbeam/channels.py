@@ -63,11 +63,17 @@ def _finite_reals(value, n):
 
 
 def path_loss_linear(d, alpha, gamma0_db):
-    """Linear power gain gamma0 / d**alpha with gamma0 given in dB at 1 m."""
+    """Linear power gain gamma0 / d**alpha with gamma0 given in dB at 1 m; finite and positive."""
     d = float(d)
     if d <= 0.0:
         raise ValueError(f"distance must be positive, got {d}")
-    return 10.0 ** (gamma0_db / 10.0) / d**alpha
+    try:
+        gain = 10.0 ** (gamma0_db / 10.0) / d**alpha
+    except (OverflowError, ZeroDivisionError):
+        gain = math.nan
+    if not 0.0 < gain < math.inf:
+        raise ValueError(f"path gain at {d} m is not a finite positive number")
+    return gain
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,7 @@ class SystemScenario:
 
     Positions are 3D coordinates in meters.  Powers are in watts, the
     reference path loss `gamma0_db` in dB at 1 m.  Channel realizations are a
-    pure function of (scenario, seed).
+    pure function of (scenario, generator state).
     """
 
     pos_bs: tuple = (1.0, 0.0, 2.0)
@@ -127,7 +133,6 @@ class SystemScenario:
     links: dict = field(default_factory=_default_links)
     tx_power_w: float = dbm_to_watt(15.0)
     noise_w: float = dbm_to_watt(-64.0)
-    seed: int = 0
     aperture_gain: float = 25.0
     cluster_radius: float = 2.0
     spacing: float = 0.5
@@ -156,15 +161,19 @@ class SystemScenario:
             raise ValueError("tx_power_w must be one finite real or one per user")
         if np.any(np.asarray(self.tx_power_w) <= 0):
             raise ValueError("transmit powers must be positive")
-        if self.spacing <= 0:
-            raise ValueError("element spacing must be positive")
-        if not isinstance(self.alpha, dict) or not all(map(_finite_real, self.alpha.values())):
-            raise ValueError(f"alpha must map link names to finite reals, got {self.alpha!r}")
+        if self.spacing <= 0 or self.aperture_gain <= 0 or self.cluster_radius < 0:
+            raise ValueError("spacing and aperture_gain must be positive, cluster_radius >= 0")
+        if not isinstance(self.alpha, dict) or not all(_finite_real(a) and a >= 0 for a in self.alpha.values()):
+            raise ValueError(f"alpha must map link names to finite reals >= 0, got {self.alpha!r}")
         if not isinstance(self.links, dict):
             raise ValueError(f"links must map link names to link models, got {self.links!r}")
         missing = [n for n in LINK_NAMES if n not in self.alpha or n not in self.links]
         if missing:
             raise ValueError(f"missing per-link configuration for {missing}")
+        for name, d in self.link_distances().items():
+            if d <= 0:
+                raise ValueError("coincident nodes give a degenerate geometry")
+            self.link_gain(name, d)
 
     @property
     def m_total(self):
@@ -448,16 +457,13 @@ class ChannelSet:
         return b[..., None, :, :] * self.u1.T[:, None, :], self.g2 @ (t[..., :, None] * self.u2)
 
 
-def build_double_irs_scenario(scenario: SystemScenario, rng=None) -> ChannelSet:
+def build_double_irs_scenario(scenario: SystemScenario, rng) -> ChannelSet:
     """Draw all five links of the double-IRS system for one realization.
 
-    Deterministic given (scenario, seed): users are placed uniformly in a
-    horizontal disk around the cluster center, then the links are drawn in
-    the fixed order u1, u2, d, g1, g2.
+    Deterministic given (scenario, state of the generator `rng`): users are
+    placed uniformly in a horizontal disk around the cluster center, then the
+    links are drawn in the fixed order u1, u2, d, g1, g2.
     """
-    rng = np.random.default_rng(scenario.seed if rng is None else rng)
-    if min(scenario.link_distances().values()) <= 0:
-        raise ValueError("coincident nodes give a degenerate geometry")
     k = scenario.n_users
 
     # user drop: uniform in a disk of cluster_radius around the center
@@ -500,20 +506,25 @@ def build_single_irs_baseline_A1(double: ChannelSet) -> ChannelSet:
     )
 
 
-def build_single_irs_baseline_A2(scenario: SystemScenario, rank_g, rank_u, rng=None) -> ChannelSet:
-    """Single-IRS baseline with prescribed link ranks (multi-user setting).
-
-    All M subsurfaces sit at the IRS2 position.  The IRS->BS link is drawn
-    with `rank_g` scatterers and the user->IRS link with `rank_u` shared
-    scatterers, so the numerical ranks match the paired double-IRS scenario's
-    g2/u2 link ranks.
-    """
-    rng = np.random.default_rng(scenario.seed if rng is None else rng)
+def check_baseline_A2_ranks(scenario: SystemScenario, rank_g, rank_u):
+    """Raise ValueError unless the A2 baseline of `scenario` can have these link ranks."""
     n, m, k = scenario.n_bs, scenario.m_total, scenario.n_users
     if not (1 <= rank_g <= min(n, m)):
         raise ValueError(f"rank_g={rank_g} infeasible for a {n}x{m} link")
     if not (1 <= rank_u <= min(m, k)):
         raise ValueError(f"rank_u={rank_u} infeasible for a {m}x{k} link")
+
+
+def build_single_irs_baseline_A2(scenario: SystemScenario, rank_g, rank_u, rng) -> ChannelSet:
+    """Single-IRS baseline with prescribed link ranks (multi-user setting).
+
+    All M subsurfaces sit at the IRS2 position.  The IRS->BS link is drawn
+    with `rank_g` scatterers and the user->IRS link with `rank_u` shared
+    scatterers, so the numerical ranks match the paired double-IRS scenario's
+    g2/u2 link ranks.  The ranks must pass `check_baseline_A2_ranks`.
+    """
+    check_baseline_A2_ranks(scenario, rank_g, rank_u)
+    n, m, k = scenario.n_bs, scenario.m_total, scenario.n_users
     nodes = _nodes(scenario, 0, m)  # all M subsurfaces at the IRS2 position
     irs = nodes["irs2"]
     gbar = _draw_link(scenario, "g2", LinkModel("geometric", paths=rank_g), nodes["bs"], irs, rng)

@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from .experiments import EXPERIMENTS, emit_plotdata, load_spec, run_experiment
+from .experiments import EXPERIMENTS, emit_plotdata, in_workers, load_spec, run_experiment
 
 
 def _cmd_run(args):
@@ -21,7 +21,10 @@ def _cmd_run(args):
     if len(set(targets)) < len(targets):
         raise ValueError("two specs would write the same <out_dir>/<experiment>.csv")
     for spec in specs:
-        summary = run_experiment(spec, threads=args.threads)
+        if args.threads > 1:
+            summary = run_experiment(spec, threads=args.threads)
+        else:  # in one worker: this process may run more BLAS threads than the workers' one
+            (summary,) = in_workers(run_experiment, [spec], 1)
         if args.plotdata:
             summary["plotdata"] = emit_plotdata(summary["csv"])
         json.dump(summary, sys.stdout, indent=2, sort_keys=True)

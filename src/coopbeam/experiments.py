@@ -2,13 +2,13 @@
 bundled rate/rank studies, CSV artifacts, and plot-ready series files.
 
 Each experiment is one row of ``EXPERIMENTS``: a description, a point
-function ``(scenarios, opts, value, rng, draw) -> row`` that evaluates one
+function ``(scenarios, opts, rng, draw) -> row`` that evaluates one
 sweep value of one draw, the scenarios that point runs, the scenario fields
 its sweep and options set (a spec may not override them with other values),
 the options it reads with their defaults and lower bounds, the methods it
-accepts, the check of its sweep values, and the summary function that turns
-the per-point values into the assertion records of
-``<experiment>_summary.json``.  ``_run_one_draw`` holds the only sweep loop.
+accepts, the check of its sweep values, the summary function of the
+``<experiment>_summary.json`` assertion records, and whether its points build
+the A2 baseline.  ``_run_one_draw`` holds the only sweep loop.
 
 Reproducibility contract: a run is a pure function of (spec, seed).  Draw
 seeds come from numpy SeedSequence spawning - the master sequence spawns one
@@ -37,6 +37,7 @@ from .channels import (
     build_double_irs_scenario,
     build_single_irs_baseline_A1,
     build_single_irs_baseline_A2,
+    check_baseline_A2_ranks,
     db_to_linear,
     dbm_to_watt,
 )
@@ -51,20 +52,20 @@ from .single_user import (
 # scenario presets
 
 
-def su_scenario(kappa_far_db=-10.0, m1=16, m2=16, n_bs=5, power_dbm=15.0, seed=0):
+def su_scenario(kappa_far_db=-10.0, m1=16, m2=16, n_bs=5, power_dbm=15.0):
     """Single-user setup: near links LoS-dominant at 10 dB, far links at kappa."""
     far = LinkModel("rician", rician_k=db_to_linear(kappa_far_db))
     near = LinkModel("rician", rician_k=db_to_linear(10.0))
     links = {"u1": near, "u2": far, "d": far, "g1": far, "g2": near}
     return SystemScenario(
         n_bs=n_bs, m1=m1, m2=m2, n_users=1, links=links,
-        tx_power_w=dbm_to_watt(power_dbm), seed=seed,
+        tx_power_w=dbm_to_watt(power_dbm),
     )
 
 
 def mu_scenario(
     k_users=5, power_dbm=20.0, n_bs=40, m1=16, m2=16,
-    paths_g2=2, paths_g1=4, paths_d=4, paths_user=4, seed=0,
+    paths_g2=2, paths_g1=4, paths_d=4, paths_user=4,
 ):
     """Multi-user setup: geometric links with a rank-2 IRS2->BS channel."""
     links = {
@@ -76,7 +77,7 @@ def mu_scenario(
     }
     return SystemScenario(
         n_bs=n_bs, m1=m1, m2=m2, n_users=k_users, links=links,
-        tx_power_w=dbm_to_watt(power_dbm), seed=seed,
+        tx_power_w=dbm_to_watt(power_dbm),
     )
 
 
@@ -111,7 +112,7 @@ def _su_solutions(chs, ctx, rng, methods, opts):
             state, _ = ao_single_user(chs, ctx, init, max_iters=i0)
             out["ao-ib"] = state.snr
     if "dft-search" in methods or "ao-dft" in methods:
-        found = dft_codebook_search(chs, ctx)
+        found = dft_codebook_search(chs, ctx, rx_mode="mrc")
         if "dft-search" in methods:
             out["dft-search"] = found.min_sinr
         if "ao-dft" in methods:
@@ -147,18 +148,23 @@ def _su_snr_bound(chs, ctx):
     return float(ctx.powers[0] * amp**2 / ctx.noise)
 
 
-def _mu_point(scns, opts, value, rng, draw):
+def _a2_ranks(scn):
+    """(rank_g, rank_u) of the A2 baseline paired with `scn`: g2's scatterer count, min(K, M)."""
+    return scn.links["g2"].paths, min(scn.n_users, scn.m_total)
+
+
+def _single_methods(opts):
+    return any(m.startswith("single") for m in opts["methods"])
+
+
+def _mu_point(scns, opts, rng, draw):
     """Max-min rates of the requested multi-user methods for one realization."""
     (scn,) = scns
     out = {}
     methods = opts["methods"]
     ctx = SinrContext.from_scenario(scn)
     chs = build_double_irs_scenario(scn, rng) if any(m.startswith(("alg1", "dft", "double")) for m in methods) else None
-    base = None
-    if any(m.startswith("single") for m in methods):
-        base = build_single_irs_baseline_A2(
-            scn, rank_g=scn.links["g2"].paths, rank_u=min(scn.n_users, scn.m_total), rng=rng
-        )
+    base = build_single_irs_baseline_A2(scn, *_a2_ranks(scn), rng) if _single_methods(opts) else None
     searched = {}  # one DFT search per (system, mode): it draws no random numbers
 
     def search(target, mode):
@@ -184,7 +190,7 @@ def _mu_point(scns, opts, value, rng, draw):
     return out
 
 
-def _fig4_point(scns, opts, p_dbm, rng, draw):
+def _fig4_point(scns, opts, rng, draw):
     (scn,) = scns
     if "chs" not in draw:
         # one channel realization per draw, drawn from the first point's generator
@@ -193,13 +199,13 @@ def _fig4_point(scns, opts, p_dbm, rng, draw):
     return _rates(_su_solutions(draw["chs"], ctx, rng, opts["methods"], opts))
 
 
-def _fig5_point(scns, opts, m1, rng, draw):
+def _fig5_point(scns, opts, rng, draw):
     (scn,) = scns
     chs = build_double_irs_scenario(scn, rng)
     return _rates(_su_solutions(chs, SinrContext.from_scenario(scn), rng, opts["methods"], opts))
 
 
-def _fig6_point(scns, opts, m, rng, draw):
+def _fig6_point(scns, opts, rng, draw):
     row = {}
     for kdb, scn in zip(opts["kappa_set_db"], scns):
         sub = rng.spawn(1)[0]
@@ -211,7 +217,7 @@ def _fig6_point(scns, opts, m, rng, draw):
     return row
 
 
-def _prop1_point(scns, opts, kdb, rng, draw):
+def _prop1_point(scns, opts, rng, draw):
     (scn,) = scns
     chs = build_double_irs_scenario(scn, rng)
     ctx = SinrContext.from_scenario(scn)
@@ -225,13 +231,13 @@ def _prop1_point(scns, opts, kdb, rng, draw):
     }
 
 
-def _prop2_point(scns, opts, k, rng, draw):
+def _prop2_point(scns, opts, rng, draw):
     (scn,) = scns
     chs = build_double_irs_scenario(scn, rng)
-    rank_g, rank_u = scn.links["g2"].paths, min(scn.n_users, scn.m_total)
-    base = build_single_irs_baseline_A2(scn, rank_g=rank_g, rank_u=rank_u, rng=rng)
+    rank_g, rank_u = _a2_ranks(scn)
+    base = build_single_irs_baseline_A2(scn, rank_g, rank_u, rng)
     pat = ReflectPattern.random(scn.m1, scn.m2, rng)
-    rep = rank_gain_report(chs, base, pat, rng=rng)
+    rep = rank_gain_report(chs, base, pat, rng)
     return {
         "rank-h": float(rep.rank_h),
         "rank-hbar": float(rep.rank_hbar),
@@ -254,13 +260,14 @@ class Opt(NamedTuple):
 
 class Experiment(NamedTuple):
     description: str
-    point: Callable        # (scenarios, opts, sweep value, rng, draw dict) -> {method: value}
+    point: Callable        # (scenarios, opts, rng, draw dict) -> {method: value}
     scenarios: Callable    # (opts, sweep value) -> the scenarios one point runs, before overrides
     sets: tuple            # the scenario fields its sweep and options set
     options: dict          # name -> Opt of every option the point function reads
     methods: frozenset     # accepted options["methods"] entries (empty: no methods option)
     sweep_check: Callable  # (opts, sweep value) -> None, raises ValueError on a bad value
     summarize: Callable    # (spec, per_point) -> the summary's "assertions" record
+    builds_a2: Callable = lambda opts: False  # opts -> whether a point builds the A2 baseline
 
 
 def _number(opts, value):
@@ -423,20 +430,20 @@ EXPERIMENTS = {
         _mu_point, lambda o, p: [mu_scenario(o["k_users"], power_dbm=p)], ("n_users", "tx_power_w"),
         {**_MU_OPTS, "k_users": Opt(5, at_least=1),
          "methods": Opt(["alg1-zf", "alg1-mmse", "dft-zf", "dft-mmse"])},
-        _MU_METHODS, _number, _fig7_summary),
+        _MU_METHODS, _number, _fig7_summary, _single_methods),
     "fig8-mu-vs-power": Experiment(
         "multi-user max-min rate vs power: double-IRS against the single-IRS baseline",
         _mu_point, lambda o, p: [mu_scenario(o["k_users"], power_dbm=p)], ("n_users", "tx_power_w"),
         {**_MU_OPTS, "k_users": Opt(5, at_least=1),
          "methods": Opt(["double-mmse", "single-mmse"])},
-        _MU_METHODS, _number, _fig8_summary),
+        _MU_METHODS, _number, _fig8_summary, _single_methods),
     "fig9-rate-vs-K": Experiment(
         "multi-user max-min rate vs number of users at high power",
         _mu_point, lambda o, k: [mu_scenario(k, power_dbm=o["power_dbm"])],
         ("n_users", "tx_power_w"),
         {**_MU_OPTS, "power_dbm": Opt(30.0),
          "methods": Opt(["double-mmse", "double-zf", "single-mmse", "single-zf"])},
-        _MU_METHODS, _count(1), _fig9_summary),
+        _MU_METHODS, _count(1), _fig9_summary, _single_methods),
     "prop1-property": Experiment(
         "double-IRS-with-init SNR never below the single-IRS optimum",
         _prop1_point, lambda o, kdb: [su_scenario(kdb)], ("n_users", "links"),
@@ -444,7 +451,7 @@ EXPERIMENTS = {
     "prop2-rank": Experiment(
         "effective channel rank of the double/single systems",
         _prop2_point, lambda o, k: [mu_scenario(k)], ("n_users",),
-        {}, frozenset(), _count(1), _prop2_summary),
+        {}, frozenset(), _count(1), _prop2_summary, lambda opts: True),
 }
 
 
@@ -506,17 +513,14 @@ class ExperimentSpec:
                     f"unknown methods {unknown} for {self.experiment}; "
                     f"known: {', '.join(sorted(exp.methods))}"
                 )
-        if isinstance(self.scenario, dict) and "seed" in self.scenario:
-            raise ValueError(
-                "scenario field 'seed' is never read: every draw's channels come from the "
-                "spec's seed tree, so set the spec's top-level 'seed' instead"
-            )
-        # the draws build their scenarios and read their options from these;
-        # fail here, not in a worker
+        # the draws build their scenarios, and the A2 baselines where asked for, and read
+        # their options from these; fail here, not in a worker
         opts = self.merged_options
         for value in self.sweep:
             exp.sweep_check(opts, value)
-            self.scenarios(opts, value)
+            for scn in self.scenarios(opts, value):
+                if exp.builds_a2(opts):
+                    check_baseline_A2_ranks(scn, *_a2_ranks(scn))
 
     @property
     def merged_options(self):
@@ -589,25 +593,23 @@ def _run_one_draw(args):
     rows, errors = [], []
     for value, rng in zip(spec.sweep, point_rngs):
         try:
-            rows.append(exp.point(spec.scenarios(opts, value), opts, value, rng, draw))
+            rows.append(exp.point(spec.scenarios(opts, value), opts, rng, draw))
         except (SdpSolverError, np.linalg.LinAlgError) as err:
             errors.append((len(rows), f"{type(err).__name__}: {err}"))
             rows.append(None)
     return draw_index, rows, errors
 
 
-def _map_draws(fn, tasks, threads):
-    """Map fn over tasks; above one thread, in spawned (not forked) worker processes that start
-    with one BLAS thread each, so they neither oversubscribe the cores nor inherit the caller's."""
-    if threads <= 1:
-        return [fn(t) for t in tasks]
-    import multiprocessing  # only here: a one-thread run does not pay for the import
+def in_workers(fn, tasks, workers):
+    """Map fn over tasks in spawned (not forked) worker processes that start with one BLAS
+    thread each, so they neither oversubscribe the cores nor inherit the caller's."""
+    import multiprocessing  # only here: an in-process run does not pay for the import
     from concurrent.futures import ProcessPoolExecutor
 
     saved = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     os.environ.update(dict.fromkeys(saved, "1"))
     try:
-        with ProcessPoolExecutor(threads, mp_context=multiprocessing.get_context("spawn")) as pool:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             return list(pool.map(fn, tasks))
     finally:
         for var, value in saved.items():
@@ -631,7 +633,7 @@ def run_experiment(spec: ExperimentSpec, threads=1):
     master = np.random.SeedSequence(spec.seed)
     children = master.spawn(spec.draws)
     tasks = [(spec, i, children[i]) for i in range(spec.draws)]
-    outcomes = _map_draws(_run_one_draw, tasks, threads)
+    outcomes = in_workers(_run_one_draw, tasks, threads) if threads > 1 else list(map(_run_one_draw, tasks))
     outcomes.sort(key=lambda o: o[0])
 
     per_point = [dict() for _ in spec.sweep]  # method -> list of values

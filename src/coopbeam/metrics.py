@@ -101,15 +101,15 @@ def _majority_rank(matrices):
 
 
 def rank_gain_report(
-    double: ChannelSet, baseline: ChannelSet, pat: ReflectPattern, rng=None
+    double: ChannelSet, baseline: ChannelSet, pat: ReflectPattern, rng
 ) -> RankReport:
     """Effective-channel rank comparison of a double/single system pair.
 
     The rank of H is the majority vote over `pat` and RANK_DRAWS - 1 random
     unit-modulus patterns, the rank of H_bar over RANK_DRAWS - 1 random
-    patterns, which avoids measure-zero phase alignments.
+    patterns drawn from the generator `rng`, which avoids measure-zero phase
+    alignments.
     """
-    rng = np.random.default_rng(rng)
     pats = [pat] + [
         ReflectPattern.random(double.m1, double.m2, rng) for _ in range(RANK_DRAWS - 1)
     ]

@@ -138,16 +138,14 @@ class MuSolveState:
         return ReflectPattern(self.theta1, self.theta2)
 
 
-def dft_codebook_search(chs: ChannelSet, ctx: SinrContext, rx_mode=None) -> MuSolveState:
+def dft_codebook_search(chs: ChannelSet, ctx: SinrContext, rx_mode) -> MuSolveState:
     """Exhaustive joint search of (theta1, theta2) over the two DFT codebooks.
 
     Either codebook collapses to the single trivial empty codeword when its
-    IRS has no subsurfaces.  Receivers are MRC for K = 1 and ZF/MMSE
-    otherwise.  Returns the best pair with its receivers and min SINR (SNR for
-    K = 1); `zf_substituted` flags a ZF -> MMSE fallback at any pair.
+    IRS has no subsurfaces.  Every pair gets the receivers of `rx_mode`.
+    Returns the best pair with its receivers and min SINR (SNR for K = 1);
+    `zf_substituted` flags a ZF -> MMSE fallback at any pair.
     """
-    if rx_mode is None:
-        rx_mode = "mrc" if chs.n_users == 1 else "mmse"
     best = None
     substituted_any = False
     for t1 in dft_codebook(chs.m1):
@@ -170,13 +168,13 @@ def _min_sinr(chs, ctx, theta1, theta2, w):
 def algorithm1(
     chs: ChannelSet,
     ctx: SinrContext,
-    init=None,
+    init,
+    rng,
     max_iters=4,
     xi=1e-3,
     rx_mode="mmse",
     eps=0.1,
     n_rand=100,
-    rng=None,
 ):
     """Alternating SDR/bisection optimization of the max-min SINR.
 
@@ -187,14 +185,11 @@ def algorithm1(
     decrease, which makes the trace exactly non-decreasing.  Stops when the
     fractional increase drops below `xi` or after `max_iters` iterations.
     `eps` is the absolute bisection accuracy in SINR units.  `init` is a
-    `MuSolveState` whose (theta1, theta2, w) start the iteration; by default
-    the DFT codebook search picks it.
+    `MuSolveState` whose (theta1, theta2, w) start the iteration, and `rng`
+    draws the Gaussian randomization's candidates.
 
     Returns (MuSolveState, SolveReport).
     """
-    rng = np.random.default_rng(rng)
-    if init is None:
-        init = dft_codebook_search(chs, ctx, rx_mode=rx_mode if chs.n_users > 1 else None)
     state = MuSolveState(*(np.array(x, dtype=complex) for x in (init.theta1, init.theta2, init.w)))
 
     state.min_sinr = _min_sinr(chs, ctx, state.theta1, state.theta2, state.w)

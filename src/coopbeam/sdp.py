@@ -26,13 +26,12 @@ pass, and the K margin matrices C_k are flattened to the rows of one
 (K, n*n) array, so every trace tr(C_k X) and every weighted sum
 sum_k mu_k C_k is one matrix product.  The primal and dual step lengths of a
 Newton direction come from one eigvalsh of a stacked (2, n, n) array.  A
-target's constraint data (C_k, e_k, sigma_k) is built once for both its dual
-bounds and its solve: `_constraint_data` keeps the last target's on the
-instance.
+target's constraint data (C_k, e_k) is a pure function of the instance and
+the target, built wherever it is needed; only a plain check takes sigma_k.
 
 An instance holds only (q, qbar, noise) and is a pure function of the channel
 realization and the fixed variables it was built from, so it has no file
-form: code that needs one again rebuilds it from the seed.
+form and no state: code that needs one again rebuilds it from the seed.
 """
 
 from __future__ import annotations
@@ -153,23 +152,9 @@ class PsdSolution:
 
 
 def _constraint_data(inst: MaxMinSdpInstance, delta):
-    """Margin data: constraint k reads tr(C_k Psi) + e_k >= 0, normalized by sigma_k.
-
-    The data of the last target asked for stays on the instance, read-only: a
-    bisection asks for a target's data for its dual bounds and again for its solve.
-    """
-    last = inst.__dict__.get("_last_constraints")
-    if last is not None and last[0] == delta:
-        return last[1]
+    """Pure (C_k, e_k) over k at target delta: constraint k reads tr(C_k Psi) + e_k >= 0."""
     b_own, b_interf, e_own, e_interf = inst._margin_parts
-    k = inst.n_users
-    c_mats = b_own - delta * b_interf
-    e = e_own - delta * e_interf
-    scales = np.array([max(np.linalg.norm(c_mats[j]), abs(e[j]), 1e-300) for j in range(k)])
-    for arr in (c_mats, e, scales):
-        arr.flags.writeable = False
-    inst._last_constraints = (delta, (c_mats, e, scales))
-    return c_mats, e, scales
+    return b_own - delta * b_interf, e_own - delta * e_interf
 
 
 def feasibility_check(inst: MaxMinSdpInstance, delta, scales=None, gap_tol=None) -> PsdSolution:
@@ -178,16 +163,19 @@ def feasibility_check(inst: MaxMinSdpInstance, delta, scales=None, gap_tol=None)
     Runs the max-margin solve of `_solve_max_margin`.  'feasible': the
     returned Psi has unit diagonal, is positive definite and its margins
     exceed s >= -FEAS_TOL.  'infeasible': `_dual_bound` at the returned
-    `dual` = (mu / scale, nu) is below -FEAS_TOL, scale being sigma or `scales`.
+    `dual` = (mu / scales, nu) is below -FEAS_TOL.
 
+    A plain check takes sigma_k = max(||C_k||_F, |e_k|) as scales.
     `bisection_maxmin` passes `scales` on every solve, D_k of its best
-    verified Psi, to divide the constraints by in place of sigma; its
-    Dinkelbach steps also pass a `gap_tol` (see `_solve_max_margin`).
+    verified Psi, so it never takes sigma; its Dinkelbach steps also pass a
+    `gap_tol` (see `_solve_max_margin`).
     """
     if not math.isfinite(delta) or delta < 0:
         raise ValueError(f"SINR target must be finite and non-negative, got {delta!r}")
-    c_mats, e, sigma = _constraint_data(inst, delta)
-    return _solve_max_margin(float(delta), c_mats, e, sigma if scales is None else scales, gap_tol)
+    c_mats, e = _constraint_data(inst, delta)
+    if scales is None:
+        scales = np.array([max(np.linalg.norm(c_mats[j]), abs(e[j]), 1e-300) for j in range(len(e))])
+    return _solve_max_margin(float(delta), c_mats, e, scales, gap_tol)
 
 
 def _solve_max_margin(delta, c_mats, e, scales, gap_tol=None):
@@ -335,7 +323,7 @@ def matched_filter_bound(inst: MaxMinSdpInstance):
 def _dual_bound(c_mats, e, scales, mu, nu):
     """Weak-duality upper bounds on the best worst normalized margin at one target.
 
-    (c_mats, e, scales) is `_constraint_data` at the target.  Row d of `mu`
+    (c_mats, e) is `_constraint_data` at the target.  Row d of `mu`
     (D, K) holds weights mu >= 0, row d of `nu` (D, n) any real vector.  For
     every Psi >= 0 with unit diagonal, min_k m_k <= sum_k mu_k sigma_k m_k / Z
     = (tr(M Psi) + sum_k mu_k e_k) / Z with Z = sum_k mu_k sigma_k and
@@ -356,8 +344,7 @@ class BisectionResult:
     delta_star: float
     solution: PsdSolution
     saturated: bool
-    steps: int
-    history: list = field(default_factory=list)  # (delta, status) pairs
+    history: list = field(default_factory=list)  # (delta, status) pairs, one per target
     certified: int = 0  # targets decided infeasible by a dual bound, without a solve
 
 
@@ -413,7 +400,7 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
 
     while up > lo + eps:
         target = 0.5 * (lo + up) if halving else lo + eps
-        c_mats, e, _ = _constraint_data(inst, target)
+        c_mats, e = _constraint_data(inst, target)
         if (_dual_bound(c_mats, e, d_best, mu, nu) < -FEAS_TOL).any():
             certified += 1
             history.append((target, "infeasible"))
@@ -436,10 +423,10 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
             up = target
     saturated = lo >= delta_hi
     delta_star = min(lo, float(delta_hi))
-    c_mats, e, _ = _constraint_data(inst, delta_star)
+    c_mats, e = _constraint_data(inst, delta_star)
     margins = ((c_mats.reshape(k, n * n) @ best.T.ravel()).real + e) / d_best
     solution = PsdSolution(best, "feasible", margins, float(margins.min()), delta_star, 0, "best verified point")
-    return BisectionResult(delta_star, solution, saturated, len(history), history, certified)
+    return BisectionResult(delta_star, solution, saturated, history, certified)
 
 
 @dataclass

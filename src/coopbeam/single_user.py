@@ -147,17 +147,17 @@ def ao_single_user(chs: ChannelSet, ctx: SinrContext, init: SuSolveState, max_it
                               converged=state.converged, iterations=state.iteration)
 
 
-def single_irs_opt(baseline: ChannelSet, ctx: SinrContext, restarts=20, max_iters=100, rng=None):
+def single_irs_opt(baseline: ChannelSet, ctx: SinrContext, rng, restarts=20, max_iters=100):
     """Best single-IRS solution found by multi-start alternating optimization.
 
     The baseline is a ChannelSet with m1 = 0, so each restart alternates the
     phase-alignment update theta = exp(j angle(Rbar^H w)) with MRC.  The starts
-    are drawn one after another by `_random_starts`, then all run through `_ao`
-    together.  Returns the best restart's SuSolveState, the first one on a tie."""
+    are drawn one after another from the generator `rng` by `_random_starts`, then
+    all run through `_ao` together.  Returns the best restart's SuSolveState, the
+    first one on a tie."""
     _require_single_user(baseline)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
     return _ao(baseline, ctx, *_random_starts(baseline, rng, restarts), max_iters)
 
 

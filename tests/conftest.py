@@ -83,9 +83,9 @@ def rng():
 
 @pytest.fixture
 def small_su_scenario():
-    return cb.SystemScenario(n_bs=4, m1=6, m2=6, n_users=1, seed=3)
+    return cb.SystemScenario(n_bs=4, m1=6, m2=6, n_users=1)
 
 
 @pytest.fixture
 def small_su_channels(small_su_scenario):
-    return cb.build_double_irs_scenario(small_su_scenario)
+    return cb.build_double_irs_scenario(small_su_scenario, np.random.default_rng(3))

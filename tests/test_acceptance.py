@@ -144,7 +144,7 @@ def tiny_suite():
         best = 0.0
         for r in range(6):
             if r == 0:
-                init = None
+                init = cb.dft_codebook_search(chs, ctx, rx_mode="mmse")
             else:
                 pat = cb.ReflectPattern.random(2, 2, rng)
                 h = cb.effective_channel(chs, pat)

@@ -164,24 +164,24 @@ class TestScenarioBuild:
         assert abs(d["u2"] - d["g1"]) < 1e-9
 
     def test_seed_determinism_bit_for_bit(self):
-        scn = cb.SystemScenario(n_bs=3, m1=4, m2=4, n_users=2, seed=99)
-        a = cb.build_double_irs_scenario(scn)
-        b = cb.build_double_irs_scenario(scn)
+        scn = cb.SystemScenario(n_bs=3, m1=4, m2=4, n_users=2)
+        a = cb.build_double_irs_scenario(scn, np.random.default_rng(99))
+        b = cb.build_double_irs_scenario(scn, np.random.default_rng(99))
         for name in LINK_NAMES:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_m1_zero_degenerates_to_single_reflection(self):
-        scn = cb.SystemScenario(n_bs=3, m1=0, m2=5, n_users=1, seed=1)
-        chs = cb.build_double_irs_scenario(scn)
+        scn = cb.SystemScenario(n_bs=3, m1=0, m2=5, n_users=1)
+        chs = cb.build_double_irs_scenario(scn, np.random.default_rng(1))
         assert chs.u1.shape == (0, 1) and chs.g1.shape == (3, 0) and chs.d.shape == (5, 0)
         pat = cb.ReflectPattern.random(0, 5, np.random.default_rng(0))
         h = cb.effective_channel(chs, pat)
         assert np.allclose(h[:, 0], chs.g2 @ (pat.theta2 * chs.u2[:, 0]))
 
     def test_coincident_nodes_rejected(self):
-        scn = cb.SystemScenario(pos_irs1=(1.0, 0.0, 2.0), pos_bs=(1.0, 0.0, 2.0))
-        with pytest.raises(ValueError):
-            cb.build_double_irs_scenario(scn)
+        # the constructor rejects them, so a spec that would build them fails validation
+        with pytest.raises(ValueError, match="coincident nodes"):
+            cb.SystemScenario(pos_irs1=(1.0, 0.0, 2.0), pos_bs=(1.0, 0.0, 2.0))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -245,13 +245,13 @@ def _pinned_builds():
     """name -> (ChannelSet, the generator's next uniform after the build or None)."""
     out = {}
     rng = np.random.default_rng(2024)
-    su = cb.build_double_irs_scenario(cb.SystemScenario(n_bs=3, m1=4, m2=4, seed=7), rng)
+    su = cb.build_double_irs_scenario(cb.SystemScenario(n_bs=3, m1=4, m2=4), rng)
     out["rician-su"] = (su, rng.uniform())
     rng = np.random.default_rng(2025)
     su0 = cb.build_double_irs_scenario(cb.SystemScenario(n_bs=3, m1=0, m2=6), rng)
     out["rician-su-m1-0"] = (su0, rng.uniform())
-    mu = mu_scenario(k_users=3, n_bs=4, m1=4, m2=9, seed=8)
-    out["geometric-mu"] = (cb.build_double_irs_scenario(mu), None)  # the scenario-seed path
+    mu = mu_scenario(k_users=3, n_bs=4, m1=4, m2=9)
+    out["geometric-mu"] = (cb.build_double_irs_scenario(mu, np.random.default_rng(8)), None)
     rng = np.random.default_rng(2026)
     mixed = cb.SystemScenario(n_bs=2, m1=3, m2=5, n_users=2, links=_mixed_links())
     out["mixed"] = (cb.build_double_irs_scenario(mixed, rng), rng.uniform())
@@ -327,8 +327,8 @@ class TestBaselines:
         assert np.array_equal(base.g2[:, chs.m1 :], chs.g2 * chs.u2[:, 0])
 
     def test_a1_m1_zero_is_r2(self):
-        scn = cb.SystemScenario(n_bs=3, m1=0, m2=5, n_users=1, seed=2)
-        chs = cb.build_double_irs_scenario(scn)
+        scn = cb.SystemScenario(n_bs=3, m1=0, m2=5, n_users=1)
+        chs = cb.build_double_irs_scenario(scn, np.random.default_rng(2))
         base = cb.build_single_irs_baseline_A1(chs)
         assert np.array_equal(base.g2, chs.g2 * chs.u2[:, 0])
 
@@ -344,22 +344,23 @@ class TestBaselines:
             cb.build_single_irs_baseline_A1(chs)
 
     def test_a2_rank_requests(self):
-        scn = cb.SystemScenario(n_bs=40, m1=16, m2=16, n_users=5, seed=4)
-        base = cb.build_single_irs_baseline_A2(scn, rank_g=2, rank_u=5)
+        scn = cb.SystemScenario(n_bs=40, m1=16, m2=16, n_users=5)
+        base = cb.build_single_irs_baseline_A2(scn, rank_g=2, rank_u=5, rng=np.random.default_rng(4))
         assert cb.numerical_rank(base.g2) == 2
         assert cb.numerical_rank(base.u2) == 5  # geographically separated users
 
     def test_a2_full_rank_request(self):
-        scn = cb.SystemScenario(n_bs=4, m1=3, m2=3, n_users=2, seed=5)
-        base = cb.build_single_irs_baseline_A2(scn, rank_g=4, rank_u=2)
+        scn = cb.SystemScenario(n_bs=4, m1=3, m2=3, n_users=2)
+        base = cb.build_single_irs_baseline_A2(scn, rank_g=4, rank_u=2, rng=np.random.default_rng(5))
         assert cb.numerical_rank(base.g2) == 4
 
     def test_a2_infeasible_rank_rejected(self):
-        scn = cb.SystemScenario(n_bs=4, m1=3, m2=3, n_users=2, seed=5)
+        scn = cb.SystemScenario(n_bs=4, m1=3, m2=3, n_users=2)
+        rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
-            cb.build_single_irs_baseline_A2(scn, rank_g=7, rank_u=2)
+            cb.build_single_irs_baseline_A2(scn, rank_g=7, rank_u=2, rng=rng)
         with pytest.raises(ValueError):
-            cb.build_single_irs_baseline_A2(scn, rank_g=2, rank_u=3)
+            cb.build_single_irs_baseline_A2(scn, rank_g=2, rank_u=3, rng=rng)
 
 
 class TestReflectPattern:
@@ -380,6 +381,6 @@ class TestReflectPattern:
 class TestSerialization:
     def test_scenario_json_roundtrip(self):
         # the dict form is what spec scenario overrides go through
-        scn = cb.SystemScenario(n_bs=7, m1=5, m2=3, n_users=2, seed=123)
+        scn = cb.SystemScenario(n_bs=7, m1=5, m2=3, n_users=2)
         back = cb.SystemScenario.from_dict(json.loads(json.dumps(scn.to_dict())))
         assert back == scn

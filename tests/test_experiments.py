@@ -1,12 +1,17 @@
 """Experiment harness: specs, determinism, artifacts, CLI."""
 
+import contextlib
 import csv
 import ctypes
 import dataclasses
+import io
 import json
 import math
 import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -101,6 +106,16 @@ class TestSpecValidation:
         schema = json.loads((ROOT / "docs" / "scenario.schema.json").read_text())
         fields = {f.name for f in dataclasses.fields(SystemScenario)}
         assert set(schema["properties"]) == fields
+        # every lower bound of the schema is one the constructor enforces
+        for name, prop in schema["properties"].items():
+            if "exclusiveMinimum" in prop:
+                below = prop["exclusiveMinimum"]
+            elif "minimum" in prop:
+                below = prop["minimum"] - (1 if prop["type"] == "integer" else 0.5)
+            else:
+                continue
+            with pytest.raises(ValueError):
+                SystemScenario(**{name: below})
 
 
 def printed_interval(text):
@@ -196,7 +211,7 @@ class TestRunExperiment:
         # a caller allowing two BLAS threads must not pass them on to the --threads workers
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        seen = ex._map_draws(blas_threads_here, range(2), threads=2)
+        seen = ex.in_workers(blas_threads_here, range(2), 2)
         assert seen == [("1", 1)] * 2 or seen == [("1", None)] * 2
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2" and "MKL_NUM_THREADS" not in os.environ
 
@@ -521,7 +536,22 @@ class TestCli:
             ({"experiment": "fig6-rate-vs-totalM", "sweep": [8], "options": {"kappa_set_db": []}},
              "kappa_set_db"),
             ({"experiment": "prop1-property", "sweep": [0.0], "scenario": {"seed": 12345}},
-             "top-level 'seed'"),
+             "'seed'"),
+            ({"experiment": "prop1-property", "sweep": [0.0],
+              "scenario": {"pos_irs1": [1.0, 0.0, 2.0]}}, "coincident nodes"),
+            ({"experiment": "prop1-property", "sweep": [0.0], "scenario": {"aperture_gain": -1.0}},
+             "aperture_gain"),
+            ({"experiment": "prop1-property", "sweep": [0.0], "scenario": {"gamma0_db": 4000.0}},
+             "path gain"),
+            ({"experiment": "prop1-property", "sweep": [0.0],
+              "scenario": {"alpha": {"u1": -1000.0, "u2": 3.0, "d": 3.0, "g1": 3.0, "g2": 2.2}}},
+             "alpha"),
+            ({**PROP2, "scenario": {"cluster_radius": -1.0}}, "cluster_radius"),
+            ({"experiment": "fig8-mu-vs-power", "sweep": [20],
+              "scenario": {"n_bs": 1, "m1": 2, "m2": 2}}, "rank_g=2 infeasible"),
+            ({"experiment": "fig8-mu-vs-power", "sweep": [20],
+              "scenario": {"m1": 0, "m2": 0, "n_bs": 4}}, "rank_g=2 infeasible"),
+            ({**PROP2, "scenario": {"n_bs": 1}}, "rank_g=2 infeasible"),
         ],
         ids=[
             "prop1-bool-sweep", "split-over-default-budget", "split-over-given-budget",
@@ -535,7 +565,9 @@ class TestCli:
             "prop2-users-override", "pos-short", "pos-non-real", "pos-scalar",
             "gamma0-nan", "gamma0-string", "aperture-string", "radius-string",
             "azimuth-string", "power-inf", "alpha-string", "paths-fraction", "links-list",
-            "empty-list-option", "scenario-seed",
+            "empty-list-option", "scenario-seed", "coincident-nodes", "aperture-negative",
+            "gamma0-overflow", "alpha-negative", "radius-negative", "fig8-one-antenna",
+            "fig8-no-subsurfaces", "prop2-one-antenna",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, fields, named):
@@ -546,8 +578,12 @@ class TestCli:
         # the sweep (fig9 ran K = 3 in rows labelled 1, 2, 4) or was ignored,
         # a malformed scenario field stopped run with a broadcast error or
         # an uncaught TypeError, an empty kappa_set_db wrote a header-only CSV,
-        # and a scenario seed was ignored (the draws' channels come from the
-        # spec's seed tree)
+        # a scenario seed was ignored (the draws' channels come from the
+        # spec's seed tree), coincident nodes, a non-positive aperture gain, a
+        # path gain out of float range and a negative path-loss exponent
+        # stopped run (the last two with a traceback), a negative cluster
+        # radius ran the disk of its absolute value, and a single-IRS baseline
+        # whose ranks cannot be met stopped run
         path = write_spec(tmp_path, **fields)
         assert cli.main(["validate", path]) == 2
         err = capsys.readouterr().err
@@ -642,3 +678,42 @@ class TestCli:
         assert cli.main(["run", *paths, "--out", str(tmp_path / "results")]) == 2
         assert "same" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
+
+    def test_run_does_not_depend_on_threads(self, tmp_path):
+        # --threads 1 computed its draws in the CLI process, whose BLAS pool has as many
+        # threads as the caller allows, and --threads 2 in workers with one BLAS thread:
+        # the fig8 summary moved in its last digits.  Run as a user runs it, with no BLAS
+        # variable set; on a one-core machine both runs have one BLAS thread anyway.
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+        spec = str(ROOT / "scripts" / "specs" / "fig8-mu-vs-power.json")
+        summaries, csvs = [], []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            subprocess.run(
+                [sys.executable, "-m", "coopbeam.cli", "run", spec, "--draws", "1",
+                 "--threads", threads, "--out", str(out)],
+                env=env, check=True, stdout=subprocess.DEVNULL, timeout=600,
+            )
+            summary = json.loads((out / "fig8-mu-vs-power_summary.json").read_text())
+            del summary["csv"]  # the path, under the run's own out directory
+            summaries.append(summary)
+            csvs.append((out / "fig8-mu-vs-power.csv").read_bytes())
+        assert summaries[0] == summaries[1]
+        assert csvs[0] == csvs[1]
+
+
+def test_readme_library_example_prints_what_it_shows():
+    # the README's python block ends with a comment holding the line it prints
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    shown = block.rstrip().splitlines()[-1]
+    assert shown.startswith("# ")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    printed, expected = out.getvalue().split(), shown[2:].split()
+    assert printed[1::2] == expected[1::2]  # "->" and the unit
+    rates = [float(x) for x in printed[::2]]
+    assert rates == pytest.approx([float(x) for x in expected[::2]], rel=1e-9)

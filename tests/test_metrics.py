@@ -147,7 +147,7 @@ class TestZfFormula:
 def _mu_setup(seed, k=5):
     from coopbeam.experiments import mu_scenario
 
-    scn = mu_scenario(k_users=k, seed=seed)
+    scn = mu_scenario(k_users=k)
     rng = np.random.default_rng(seed)
     chs = cb.build_double_irs_scenario(scn, rng)
     base = cb.build_single_irs_baseline_A2(scn, rank_g=2, rank_u=min(k, scn.m_total), rng=rng)
@@ -168,7 +168,7 @@ class TestRankAnalysis:
     def test_m1_zero_double_equals_baseline_rank(self):
         from coopbeam.experiments import mu_scenario
 
-        scn = mu_scenario(k_users=4, m1=0, m2=32, seed=1)
+        scn = mu_scenario(k_users=4, m1=0, m2=32)
         rng = np.random.default_rng(1)
         chs = cb.build_double_irs_scenario(scn, rng)
         base = cb.build_single_irs_baseline_A2(scn, rank_g=2, rank_u=4, rng=rng)

@@ -151,7 +151,7 @@ class TestDftCodebook:
     def test_single_user_uses_mrc(self, rng):
         chs = random_channel_set(rng, n=3, m1=2, m2=2, k=1)
         ctx = cb.SinrContext(np.ones(1), 1.0)
-        found = cb.dft_codebook_search(chs, ctx)
+        found = cb.dft_codebook_search(chs, ctx, rx_mode="mrc")
         mrc = cb.mrc_receivers(chs.compose(found.theta1, found.theta2))
         assert np.allclose(found.w, mrc)
 
@@ -160,7 +160,8 @@ class TestAlgorithm1:
     def test_monotone_trace_and_sdr_consistency(self, rng, ctx2):
         chs = random_channel_set(rng, n=4, m1=3, m2=3, k=2)
         eps = 0.05
-        state, report = cb.algorithm1(chs, ctx2, max_iters=4, eps=eps, n_rand=50, rng=rng)
+        init = cb.dft_codebook_search(chs, ctx2, rx_mode="mmse")
+        state, report = cb.algorithm1(chs, ctx2, init, max_iters=4, eps=eps, n_rand=50, rng=rng)
         trace = np.asarray(state.trace)
         assert np.all(np.diff(trace) >= 0.0)
         for delta_star, achieved in state.sdr_records:
@@ -178,17 +179,19 @@ class TestAlgorithm1:
         ctx = cb.SinrContext(np.ones(1), 1.0)
         su_state, _ = cb.ao_single_user(chs, ctx, random_init(chs, rng))
         eps = max(su_state.snr * 1e-3, 1e-9)
-        mu_state, _ = cb.algorithm1(chs, ctx, max_iters=8, eps=eps, n_rand=200, rng=rng)
+        init = cb.dft_codebook_search(chs, ctx, rx_mode="mrc")
+        mu_state, _ = cb.algorithm1(chs, ctx, init, max_iters=8, eps=eps, n_rand=200, rng=rng)
         assert mu_state.min_sinr >= 0.98 * su_state.snr
 
     def test_zf_fallback_flagged_on_rank_deficient_baseline(self):
         from coopbeam.experiments import mu_scenario
 
-        scn = mu_scenario(k_users=5, seed=6)
+        scn = mu_scenario(k_users=5)
         rng = np.random.default_rng(6)
         base = cb.build_single_irs_baseline_A2(scn, rank_g=2, rank_u=5, rng=rng)
         ctx = cb.SinrContext.from_scenario(scn)
-        state, _ = cb.algorithm1(base, ctx, max_iters=1, rx_mode="zf", rng=rng)
+        init = cb.dft_codebook_search(base, ctx, rx_mode="zf")
+        state, _ = cb.algorithm1(base, ctx, init, max_iters=1, rx_mode="zf", rng=rng)
         assert state.zf_substituted
 
     def test_solver_failure_propagates(self, rng, ctx2, monkeypatch):
@@ -199,7 +202,8 @@ class TestAlgorithm1:
 
         monkeypatch.setattr(mu, "bisection_maxmin", boom)
         chs = random_channel_set(rng, n=4, m1=3, m2=3, k=2)
+        init = cb.dft_codebook_search(chs, ctx2, rx_mode="mmse")
         with pytest.raises(cb.SdpSolverError) as excinfo:
-            cb.algorithm1(chs, ctx2, max_iters=2, rng=rng)
+            cb.algorithm1(chs, ctx2, init, max_iters=2, rng=rng)
         partial = excinfo.value.partial_state
         assert partial.trace  # the pre-failure iterate is preserved

@@ -38,6 +38,12 @@ def phase_grid_optimum(inst, points=64):
     return float(inst.min_sinr(grid).max())
 
 
+def plain_data(inst, delta):
+    """`_constraint_data` at delta and the sigma_k = max(||C_k||_F, |e_k|) of a plain check."""
+    c_mats, e = _constraint_data(inst, delta)
+    return c_mats, e, np.array([max(np.linalg.norm(c), abs(v), 1e-300) for c, v in zip(c_mats, e)])
+
+
 def oracle_margins(inst, delta, psi):
     """Normalized margins of Psi (n, n), or of a stack (..., n, n), at target delta.
 
@@ -103,19 +109,17 @@ def plain_bisection(inst, delta_lo, delta_hi, eps):
         raise ValueError(f"invalid bracket: delta_lo={delta_lo} is infeasible")
     res_hi = check(delta_hi)
     if res_hi.feasible:
-        return BisectionResult(float(delta_hi), res_hi, True, 0, history)
+        return BisectionResult(float(delta_hi), res_hi, True, history)
 
     lo, hi = float(delta_lo), float(delta_hi)
-    steps = 0
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
         res = check(mid)
-        steps += 1
         if res.feasible:
             lo, best = mid, res
         else:
             hi = mid
-    return BisectionResult(lo, best, False, steps, history)
+    return BisectionResult(lo, best, False, history)
 
 
 def assert_same_guarantee(inst, eps):
@@ -153,7 +157,7 @@ def assert_certified(inst, res):
         assert np.all(expect >= -FEAS_TOL)
     if res.status == "infeasible":
         mu, nu = res.dual
-        assert _dual_bound(*_constraint_data(inst, res.delta), mu[None], nu[None])[0] < -FEAS_TOL
+        assert _dual_bound(*plain_data(inst, res.delta), mu[None], nu[None])[0] < -FEAS_TOL
 
 
 class TestInstance:
@@ -169,12 +173,11 @@ class TestInstance:
                 assert np.array_equal(batched[k, j], b)
 
     def test_constraint_data_is_the_targets_own(self, rng):
-        # the last target's data stays on the instance, read-only; another target replaces it
+        # each target gets its own data, whichever target was asked for before
         inst = random_instance(rng, k=3, m=4)
         psi = np.eye(inst.dim + 1)
         for delta in (0.5, 2.0, 2.0, 0.5):
-            c_mats, e, sigma = _constraint_data(inst, delta)
-            assert not (c_mats.flags.writeable or e.flags.writeable or sigma.flags.writeable)
+            c_mats, e, sigma = plain_data(inst, delta)
             margins = (np.einsum("kij,ji->k", c_mats, psi).real + e) / sigma
             assert np.allclose(margins, oracle_margins(inst, delta, psi), rtol=1e-12, atol=0)
 
@@ -373,7 +376,7 @@ class TestDualBound:
         sol = cb.feasibility_check(inst, delta)
         if sol.dual is not None:
             mu, nu = np.vstack([mu, sol.dual[0]]), np.vstack([nu, sol.dual[1]])
-        bounds = _dual_bound(*_constraint_data(inst, delta), mu, nu)
+        bounds = _dual_bound(*plain_data(inst, delta), mu, nu)
         tilde = np.exp(1j * rng.uniform(0, 2 * np.pi, (256, n)))
         worst = oracle_margins(inst, delta, tilde[:, :, None] * tilde.conj()[:, None, :]).min(axis=1)
         best = worst.max()
@@ -443,7 +446,7 @@ class TestBisection:
         hi = cb.matched_filter_bound(inst)
         eps = hi / 100
         res = cb.bisection_maxmin(inst, np.ones(inst.dim), hi, eps=eps)
-        assert res.steps <= math.ceil(math.log2(hi / eps)) + 1
+        assert len(res.history) <= math.ceil(math.log2(hi / eps)) + 1
 
     def test_invalid_bracket_rejected(self, rng):
         inst = random_instance(rng)
