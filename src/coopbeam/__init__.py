@@ -41,7 +41,6 @@ from .sdp import (
     BisectionResult,
     MaxMinSdpInstance,
     PsdSolution,
-    SdpSolverError,
     bisection_maxmin,
     feasibility_check,
     gaussian_randomization,

@@ -170,10 +170,16 @@ class SystemScenario:
         missing = [n for n in LINK_NAMES if n not in self.alpha or n not in self.links]
         if missing:
             raise ValueError(f"missing per-link configuration for {missing}")
-        for name, d in self.link_distances().items():
-            if d <= 0:
-                raise ValueError("coincident nodes give a degenerate geometry")
-            self.link_gain(name, d)
+        for name, (rx, tx) in LINK_ENDS.items():
+            # a user drops anywhere in the horizontal cluster_radius disk around pos_users, and
+            # the gain is monotone in distance: check it at the disk's nearest and farthest points
+            v = np.subtract(getattr(self, f"pos_{rx}"), getattr(self, f"pos_{tx}"), dtype=float)
+            h = math.hypot(v[0], v[1])
+            r = self.cluster_radius if tx == "users" else 0.0
+            for d in (math.hypot(max(h - r, 0.0), v[2]), math.hypot(h + r, v[2])):
+                if d <= 0:
+                    raise ValueError("coincident nodes give a degenerate geometry")
+                self.link_gain(name, d)
 
     @property
     def m_total(self):
@@ -192,11 +198,16 @@ class SystemScenario:
         return {name: float(np.linalg.norm(pos(a) - pos(b))) for name, (a, b) in LINK_ENDS.items()}
 
     def link_gain(self, name, distance=None):
-        """Linear path gain of one link including the aperture multiplier."""
+        """Linear path gain of one link including the aperture multiplier; finite and positive."""
         d = self.link_distances()[name] if distance is None else distance
         pl = path_loss_linear(d, self.alpha[name], self.gamma0_db)
         irs_ends = sum(end.startswith("irs") for end in LINK_ENDS[name])
-        return pl * self.aperture_gain**irs_ends
+        with np.errstate(over="ignore"):  # a float ** that overflows raises, a float64 one gives inf
+            gain = float(pl * np.float64(self.aperture_gain) ** irs_ends)
+        if not 0.0 < gain < math.inf:
+            raise ValueError(f"path gain at {d} m times aperture_gain {self.aperture_gain} "
+                             "is not a finite positive number")
+        return gain
 
     def to_dict(self):
         return asdict(self)

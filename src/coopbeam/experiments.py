@@ -43,7 +43,6 @@ from .channels import (
 )
 from .metrics import SinrContext, max_min_rate, rank_gain_report
 from .multi_user import MuSolveState, algorithm1, dft_codebook_search
-from .sdp import SdpSolverError
 from .single_user import (
     SuSolveState, ao_single_user, init_from_single_irs, single_irs_opt, snr_value,
 )
@@ -594,7 +593,7 @@ def _run_one_draw(args):
     for value, rng in zip(spec.sweep, point_rngs):
         try:
             rows.append(exp.point(spec.scenarios(opts, value), opts, rng, draw))
-        except (SdpSolverError, np.linalg.LinAlgError) as err:
+        except np.linalg.LinAlgError as err:
             errors.append((len(rows), f"{type(err).__name__}: {err}"))
             rows.append(None)
     return draw_index, rows, errors

@@ -20,7 +20,6 @@ from .channels import ChannelSet, ReflectPattern
 from .metrics import RankDeficiencyError, SinrContext, effective_channel, numerical_rank, sinr_per_user
 from .sdp import (
     MaxMinSdpInstance,
-    SdpSolverError,
     bisection_maxmin,
     gaussian_randomization,
     matched_filter_bound,
@@ -213,29 +212,25 @@ def algorithm1(
             state.min_sinr = cand
         state.accept_flags.append((f"theta{block}", accept))
 
-    try:
-        for it in range(max_iters):
-            prev = state.min_sinr
-            theta_step(2)
-            theta_step(1)
-            h = effective_channel(chs, state.pattern())
-            w, subst = _receivers(h, ctx, rx_mode)
-            state.zf_substituted |= subst
-            cand = float(sinr_per_user(h, w, ctx).min())
-            accept = cand >= state.min_sinr
-            if accept:
-                state.w = w
-                state.min_sinr = cand
-            state.accept_flags.append(("receivers", accept))
+    for it in range(max_iters):
+        prev = state.min_sinr
+        theta_step(2)
+        theta_step(1)
+        h = effective_channel(chs, state.pattern())
+        w, subst = _receivers(h, ctx, rx_mode)
+        state.zf_substituted |= subst
+        cand = float(sinr_per_user(h, w, ctx).min())
+        accept = cand >= state.min_sinr
+        if accept:
+            state.w = w
+            state.min_sinr = cand
+        state.accept_flags.append(("receivers", accept))
 
-            state.iterations = it + 1
-            state.trace.append(state.min_sinr)
-            if prev > 0 and (state.min_sinr - prev) / prev < xi:
-                state.converged = True
-                break
-    except SdpSolverError as err:
-        err.partial_state = state  # best iterate so far stays inspectable
-        raise
+        state.iterations = it + 1
+        state.trace.append(state.min_sinr)
+        if prev > 0 and (state.min_sinr - prev) / prev < xi:
+            state.converged = True
+            break
 
     report = SolveReport(
         objective=state.min_sinr,

@@ -13,10 +13,11 @@ starts at the exact min SINR of the incumbent's rank-one Psi, and one loop
 of generalized Dinkelbach steps, each a solve at the low end plus eps,
 raises it until a target is proved infeasible; a target that the same
 bound, with weights tried before any solve, proves infeasible needs no
-solve.  Its solves and bounds divide constraint k by D_k, the
-interference-plus-noise power of the best verified Psi, instead of sigma_k,
-so the FEAS_TOL slack is about FEAS_TOL in SINR units and the target it
-returns is one its Psi reaches.
+solve.  A step that fails numerically ends the loop at its low end, which a
+verified Psi certifies.  Its solves and bounds divide constraint k by D_k,
+the interference-plus-noise power of the best verified Psi, instead of
+sigma_k, so the FEAS_TOL slack is about FEAS_TOL in SINR units and the
+target it returns is one its Psi reaches.
 
 Instances are tiny (dimension M'+1 up to a few dozen) and one bisection runs
 many checks, so on the smallest ones an interior-point iteration costs numpy
@@ -46,10 +47,6 @@ FEAS_TOL = 1e-6  # constraints satisfied within this relative slack count as fea
 MAX_ITER = 100  # interior-point iterations (Newton systems) per check
 GAP_TOL = 1e-9  # duality gap at which a check without a certificate ends
 STEP_FRACTION = 0.95  # share of the way to the cone boundary a step may go
-
-
-class SdpSolverError(RuntimeError):
-    """Interior-point solve failed numerically (never silently infeasible)."""
 
 
 @dataclass
@@ -374,9 +371,9 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
     step (Dinkelbach 1967) solves the max-margin problem at the target to a
     duality gap of a quarter eps: "feasible" raises lo to the target or
     beyond, to what its Psi reaches, and "infeasible" closes the bracket at
-    width eps.  Near rank one such a solve can fail numerically; the rest of
-    the call then halves [lo, up] with plain checks, whose own failure raises
-    `SdpSolverError`.
+    width eps.  Near rank one such a solve can fail numerically; its target
+    goes into `history` as "numerical-failure" and the call ends at lo, which
+    the best verified Psi certifies, so a failure costs at most the last eps.
     """
     theta = np.asarray(theta, dtype=complex)
     if theta.shape != (inst.dim,) or not np.all(np.abs(np.abs(theta) - 1.0) <= 2e-9):
@@ -395,24 +392,18 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
     best = np.outer(tilde, tilde.conj())
     d_best = inst.powers(best)[1]
     lo = float(inst.min_sinr(theta))
-    up = float(delta_hi)
-    halving = False  # set once a Dinkelbach step fails numerically
 
-    while up > lo + eps:
-        target = 0.5 * (lo + up) if halving else lo + eps
+    while lo + eps < delta_hi:
+        target = lo + eps
         c_mats, e = _constraint_data(inst, target)
         if (_dual_bound(c_mats, e, d_best, mu, nu) < -FEAS_TOL).any():
             certified += 1
             history.append((target, "infeasible"))
-            up = target
-            continue
-        res = feasibility_check(inst, target, scales=d_best, gap_tol=None if halving else 0.25 * eps)
-        if res.status == "numerical-failure":
-            if halving:
-                raise SdpSolverError(f"feasibility check failed at target {target}: {res.message}")
-            halving = True
-            continue
+            break
+        res = feasibility_check(inst, target, scales=d_best, gap_tol=0.25 * eps)
         history.append((target, res.status))
+        if res.status == "numerical-failure":
+            break
         if res.dual is not None:
             mu, nu = np.vstack([mu, res.dual[0]]), np.vstack([nu, res.dual[1]])
         n_k, d_k = inst.powers(res.psi)
@@ -420,7 +411,7 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
         if reach > lo:
             lo, best, d_best = reach, res.psi, d_k
         if not res.feasible:
-            up = target
+            break
     saturated = lo >= delta_hi
     delta_star = min(lo, float(delta_hi))
     c_mats, e = _constraint_data(inst, delta_star)

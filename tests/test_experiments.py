@@ -19,7 +19,6 @@ import pytest
 import coopbeam.cli as cli
 import coopbeam.experiments as ex
 from coopbeam.channels import SystemScenario
-from coopbeam.sdp import SdpSolverError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -365,7 +364,7 @@ class TestRunExperiment:
         def fail_first(*args, **kwargs):
             calls.append(1)
             if len(calls) == 1:
-                raise SdpSolverError("forced")
+                raise np.linalg.LinAlgError("forced")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(ex, "rank_gain_report", fail_first)
@@ -383,7 +382,7 @@ class TestRunExperiment:
         assert len(summary["failures"]) == 1
         failure = summary["failures"][0]
         assert (failure["draw"], failure["sweep"]) == (0, 3)
-        assert failure["error"].startswith("SdpSolverError")
+        assert failure["error"] == "LinAlgError: forced"
 
 
 class TestPlotData:
@@ -543,6 +542,11 @@ class TestCli:
              "aperture_gain"),
             ({"experiment": "prop1-property", "sweep": [0.0], "scenario": {"gamma0_db": 4000.0}},
              "path gain"),
+            ({"experiment": "prop1-property", "sweep": [0.0], "scenario": {"aperture_gain": 1e200}},
+             "path gain"),
+            ({"experiment": "prop1-property", "sweep": [0.0],
+              "scenario": {"alpha": {"u1": 700.0, "u2": 3.0, "d": 3.0, "g1": 3.0, "g2": 2.2}}},
+             "path gain"),
             ({"experiment": "prop1-property", "sweep": [0.0],
               "scenario": {"alpha": {"u1": -1000.0, "u2": 3.0, "d": 3.0, "g1": 3.0, "g2": 2.2}}},
              "alpha"),
@@ -566,8 +570,8 @@ class TestCli:
             "gamma0-nan", "gamma0-string", "aperture-string", "radius-string",
             "azimuth-string", "power-inf", "alpha-string", "paths-fraction", "links-list",
             "empty-list-option", "scenario-seed", "coincident-nodes", "aperture-negative",
-            "gamma0-overflow", "alpha-negative", "radius-negative", "fig8-one-antenna",
-            "fig8-no-subsurfaces", "prop2-one-antenna",
+            "gamma0-overflow", "aperture-overflow", "alpha-off-center", "alpha-negative",
+            "radius-negative", "fig8-one-antenna", "fig8-no-subsurfaces", "prop2-one-antenna",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, fields, named):
@@ -581,7 +585,10 @@ class TestCli:
         # a scenario seed was ignored (the draws' channels come from the
         # spec's seed tree), coincident nodes, a non-positive aperture gain, a
         # path gain out of float range and a negative path-loss exponent
-        # stopped run (the last two with a traceback), a negative cluster
+        # stopped run (the last two with a traceback), an aperture gain whose
+        # square overflows stopped validate with a traceback, a path gain out
+        # of float range only at a user drop away from the cluster center
+        # stopped run with draws enough to place one there, a negative cluster
         # radius ran the disk of its absolute value, and a single-IRS baseline
         # whose ranks cannot be met stopped run
         path = write_spec(tmp_path, **fields)
