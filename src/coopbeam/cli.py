@@ -12,6 +12,8 @@ from .experiments import EXPERIMENTS, emit_plotdata, in_workers, load_spec, run_
 
 
 def _cmd_run(args):
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     overrides = {"seed": args.seed, "draws": args.draws, "out_dir": args.out}
     overrides = {k: v for k, v in overrides.items() if v is not None}
     # replace() re-runs the spec validation on the overridden values; every

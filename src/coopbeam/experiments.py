@@ -2,17 +2,18 @@
 bundled rate/rank studies, CSV artifacts, and plot-ready series files.
 
 Each experiment is one row of ``EXPERIMENTS``: a description, a point
-function ``(scenarios, opts, rng, draw) -> row`` that evaluates one
-sweep value of one draw, the scenarios that point runs, the scenario fields
-its sweep and options set (a spec may not override them with other values),
-the options it reads with their defaults and lower bounds, the methods it
-accepts, the check of its sweep values, the summary function of the
-``<experiment>_summary.json`` assertion records, and whether its points build
-the A2 baseline.  ``_run_one_draw`` holds the only sweep loop.
+function ``(systems, opts, rng) -> row`` that solves one sweep value of one
+draw, the scenarios that point runs, the scenario fields its sweep and
+options set (a spec may not override them with other values), the options it
+reads with their defaults and lower bounds, the methods it accepts, the check
+of its sweep values, the summary function of the ``<experiment>_summary.json``
+assertion records, and whether its points need the A2 baseline.
+``_run_one_draw`` holds the only sweep loop and draws every channel.
 
-Reproducibility contract: a run is a pure function of (spec, seed).  Draw
-seeds come from numpy SeedSequence spawning - the master sequence spawns one
-child per draw, and each draw spawns one grandchild per sweep point - so
+Reproducibility contract: a run is a pure function of (spec, seed).  The
+master SeedSequence spawns one child per draw, which seeds the realization
+stream that every point of the draw restarts (common random numbers), and
+spawns one grandchild per sweep point, which seeds that point's solvers; so
 results are identical for any thread count, and the reduction happens in a
 fixed order after all draws complete.
 """
@@ -129,11 +130,6 @@ def _su_solutions(chs, ctx, rng, methods, opts):
     return out
 
 
-def _rates(snrs):
-    """Rate log2(1 + SNR) of each method of `_su_solutions`."""
-    return {method: max_min_rate([snr]) for method, snr in snrs.items()}
-
-
 def _su_snr_bound(chs, ctx):
     """Upper bound on the single-user SNR over every reflect pattern and receiver.
 
@@ -156,14 +152,11 @@ def _single_methods(opts):
     return any(m.startswith("single") for m in opts["methods"])
 
 
-def _mu_point(scns, opts, rng, draw):
+def _mu_point(systems, opts, rng):
     """Max-min rates of the requested multi-user methods for one realization."""
-    (scn,) = scns
+    ((scn, chs, base),) = systems
     out = {}
-    methods = opts["methods"]
     ctx = SinrContext.from_scenario(scn)
-    chs = build_double_irs_scenario(scn, rng) if any(m.startswith(("alg1", "dft", "double")) for m in methods) else None
-    base = build_single_irs_baseline_A2(scn, *_a2_ranks(scn), rng) if _single_methods(opts) else None
     searched = {}  # one DFT search per (system, mode): it draws no random numbers
 
     def search(target, mode):
@@ -172,7 +165,7 @@ def _mu_point(scns, opts, rng, draw):
             searched[key] = dft_codebook_search(target, ctx, rx_mode=mode)
         return searched[key]
 
-    for method in methods:
+    for method in opts["methods"]:
         system, mode = method.split("-", 1)
         if system == "dft":
             sinr = search(chs, mode).min_sinr
@@ -189,36 +182,24 @@ def _mu_point(scns, opts, rng, draw):
     return out
 
 
-def _fig4_point(scns, opts, rng, draw):
-    (scn,) = scns
-    if "chs" not in draw:
-        # one channel realization per draw, drawn from the first point's generator
-        draw["chs"] = build_double_irs_scenario(scn, rng)
-    ctx = SinrContext.from_scenario(scn)
-    return _rates(_su_solutions(draw["chs"], ctx, rng, opts["methods"], opts))
+def _su_point(systems, opts, rng):
+    """Rate log2(1 + SNR) of each requested single-user method."""
+    ((scn, chs, _),) = systems
+    snrs = _su_solutions(chs, SinrContext.from_scenario(scn), rng, opts["methods"], opts)
+    return {method: max_min_rate([snr]) for method, snr in snrs.items()}
 
 
-def _fig5_point(scns, opts, rng, draw):
-    (scn,) = scns
-    chs = build_double_irs_scenario(scn, rng)
-    return _rates(_su_solutions(chs, SinrContext.from_scenario(scn), rng, opts["methods"], opts))
-
-
-def _fig6_point(scns, opts, rng, draw):
+def _fig6_point(systems, opts, rng):
     row = {}
-    for kdb, scn in zip(opts["kappa_set_db"], scns):
-        sub = rng.spawn(1)[0]
-        chs = build_double_irs_scenario(scn, sub)
-        ctx = SinrContext.from_scenario(scn)
-        vals = _rates(_su_solutions(chs, ctx, sub, ["ao-ib", "single-irs"], opts))
+    for kdb, system in zip(opts["kappa_set_db"], systems):
+        vals = _su_point([system], {**opts, "methods": ["ao-ib", "single-irs"]}, rng)
         row[f"double-ao[k={kdb:g}dB]"] = vals["ao-ib"]
         row[f"single-irs[k={kdb:g}dB]"] = vals["single-irs"]
     return row
 
 
-def _prop1_point(scns, opts, rng, draw):
-    (scn,) = scns
-    chs = build_double_irs_scenario(scn, rng)
+def _prop1_point(systems, opts, rng):
+    ((scn, chs, _),) = systems
     ctx = SinrContext.from_scenario(scn)
     # prop1 has no i0 option: both AO stages run the default 100 iterations
     snr = _su_solutions(chs, ctx, rng, ("ao-ib", "init-ib", "single-irs"), {**opts, "i0": 100})
@@ -230,11 +211,9 @@ def _prop1_point(scns, opts, rng, draw):
     }
 
 
-def _prop2_point(scns, opts, rng, draw):
-    (scn,) = scns
-    chs = build_double_irs_scenario(scn, rng)
+def _prop2_point(systems, opts, rng):
+    ((scn, chs, base),) = systems
     rank_g, rank_u = _a2_ranks(scn)
-    base = build_single_irs_baseline_A2(scn, rank_g, rank_u, rng)
     pat = ReflectPattern.random(scn.m1, scn.m2, rng)
     rep = rank_gain_report(chs, base, pat, rng)
     return {
@@ -259,14 +238,14 @@ class Opt(NamedTuple):
 
 class Experiment(NamedTuple):
     description: str
-    point: Callable        # (scenarios, opts, rng, draw dict) -> {method: value}
+    point: Callable        # ([(scenario, channels, A2 baseline or None)], opts, rng) -> {method: value}
     scenarios: Callable    # (opts, sweep value) -> the scenarios one point runs, before overrides
     sets: tuple            # the scenario fields its sweep and options set
     options: dict          # name -> Opt of every option the point function reads
     methods: frozenset     # accepted options["methods"] entries (empty: no methods option)
     sweep_check: Callable  # (opts, sweep value) -> None, raises ValueError on a bad value
     summarize: Callable    # (spec, per_point) -> the summary's "assertions" record
-    builds_a2: Callable = lambda opts: False  # opts -> whether a point builds the A2 baseline
+    builds_a2: Callable = lambda opts: False  # opts -> whether the points need the A2 baseline
 
 
 def _number(opts, value):
@@ -355,7 +334,7 @@ def _fig8_summary(spec, per_point):
     out = {}
     for key in sorted(key for key in per_point[0] if key.startswith("_sinr:")):
         lo, hi = _mean(per_point, 0, key), _mean(per_point, -1, key)
-        out[f"sinr_growth[{key[6:]}]"] = (hi - lo) / lo if lo > 0 else float("inf")
+        out[f"sinr_growth[{key[6:]}]"] = (hi - lo) / lo if lo > 0 else (math.inf if hi > 0 else 0.0)
     return out
 
 
@@ -406,13 +385,13 @@ _MU_OPTS = {
 EXPERIMENTS = {
     "fig4-rate-vs-power": Experiment(
         "single-user achievable rate vs transmit power for the AO/SDR/codebook designs",
-        _fig4_point, lambda o, p: [su_scenario(o["kappa_far_db"], power_dbm=p)],
+        _su_point, lambda o, p: [su_scenario(o["kappa_far_db"], power_dbm=p)],
         ("n_users", "tx_power_w", "links"),
         {**_SU_OPTS, "methods": Opt(["ao-ib", "ao-dft", "dft-search", "sdr", "single-irs"])},
         _SU_METHODS, _number, _no_summary),
     "fig5-rate-vs-M1-split": Experiment(
         "single-user rate vs subsurface split M1 under a fixed total budget",
-        _fig5_point, lambda o, m1: [su_scenario(o["kappa_far_db"], m1=m1, m2=o["m_total"] - m1)],
+        _su_point, lambda o, m1: [su_scenario(o["kappa_far_db"], m1=m1, m2=o["m_total"] - m1)],
         ("n_users", "m1", "m2", "links"),
         {**_SU_OPTS, "m_total": Opt(32, at_least=0),
          "methods": Opt(["ao-ib", "init-ib", "single-irs"])},
@@ -581,6 +560,9 @@ def load_spec(path) -> ExperimentSpec:
 def _run_one_draw(args):
     """Evaluate every sweep point of one draw; a solver failure stays with its point.
 
+    Each point restarts the draw's realization stream and draws, per scenario, the
+    channels and then, if asked for, the A2 baseline, whatever its sweep position.
+
     Returns ``(draw_index, rows, errors)``: ``rows[i]`` is point i's row, or
     None when it failed, and ``errors`` lists ``(point_index, message)``.
     """
@@ -588,11 +570,17 @@ def _run_one_draw(args):
     exp = EXPERIMENTS[spec.experiment]
     opts = spec.merged_options
     point_rngs = [np.random.default_rng(sq) for sq in seed_seq.spawn(len(spec.sweep))]
-    draw = {}
+    a2 = exp.builds_a2(opts)
     rows, errors = [], []
     for value, rng in zip(spec.sweep, point_rngs):
+        stream = np.random.default_rng(seed_seq)
         try:
-            rows.append(exp.point(spec.scenarios(opts, value), opts, rng, draw))
+            systems = []
+            for scn in spec.scenarios(opts, value):
+                chs = build_double_irs_scenario(scn, stream)
+                base = build_single_irs_baseline_A2(scn, *_a2_ranks(scn), stream) if a2 else None
+                systems.append((scn, chs, base))
+            rows.append(exp.point(systems, opts, rng))
         except np.linalg.LinAlgError as err:
             errors.append((len(rows), f"{type(err).__name__}: {err}"))
             rows.append(None)

@@ -57,14 +57,20 @@ def zf_receivers(h, powers):
 
 
 def mmse_receivers(h, powers, noise):
-    """MMSE receivers W = (H P P H^H + noise I)^{-1} H P (per-user optimal)."""
+    """MMSE receivers W = (H P P H^H + noise I)^{-1} H P (per-user optimal).
+
+    A zero channel column gets the first unit vector, so that user's SINR is 0.
+    """
     h = np.asarray(h, dtype=complex)
     powers = np.atleast_1d(np.asarray(powers, dtype=float))
     if noise <= 0:
         raise ValueError("noise power must be positive")
     n = h.shape[0]
     cov = (h * powers[None, :]) @ h.conj().T + noise * np.eye(n)
-    return np.linalg.solve(cov, h * np.sqrt(powers)[None, :])
+    w = np.linalg.solve(cov, h * np.sqrt(powers)[None, :])
+    if not w.any(axis=0).all():
+        w[0, ~w.any(axis=0)] = 1.0
+    return w
 
 
 def _receivers(h, ctx: SinrContext, mode):

@@ -304,6 +304,22 @@ class TestRunExperiment:
         assert len(rows) == 2 * len(methods)
         assert all(r["status"] == "ok" and float(r["mean_rate"]) == 0.0 for r in rows)
 
+    def test_multi_user_without_subsurfaces_gives_rate_zero(self, tmp_path):
+        # a zero channel gives a zero MMSE receiver column, which gets the first unit vector
+        path = write_spec(
+            tmp_path, experiment="fig8-mu-vs-power", sweep=[20, 30], draws=1,
+            out_dir=str(tmp_path), scenario={"m1": 0, "m2": 0, "n_bs": 4},
+            options={"k_users": 2, "methods": ["double-mmse"]},
+        )
+        assert cli.main(["validate", path]) == 0
+        assert cli.main(["run", path]) == 0
+        with open(tmp_path / "fig8-mu-vs-power.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        assert all(r["status"] == "ok" and float(r["mean_rate"]) == 0.0 for r in rows)
+        summary = json.loads((tmp_path / "fig8-mu-vs-power_summary.json").read_text())
+        assert summary["assertions"] == {"sinr_growth[double-mmse]": 0.0}
+
     def test_fig9_single_rate_collapses_beyond_rank(self, tmp_path):
         # single-IRS max-min rate drops sharply once K exceeds rank(Gbar) = 2
         spec = ex.ExperimentSpec(
@@ -356,6 +372,42 @@ class TestRunExperiment:
         ex.run_experiment(spec)
         header = (tmp_path / "prop2-rank.csv").read_text().splitlines()[0]
         assert header == "sweep,method,mean_rate,stderr,draws,status"
+
+    def _recorded_channels(self, tmp_path, monkeypatch, sweep, draws):
+        """Every array drawn per build call of a fig8 run, in call order."""
+        drawn = []
+        spec = ex.ExperimentSpec(
+            "fig8-mu-vs-power", sweep=sweep, draws=draws, seed=3, out_dir=str(tmp_path),
+            scenario=TINY_MU, options={"k_users": 2, "methods": ["double-mmse", "single-mmse"]},
+        )
+        with monkeypatch.context() as patch:
+            for name in ("build_double_irs_scenario", "build_single_irs_baseline_A2"):
+                def record(*args, _real=getattr(ex, name)):
+                    chs = _real(*args)
+                    drawn.append([chs.u1, chs.u2, chs.d, chs.g1, chs.g2])
+                    return chs
+
+                patch.setattr(ex, name, record)
+            assert ex.run_experiment(spec)["failures"] == []
+        return drawn
+
+    @staticmethod
+    def _same(a, b):
+        return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_points_of_a_draw_share_its_channels(self, tmp_path, monkeypatch):
+        # per draw and point: the double-IRS channels, then the A2 baseline
+        drawn = self._recorded_channels(tmp_path, monkeypatch, [20, 30], 2)
+        assert len(drawn) == 8
+        for draw in (drawn[:4], drawn[4:]):
+            assert self._same(draw[0], draw[2]) and self._same(draw[1], draw[3])
+        assert not self._same(drawn[0], drawn[4]) and not self._same(drawn[1], drawn[5])
+
+    def test_channels_do_not_depend_on_sweep_position(self, tmp_path, monkeypatch):
+        alone = self._recorded_channels(tmp_path / "a", monkeypatch, [30], 1)
+        second = self._recorded_channels(tmp_path / "b", monkeypatch, [20, 30], 1)[2:]
+        assert len(alone) == 2
+        assert self._same(alone[0], second[0]) and self._same(alone[1], second[1])
 
     def test_failure_stays_with_its_point(self, tmp_path, monkeypatch):
         real = ex.rank_gain_report
@@ -638,6 +690,14 @@ class TestCli:
         path = write_spec(tmp_path, experiment="prop2-rank", sweep=[3], out_dir=str(tmp_path))
         assert cli.main(["run", path, "--draws", "0"]) == 2
         assert "draws" in capsys.readouterr().err
+        assert not (tmp_path / "prop2-rank.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_run_rejects_non_positive_threads(self, tmp_path, capsys, threads):
+        path = write_spec(tmp_path, experiment="prop2-rank", sweep=[3], out_dir=str(tmp_path))
+        assert cli.main(["run", path, f"--threads={threads}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--threads" in err
         assert not (tmp_path / "prop2-rank.csv").exists()
 
     def test_run_with_overrides(self, tmp_path, capsys):

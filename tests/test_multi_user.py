@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import coopbeam as cb
+from coopbeam.multi_user import _receivers
 from conftest import random_channel_set, random_init, zf_min_sinr_formula
 
 
@@ -101,6 +102,21 @@ class TestReceivers:
         w = cb.mmse_receivers(h, np.ones(1), 0.3)[:, 0]
         cosine = abs(np.vdot(w, h[:, 0])) / (np.linalg.norm(w) * np.linalg.norm(h))
         assert cosine == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_channel_column_gets_first_unit_vector(self, rng):
+        # the rule of mrc_receivers; ZF falls back to MMSE on the rank-deficient channel
+        h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h[:, 1] = 0
+        ctx = cb.SinrContext(np.ones(3), 0.5)
+        w = cb.mmse_receivers(h, ctx.powers, ctx.noise)
+        np.testing.assert_array_equal(w[:, 1], [1, 0, 0])
+        full = cb.mmse_receivers(h[:, [0, 2]], ctx.powers[:2], ctx.noise)
+        np.testing.assert_allclose(w[:, [0, 2]], full, rtol=1e-12)
+        for mode in ("mmse", "zf"):
+            w, substituted = _receivers(h, ctx, mode)
+            assert substituted == (mode == "zf")
+            sinr = cb.sinr_per_user(h, w, ctx)
+            assert sinr[1] == 0.0 and np.all(sinr[[0, 2]] > 0)
 
     def test_mmse_dominates_zf_and_random(self, rng):
         for _ in range(10):
