@@ -33,7 +33,6 @@ import numpy as np
 
 from .channels import (
     LinkModel,
-    ReflectPattern,
     SystemScenario,
     build_double_irs_scenario,
     build_single_irs_baseline_A1,
@@ -214,8 +213,7 @@ def _prop1_point(systems, opts, rng):
 def _prop2_point(systems, opts, rng):
     ((scn, chs, base),) = systems
     rank_g, rank_u = _a2_ranks(scn)
-    pat = ReflectPattern.random(scn.m1, scn.m2, rng)
-    rep = rank_gain_report(chs, base, pat, rng)
+    rep = rank_gain_report(chs, base, rng)
     return {
         "rank-h": float(rep.rank_h),
         "rank-hbar": float(rep.rank_hbar),
@@ -474,8 +472,10 @@ class ExperimentSpec:
                     f"option {name!r} must have the type of its default {opt.default!r}, "
                     f"got {value!r}"
                 )
-            if isinstance(value, list) and not value:
-                raise ValueError(f"option {name!r} must be a non-empty list")
+            # a repeated entry (10 and 10.0 alike) would overwrite its twin's row
+            if isinstance(value, list) and (not value or len(set(value)) < len(value)):
+                raise ValueError(f"option {name!r} must be a non-empty list of distinct entries, "
+                                 f"got {value!r}")
             # NaN passes every range check below, as it fails every comparison
             values = value if isinstance(value, list) else [value]
             if any(isinstance(v, numbers.Real) and not math.isfinite(v) for v in values):

@@ -73,14 +73,9 @@ def max_min_rate(sinrs):
 
 
 def numerical_rank(a):
-    """Rank by singular values above RANK_TOL * s_max."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
+    """Rank by singular values above RANK_TOL * s_max; 0 for an empty or all-zero matrix."""
+    s = np.linalg.svd(np.asarray(a), compute_uv=False)
+    return int(np.sum(s > RANK_TOL * s.max(initial=0.0)))
 
 
 @dataclass
@@ -100,19 +95,15 @@ def _majority_rank(matrices):
     return int(values[np.argmax(counts)])
 
 
-def rank_gain_report(
-    double: ChannelSet, baseline: ChannelSet, pat: ReflectPattern, rng
-) -> RankReport:
+def rank_gain_report(double: ChannelSet, baseline: ChannelSet, rng) -> RankReport:
     """Effective-channel rank comparison of a double/single system pair.
 
-    The rank of H is the majority vote over `pat` and RANK_DRAWS - 1 random
-    unit-modulus patterns, the rank of H_bar over RANK_DRAWS - 1 random
-    patterns drawn from the generator `rng`, which avoids measure-zero phase
+    The rank of H is the majority vote over RANK_DRAWS random unit-modulus
+    patterns, the rank of H_bar over RANK_DRAWS - 1, all drawn from the
+    generator `rng` in that order, which avoids measure-zero phase
     alignments.
     """
-    pats = [pat] + [
-        ReflectPattern.random(double.m1, double.m2, rng) for _ in range(RANK_DRAWS - 1)
-    ]
+    pats = [ReflectPattern.random(double.m1, double.m2, rng) for _ in range(RANK_DRAWS)]
     rank_h = _majority_rank([effective_channel(double, p) for p in pats])
 
     bpats = [ReflectPattern.random(baseline.m1, baseline.m2, rng) for _ in range(RANK_DRAWS - 1)]

@@ -208,7 +208,7 @@ def algorithm1(
         inst = build(chs, thetas[2 - block], state.w, ctx.powers, ctx.noise)
         hi = max(matched_filter_bound(inst), 1e-12)
         bis = bisection_maxmin(inst, thetas[block - 1], hi, eps)
-        rand = gaussian_randomization(bis.solution.psi, inst, n_rand, rng)
+        rand = gaussian_randomization(bis.psi, inst, n_rand, rng)
         state.sdr_records.append((bis.delta_star, rand.objective))
         thetas[block - 1] = rand.theta
         cand = _min_sinr(chs, ctx, *thetas, state.w)

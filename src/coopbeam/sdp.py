@@ -12,7 +12,7 @@ The bisection (`bisection_maxmin`) is a certified bracket: its low end
 starts at the exact min SINR of the incumbent's rank-one Psi, and one loop
 of generalized Dinkelbach steps, each a solve at the low end plus eps,
 raises it until a target is proved infeasible; a target that the same
-bound, with weights tried before any solve, proves infeasible needs no
+bound proves infeasible at the exit dual of an earlier solve needs no
 solve.  A step that fails numerically ends the loop at its low end, which a
 verified Psi certifies.  Its solves and bounds divide constraint k by D_k,
 the interference-plus-noise power of the best verified Psi, instead of
@@ -339,7 +339,7 @@ def _dual_bound(c_mats, e, scales, mu, nu):
 @dataclass
 class BisectionResult:
     delta_star: float
-    solution: PsdSolution
+    psi: np.ndarray  # the best verified Psi: the start's rank-one Psi or a solve's
     saturated: bool
     history: list = field(default_factory=list)  # (delta, status) pairs, one per target
     certified: int = 0  # targets decided infeasible by a dual bound, without a solve
@@ -359,21 +359,20 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
     fractional programming (Crouzeix, Ferland and Schaible 1985).  "Feasible"
     at target delta then means N_k >= delta D_k - FEAS_TOL D_k^best for every
     k, a slack of about FEAS_TOL in SINR units, far below any eps in use; so
-    `solution`, the best verified Psi, reaches min_k N_k / D_k >= delta_star
-    up to that slack.  `_dual_bound` holds for any positive scales, so an
-    "infeasible" verdict keeps its proof.  `solution.margins` and `.s` are on
-    the same scale.
+    `psi`, the best verified Psi, reaches min_k N_k / D_k >= delta_star up to
+    that slack.  `_dual_bound` holds for any positive scales, so an
+    "infeasible" verdict keeps its proof.
 
     Each pass targets lo + eps.  The target is first tried against
-    `_dual_bound` with each user alone, all users alike and the exit dual of
-    every earlier solve; a bound below -FEAS_TOL records it as infeasible
-    without a solve, in `certified`.  Otherwise one generalized Dinkelbach
-    step (Dinkelbach 1967) solves the max-margin problem at the target to a
-    duality gap of a quarter eps: "feasible" raises lo to the target or
-    beyond, to what its Psi reaches, and "infeasible" closes the bracket at
-    width eps.  Near rank one such a solve can fail numerically; its target
-    goes into `history` as "numerical-failure" and the call ends at lo, which
-    the best verified Psi certifies, so a failure costs at most the last eps.
+    `_dual_bound` at the exit dual of every earlier solve (none on the first
+    pass); a bound below -FEAS_TOL records it as infeasible without a solve,
+    in `certified`.  Otherwise one generalized Dinkelbach step (Dinkelbach
+    1967) solves the max-margin problem at the target to a duality gap of a
+    quarter eps: "feasible" raises lo to the target or beyond, to what its Psi
+    reaches, and "infeasible" closes the bracket at width eps.  Near rank one
+    such a solve can fail numerically; its target goes into `history` as
+    "numerical-failure" and the call ends at lo, which the best verified Psi
+    certifies, so a failure costs at most the last eps.
     """
     theta = np.asarray(theta, dtype=complex)
     if theta.shape != (inst.dim,) or not np.all(np.abs(np.abs(theta) - 1.0) <= 2e-9):
@@ -384,10 +383,8 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
         raise ValueError(f"bisection accuracy must be finite and positive, got {eps!r}")
     history = []
     certified = 0
-    # dual weights tried at every target, as one batch: the cold ones (each user
-    # alone, all users alike; nu = 0), then the exit dual of each solve
-    k, n = inst.n_users, inst.dim + 1
-    mu, nu = np.vstack([np.eye(k), np.ones((1, k))]), np.zeros((k + 1, n))
+    # the exit dual (mu, nu) of each solve, tried at every later target as one batch
+    mu, nu = np.empty((0, inst.n_users)), np.empty((0, inst.dim + 1))
     tilde = np.append(theta, 1.0)
     best = np.outer(tilde, tilde.conj())
     d_best = inst.powers(best)[1]
@@ -404,25 +401,18 @@ def bisection_maxmin(inst: MaxMinSdpInstance, theta, delta_hi, eps):
         history.append((target, res.status))
         if res.status == "numerical-failure":
             break
-        if res.dual is not None:
-            mu, nu = np.vstack([mu, res.dual[0]]), np.vstack([nu, res.dual[1]])
+        mu, nu = np.vstack([mu, res.dual[0]]), np.vstack([nu, res.dual[1]])
         n_k, d_k = inst.powers(res.psi)
         reach = max(target if res.feasible else 0.0, float((n_k / d_k).min()))
         if reach > lo:
             lo, best, d_best = reach, res.psi, d_k
         if not res.feasible:
             break
-    saturated = lo >= delta_hi
-    delta_star = min(lo, float(delta_hi))
-    c_mats, e = _constraint_data(inst, delta_star)
-    margins = ((c_mats.reshape(k, n * n) @ best.T.ravel()).real + e) / d_best
-    solution = PsdSolution(best, "feasible", margins, float(margins.min()), delta_star, 0, "best verified point")
-    return BisectionResult(delta_star, solution, saturated, history, certified)
+    return BisectionResult(min(lo, float(delta_hi)), best, lo >= delta_hi, history, certified)
 
 
 @dataclass
 class RandomizationResult:
-    theta_tilde: np.ndarray  # unit-modulus lifted vector incl. auxiliary t
     theta: np.ndarray        # recovered reflect vector of length M'
     objective: float         # true min SINR of theta on the instance
     candidates: int
@@ -452,4 +442,4 @@ def gaussian_randomization(psi, inst: MaxMinSdpInstance, n_rand, rng) -> Randomi
     thetas = np.conj(cands[:, -1])[:, None] * cands[:, :-1]
     objs = inst.min_sinr(thetas)
     best = int(np.argmax(objs))
-    return RandomizationResult(cands[best], thetas[best], float(objs[best]), cands.shape[0])
+    return RandomizationResult(thetas[best], float(objs[best]), cands.shape[0])

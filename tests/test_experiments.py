@@ -608,6 +608,14 @@ class TestCli:
             ({"experiment": "fig8-mu-vs-power", "sweep": [20],
               "scenario": {"m1": 0, "m2": 0, "n_bs": 4}}, "rank_g=2 infeasible"),
             ({**PROP2, "scenario": {"n_bs": 1}}, "rank_g=2 infeasible"),
+            ({"experiment": "fig6-rate-vs-totalM", "sweep": [4], "draws": 1,
+              "scenario": {"n_bs": 2}, "options": {"kappa_set_db": [0.0, 0.0], "restarts": 2}},
+             "'kappa_set_db' must be a non-empty list of distinct entries"),
+            ({"experiment": "fig6-rate-vs-totalM", "sweep": [4],
+              "options": {"kappa_set_db": [10, 10.0]}},
+             "'kappa_set_db' must be a non-empty list of distinct entries"),
+            ({**FIG7, "options": {"methods": ["alg1-mmse", "dft-mmse", "alg1-mmse"]}},
+             "'methods' must be a non-empty list of distinct entries"),
         ],
         ids=[
             "prop1-bool-sweep", "split-over-default-budget", "split-over-given-budget",
@@ -624,6 +632,7 @@ class TestCli:
             "empty-list-option", "scenario-seed", "coincident-nodes", "aperture-negative",
             "gamma0-overflow", "aperture-overflow", "alpha-off-center", "alpha-negative",
             "radius-negative", "fig8-one-antenna", "fig8-no-subsurfaces", "prop2-one-antenna",
+            "fig6-kappa-twice", "fig6-kappa-int-and-float", "fig7-method-twice",
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, fields, named):
@@ -641,8 +650,11 @@ class TestCli:
         # square overflows stopped validate with a traceback, a path gain out
         # of float range only at a user drop away from the cluster center
         # stopped run with draws enough to place one there, a negative cluster
-        # radius ran the disk of its absolute value, and a single-IRS baseline
-        # whose ranks cannot be met stopped run
+        # radius ran the disk of its absolute value, a single-IRS baseline
+        # whose ranks cannot be met stopped run, and a list option that
+        # repeats an entry ran it twice into one CSV column, so the second
+        # result overwrote the first (fig6 at kappa [0.0, 0.0] wrote one row
+        # with the second kappa's system, and fig7 ran algorithm1 twice)
         path = write_spec(tmp_path, **fields)
         assert cli.main(["validate", path]) == 2
         err = capsys.readouterr().err

@@ -157,7 +157,7 @@ def _mu_setup(seed, k=5):
 class TestRankAnalysis:
     def test_reference_multiuser_setup(self):
         scn, chs, base, rng = _mu_setup(0)
-        rep = cb.rank_gain_report(chs, base, cb.ReflectPattern.random(16, 16, rng), rng=rng)
+        rep = cb.rank_gain_report(chs, base, rng=rng)
         assert rep.rank_h == 5
         assert rep.rank_hbar == 2
         assert cb.numerical_rank(chs.g2) == 2 and cb.numerical_rank(chs.g1) == 4
@@ -172,8 +172,12 @@ class TestRankAnalysis:
         rng = np.random.default_rng(1)
         chs = cb.build_double_irs_scenario(scn, rng)
         base = cb.build_single_irs_baseline_A2(scn, rank_g=2, rank_u=4, rng=rng)
-        rep = cb.rank_gain_report(chs, base, cb.ReflectPattern.random(0, 32, rng), rng=rng)
+        rep = cb.rank_gain_report(chs, base, rng=rng)
         assert rep.rank_h == rep.rank_hbar == 2
+        # with no IRS-1 elements its links are empty, and the paths through it all-zero
+        assert chs.u1.size == chs.g1.size == 0 and not (chs.g1 @ chs.u1).any()
+        assert cb.numerical_rank(chs.u1) == cb.numerical_rank(chs.g1) == 0
+        assert cb.numerical_rank(chs.g1 @ chs.u1) == 0
 
     def test_baseline_rank_is_min_of_link_ranks(self):
         for seed in range(5):

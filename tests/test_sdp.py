@@ -109,7 +109,7 @@ def plain_bisection(inst, delta_lo, delta_hi, eps):
         raise ValueError(f"invalid bracket: delta_lo={delta_lo} is infeasible")
     res_hi = check(delta_hi)
     if res_hi.feasible:
-        return BisectionResult(float(delta_hi), res_hi, True, history)
+        return BisectionResult(float(delta_hi), res_hi.psi, True, history)
 
     lo, hi = float(delta_lo), float(delta_hi)
     while hi - lo > eps:
@@ -119,7 +119,7 @@ def plain_bisection(inst, delta_lo, delta_hi, eps):
             lo, best = mid, res
         else:
             hi = mid
-    return BisectionResult(lo, best, False, history)
+    return BisectionResult(lo, best.psi, False, history)
 
 
 def assert_same_guarantee(inst, eps):
@@ -245,10 +245,9 @@ class TestFeasibility:
         inst = random_instance(rng, k=3, m=5)
         hi = cb.matched_filter_bound(inst)
         res = cb.bisection_maxmin(inst, np.ones(inst.dim), hi, eps=0.05)
-        sol = res.solution
-        assert sol.feasible
-        assert np.all(sol.margins >= -FEAS_TOL)
-        assert np.linalg.eigvalsh(sol.psi).min() >= -1e-7 * np.linalg.norm(sol.psi, 2)
+        n_k, d_k = inst.powers(res.psi)
+        assert np.all(n_k - res.delta_star * d_k >= -FEAS_TOL * d_k)
+        assert np.linalg.eigvalsh(res.psi).min() >= -1e-7 * np.linalg.norm(res.psi, 2)
 
 
 class TestBenchmarkShapes:
@@ -370,7 +369,8 @@ class TestDualBound:
         inst = random_instance(rng, k=k, m=m)
         delta = frac * cb.matched_filter_bound(inst)
         n = m + 1
-        # the cold weights, random weights with random nu, and an infeasible verdict's exit dual
+        # each user alone and all users alike (nu = 0), random weights with random nu, and an
+        # infeasible verdict's exit dual
         mu = np.vstack([np.eye(k), np.ones((1, k)), rng.exponential(size=(4, k))])
         nu = np.vstack([np.zeros((k + 1, n)), 3.0 * rng.standard_normal((4, n))])
         sol = cb.feasibility_check(inst, delta)
@@ -482,9 +482,47 @@ class TestBisection:
         scenarios = (MU_MAXMIN, dict(MU_MAXMIN, power_dbm=30.0))
         for inst in (inst for scn in scenarios for inst in subproblems(scn, build)):
             res = cb.bisection_maxmin(inst, np.ones(inst.dim), cb.matched_filter_bound(inst), eps)
-            n_k, d_k = inst.powers(res.solution.psi)
+            n_k, d_k = inst.powers(res.psi)
             assert (n_k / d_k).min() >= res.delta_star - eps
-            assert res.solution.feasible and res.solution.delta == res.delta_star
+
+    def test_bound_weights_are_earlier_solves_exit_duals(self, monkeypatch):
+        # before each solve the bisection tries exactly the exit duals of its own earlier
+        # solves, in order, and no weights on the first pass; the bound calls made inside
+        # feasibility_check are the kernel's own and are told apart
+        real_check, real_bound = sdp.feasibility_check, sdp._dual_bound
+        duals, tried, inside = [], [], []
+
+        def check(*args, **kwargs):
+            inside.append(True)
+            try:
+                res = real_check(*args, **kwargs)
+            finally:
+                inside.pop()
+            duals.append(res.dual)
+            return res
+
+        def bound(c_mats, e, scales, mu, nu):
+            if not inside:
+                tried.append((mu.copy(), nu.copy(), list(duals)))
+            return real_bound(c_mats, e, scales, mu, nu)
+
+        monkeypatch.setattr(sdp, "feasibility_check", check)
+        monkeypatch.setattr(sdp, "_dual_bound", bound)
+        insts = [random_instance(np.random.default_rng(seed), k=2, m=2) for seed in range(4)]
+        cases = [(inst, 1e-3 * cb.matched_filter_bound(inst)) for inst in insts]
+        cases += [(inst, 1e-3) for inst in subproblems(MU_TINY)]
+        reused = 0
+        for inst, eps in cases:
+            duals.clear()
+            tried.clear()
+            res = cb.bisection_maxmin(inst, np.ones(inst.dim), cb.matched_filter_bound(inst), eps)
+            assert len(tried) == len(res.history)  # one bound test per target
+            for mu, nu, earlier in tried:
+                assert len(mu) == len(nu) == len(earlier)
+                for row_mu, row_nu, (dual_mu, dual_nu) in zip(mu, nu, earlier):
+                    assert np.array_equal(row_mu, dual_mu) and np.array_equal(row_nu, dual_nu)
+                reused += len(earlier) > 0
+        assert reused > 0
 
     @staticmethod
     def failing_solves(monkeypatch, passes=0):
@@ -516,7 +554,7 @@ class TestBisection:
             assert len(solved) == passes + 1
             assert res.history[-1] == (solved[-1], "numerical-failure")
             assert res.delta_star >= float(inst.min_sinr(start))
-            n_k, d_k = inst.powers(res.solution.psi)
+            n_k, d_k = inst.powers(res.psi)
             assert (n_k / d_k).min() >= res.delta_star - FEAS_TOL
 
 
@@ -533,8 +571,7 @@ class TestRandomization:
     def test_unit_modulus_output(self, rng):
         inst = random_instance(rng, k=2, m=4)
         res = cb.bisection_maxmin(inst, np.ones(inst.dim), cb.matched_filter_bound(inst), eps=0.1)
-        rand = cb.gaussian_randomization(res.solution.psi, inst, 25, rng)
-        assert np.allclose(np.abs(rand.theta_tilde), 1.0, atol=1e-12)
+        rand = cb.gaussian_randomization(res.psi, inst, 25, rng)
         assert np.allclose(np.abs(rand.theta), 1.0, atol=1e-12)
 
     def test_relaxation_dominance(self, rng):
@@ -543,7 +580,7 @@ class TestRandomization:
             hi = cb.matched_filter_bound(inst)
             eps = max(hi / 1000, 1e-9)
             res = cb.bisection_maxmin(inst, np.ones(inst.dim), hi, eps=eps)
-            rand = cb.gaussian_randomization(res.solution.psi, inst, 100, rng)
+            rand = cb.gaussian_randomization(res.psi, inst, 100, rng)
             assert rand.objective <= res.delta_star + eps + FEAS_TOL * max(res.delta_star, 1.0)
 
     def test_more_candidates_do_not_hurt_on_average(self, rng):
