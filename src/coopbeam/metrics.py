@@ -45,22 +45,22 @@ def effective_channel(chs: ChannelSet, pat: ReflectPattern) -> np.ndarray:
 
 
 def sinr_per_user(h, w, ctx: SinrContext):
-    """SINR of each user of channel H (N x K) under receive beamformers W (columns w_k)."""
+    """SINRs (..., K) of the users of channels H (..., N, K) under receive beamformers W (columns w_k)."""
     h = np.asarray(h)
     w = np.asarray(w, dtype=complex)
     if w.ndim == 1:
         w = w[:, None]
     if w.shape != h.shape:
         raise ValueError(f"receive matrix {w.shape} does not match channel {h.shape}")
-    norms = np.sum(np.abs(w) ** 2, axis=0)
+    norms = np.sum(np.abs(w) ** 2, axis=-2)
     if np.any(norms == 0):
         raise ValueError("zero receive vector")
-    k = h.shape[1]
+    k = h.shape[-1]
     if ctx.powers.size != k:
         raise ValueError("power vector does not match user count")
-    cross = np.abs(w.conj().T @ h) ** 2 * ctx.powers[None, :]  # [k, j] = P_j |w_k^H h_j|^2
-    signal = np.diag(cross)
-    interference = cross.sum(axis=1) - signal
+    cross = np.abs(w.conj().swapaxes(-1, -2) @ h) ** 2 * ctx.powers  # [..., k, j] = P_j |w_k^H h_j|^2
+    signal = np.diagonal(cross, axis1=-2, axis2=-1)
+    interference = cross.sum(axis=-1) - signal
     return signal / (interference + ctx.noise * norms)
 
 
@@ -73,9 +73,12 @@ def max_min_rate(sinrs):
 
 
 def numerical_rank(a):
-    """Rank by singular values above RANK_TOL * s_max; 0 for an empty or all-zero matrix."""
+    """Rank by singular values above RANK_TOL * s_max; 0 for an empty or all-zero matrix.
+
+    An int for one matrix, an integer array for a stack (..., m, n)."""
     s = np.linalg.svd(np.asarray(a), compute_uv=False)
-    return int(np.sum(s > RANK_TOL * s.max(initial=0.0)))
+    rank = np.sum(s > RANK_TOL * s.max(axis=-1, initial=0.0, keepdims=True), axis=-1)
+    return int(rank) if rank.ndim == 0 else rank
 
 
 @dataclass

@@ -4,7 +4,8 @@ codebook search benchmark.
 
 The channel is composed by `ChannelSet.compose` (through
 `metrics.effective_channel`).  `mrc_receivers` is the one MRC body, used here
-and by the single-user AO; the receivers return W itself.
+and by the single-user AO; the receivers return W itself and take leading
+batch axes like `compose`, so `dft_codebook_search` solves a chunk of pairs at once.
 `MuSolveState` is the one multi-user result: `dft_codebook_search` returns it
 and `algorithm1` starts from it.  `algorithm1` is the one alternating SDR
 driver: with K = 1 and ``rx_mode="mrc"`` it is the single-user SDR
@@ -42,22 +43,21 @@ def mrc_receivers(h):
 
 
 def zf_receivers(h, powers):
-    """Zero-forcing receivers W = H (P H^H H)^{-1} with P = diag(sqrt(P_k)).
+    """Zero-forcing receivers W = H (P H^H H)^{-1} with P = diag(sqrt(P_k)), batched like H (..., N, K).
 
-    Requires full column rank; satisfies W^H H = P^{-1} so all cross-user
-    interference vanishes.
+    Requires full column rank of every channel; satisfies W^H H = P^{-1} so
+    all cross-user interference vanishes.
     """
     h = np.asarray(h, dtype=complex)
     powers = np.atleast_1d(np.asarray(powers, dtype=float))
-    k = h.shape[1]
-    if numerical_rank(h) < k:
+    if np.any(numerical_rank(h) < h.shape[-1]):
         raise RankDeficiencyError("ZF requires rank(H) = K")
-    gram = h.conj().T @ h
+    gram = h.conj().swapaxes(-1, -2) @ h
     return h @ np.linalg.inv(np.sqrt(powers)[:, None] * gram)
 
 
 def mmse_receivers(h, powers, noise):
-    """MMSE receivers W = (H P P H^H + noise I)^{-1} H P (per-user optimal).
+    """MMSE receivers W = (H P P H^H + noise I)^{-1} H P (per-user optimal), batched like H (..., N, K).
 
     A zero channel column gets the first unit vector, so that user's SINR is 0.
     """
@@ -65,23 +65,27 @@ def mmse_receivers(h, powers, noise):
     powers = np.atleast_1d(np.asarray(powers, dtype=float))
     if noise <= 0:
         raise ValueError("noise power must be positive")
-    n = h.shape[0]
-    cov = (h * powers[None, :]) @ h.conj().T + noise * np.eye(n)
-    w = np.linalg.solve(cov, h * np.sqrt(powers)[None, :])
-    if not w.any(axis=0).all():
-        w[0, ~w.any(axis=0)] = 1.0
+    cov = (h * powers) @ h.conj().swapaxes(-1, -2) + noise * np.eye(h.shape[-2])
+    w = np.linalg.solve(cov, h * np.sqrt(powers))
+    dead = ~w.any(axis=-2)
+    if dead.any():
+        w[..., 0, :][dead] = 1.0
     return w
 
 
 def _receivers(h, ctx: SinrContext, mode):
-    """(W, substituted): receivers of one mode with the documented ZF -> MMSE fallback."""
+    """(W, substituted): receivers of one mode, batched, with the ZF -> MMSE fallback per channel."""
     if mode == "mrc":
         return mrc_receivers(h), False
     if mode == "zf":
         try:
             return zf_receivers(h, ctx.powers), False
         except RankDeficiencyError:
-            return mmse_receivers(h, ctx.powers, ctx.noise), True
+            deficient = numerical_rank(h) < h.shape[-1]
+            w = mmse_receivers(h, ctx.powers, ctx.noise)
+            if not np.all(deficient):
+                w[~deficient] = zf_receivers(h[~deficient], ctx.powers)
+            return w, True
     if mode == "mmse":
         return mmse_receivers(h, ctx.powers, ctx.noise), False
     raise ValueError(f"unknown receiver mode {mode!r}")
@@ -116,6 +120,9 @@ def build_p34_instance(chs: ChannelSet, theta2, w, powers, noise) -> MaxMinSdpIn
     return _build_instance(chs, 1, theta2, w, powers, noise)
 
 
+_CHUNK_BYTES = 256 * 1024  # bytes of stacked complex N x N MMSE covariances per search chunk
+
+
 def dft_codebook(m):
     """Columns of the m x m DFT matrix (unit modulus); empty set for m = 0."""
     if m == 0:
@@ -147,21 +154,26 @@ def dft_codebook_search(chs: ChannelSet, ctx: SinrContext, rx_mode) -> MuSolveSt
     """Exhaustive joint search of (theta1, theta2) over the two DFT codebooks.
 
     Either codebook collapses to the single trivial empty codeword when its
-    IRS has no subsurfaces.  Every pair gets the receivers of `rx_mode`.
-    Returns the best pair with its receivers and min SINR (SNR for K = 1);
-    `zf_substituted` flags a ZF -> MMSE fallback at any pair.
+    IRS has no subsurfaces.  The pairs (theta1 outer) go in chunks of
+    `_CHUNK_BYTES` of N x N covariances, each one channel stack, one receiver
+    solve of `rx_mode` and one SINR call.  Returns the best pair (the first on
+    a tie) with its receivers and min SINR (SNR for K = 1); under ZF only the
+    rank-deficient pairs get MMSE, and `zf_substituted` flags that any did.
     """
-    best = None
-    substituted_any = False
-    for t1 in dft_codebook(chs.m1):
-        for t2 in dft_codebook(chs.m2):
-            h = effective_channel(chs, ReflectPattern(t1, t2))
-            w, subst = _receivers(h, ctx, rx_mode)
-            substituted_any |= subst
-            obj = float(sinr_per_user(h, w, ctx).min())
-            if best is None or obj > best.min_sinr:
-                best = MuSolveState(t1, t2, w, min_sinr=obj)
-    best.zf_substituted = substituted_any
+    c1, c2 = dft_codebook(chs.m1), dft_codebook(chs.m2)
+    theta1, theta2 = np.repeat(c1, len(c2), 0), np.tile(c2, (len(c1), 1))
+    chunk = max(1, _CHUNK_BYTES // (16 * chs.n_bs**2))
+    best, substituted = None, False
+    for start in range(0, len(theta1), chunk):
+        h = chs.compose(theta1[start:start + chunk], theta2[start:start + chunk])
+        w, subst = _receivers(h, ctx, rx_mode)
+        substituted |= subst
+        obj = sinr_per_user(h, w, ctx).min(axis=-1)
+        i = int(np.argmax(obj))
+        if best is None or obj[i] > best.min_sinr:
+            pair = (theta1[start + i].copy(), theta2[start + i].copy(), w[i].copy())
+            best = MuSolveState(*pair, min_sinr=float(obj[i]))
+    best.zf_substituted = substituted
     return best
 
 

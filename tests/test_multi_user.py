@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import coopbeam as cb
+from coopbeam import multi_user
 from coopbeam.multi_user import _receivers
 from conftest import random_channel_set, random_init, zf_min_sinr_formula
 
@@ -118,6 +119,37 @@ class TestReceivers:
             sinr = cb.sinr_per_user(h, w, ctx)
             assert sinr[1] == 0.0 and np.all(sinr[[0, 2]] > 0)
 
+    @pytest.mark.parametrize("fn", ["zf", "mmse", "sinr", "rank"])
+    def test_stack_equals_per_slice_calls(self, rng, fn):
+        ctx = cb.SinrContext(np.array([1.0, 2.0, 0.5]), 0.3)
+        h = rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3))
+        w = rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3))
+        call = {
+            "zf": lambda h, w: cb.zf_receivers(h, ctx.powers),
+            "mmse": lambda h, w: cb.mmse_receivers(h, ctx.powers, ctx.noise),
+            "sinr": lambda h, w: cb.sinr_per_user(h, w, ctx),
+            "rank": lambda h, w: cb.numerical_rank(h),
+        }[fn]
+        if fn != "zf":
+            h[2, :, 1] = 0  # a zero column: MMSE's unit-vector rule in one slice, rank 2 there
+        np.testing.assert_array_equal(call(h, w), [call(h[b], w[b]) for b in range(len(h))])
+        assert call(h[None, None], w[None, None]).shape[:2] == (1, 1)
+
+    def test_stack_keeps_the_2d_contracts(self, rng):
+        ctx = cb.SinrContext(np.ones(2), 0.5)
+        h = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+        assert type(cb.numerical_rank(h[0])) is int
+        assert cb.numerical_rank(h).dtype.kind == "i"
+        w = h.copy()
+        w[3, :, 0] = 0
+        with pytest.raises(ValueError, match="zero receive vector"):
+            cb.sinr_per_user(h, w, ctx)
+        h[1, :, 1] = h[1, :, 0]
+        with pytest.raises(cb.RankDeficiencyError):
+            cb.zf_receivers(h, ctx.powers)
+        with pytest.raises(cb.RankDeficiencyError):
+            cb.zf_receivers(h[1], ctx.powers)
+
     def test_mmse_dominates_zf_and_random(self, rng):
         for _ in range(10):
             h = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
@@ -170,6 +202,79 @@ class TestDftCodebook:
         found = cb.dft_codebook_search(chs, ctx, rx_mode="mrc")
         mrc = cb.mrc_receivers(chs.compose(found.theta1, found.theta2))
         assert np.allclose(found.w, mrc)
+
+
+def per_pair_search(chs, ctx, rx_mode):
+    """The codebook search one pair at a time: the reference for the chunked search."""
+    best, substituted = None, False
+    for t1 in cb.dft_codebook(chs.m1):
+        for t2 in cb.dft_codebook(chs.m2):
+            h = cb.effective_channel(chs, cb.ReflectPattern(t1, t2))
+            if rx_mode == "mrc":
+                w = cb.mrc_receivers(h)
+            elif rx_mode == "mmse":
+                w = cb.mmse_receivers(h, ctx.powers, ctx.noise)
+            else:
+                try:
+                    w = cb.zf_receivers(h, ctx.powers)
+                except cb.RankDeficiencyError:
+                    w = cb.mmse_receivers(h, ctx.powers, ctx.noise)
+                    substituted = True
+            obj = float(cb.sinr_per_user(h, w, ctx).min())
+            if best is None or obj > best.min_sinr:
+                best = cb.MuSolveState(t1, t2, w, min_sinr=obj)
+    best.zf_substituted = substituted
+    return best
+
+
+def mixed_rank_channels(rng, n=5, m=4):
+    """H = G diag(theta1 + theta2) diag(a): user k's column vanishes (to rounding) where the
+    two DFT codewords cancel at k, so some pairs are column rank deficient and some are not."""
+    g = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    u = np.diag(rng.uniform(0.5, 2.0, m)).astype(complex)
+    return cb.ChannelSet.from_links(u, u, np.zeros((m, m), complex), g, g)
+
+
+def zero_column_channels(rng):
+    chs = random_channel_set(rng, n=4, m1=4, m2=4, k=3)
+    chs.u1[:, 1] = chs.u2[:, 1] = 0
+    return chs
+
+
+def all_zero_channels(rng):
+    chs = random_channel_set(rng, n=3, m1=4, m2=3, k=2)
+    return cb.ChannelSet.from_links(*(np.zeros_like(x) for x in (chs.u1, chs.u2, chs.d, chs.g1, chs.g2)))
+
+
+class TestChunkedSearch:
+    @pytest.mark.parametrize("rx_mode", ["mrc", "zf", "mmse"])
+    @pytest.mark.parametrize("make", [mixed_rank_channels, zero_column_channels, all_zero_channels])
+    def test_equals_per_pair_loop(self, rng, monkeypatch, rx_mode, make):
+        chs = make(rng)
+        ctx = cb.SinrContext(np.linspace(1.0, 2.0, chs.n_users), 0.3)
+        monkeypatch.setattr(multi_user, "_CHUNK_BYTES", 16 * chs.n_bs**2 * 3)  # 3 pairs per chunk
+        assert max(chs.m1, 1) * max(chs.m2, 1) > 3
+        got, want = cb.dft_codebook_search(chs, ctx, rx_mode), per_pair_search(chs, ctx, rx_mode)
+        for name in ("theta1", "theta2", "w"):
+            assert getattr(got, name).shape == getattr(want, name).shape
+            assert (getattr(got, name) == getattr(want, name)).all(), name
+        assert got.min_sinr == want.min_sinr
+        assert got.zf_substituted == want.zf_substituted == (rx_mode == "zf")  # every case has a deficient pair
+        if make is all_zero_channels:  # every pair ties at 0: the first pair wins across chunks
+            assert got.min_sinr == 0.0
+            assert (got.theta1 == cb.dft_codebook(chs.m1)[0]).all()
+            assert (got.theta2 == cb.dft_codebook(chs.m2)[0]).all()
+
+    def test_mixed_rank_channels_mix_ranks(self, rng):
+        chs = mixed_rank_channels(rng)
+        ranks = [cb.numerical_rank(chs.compose(t1, t2))
+                 for t1 in cb.dft_codebook(chs.m1) for t2 in cb.dft_codebook(chs.m2)]
+        assert min(ranks) < chs.n_users == max(ranks)
+
+    def test_result_owns_its_arrays(self, rng):
+        chs = random_channel_set(rng, n=3, m1=2, m2=3, k=2)
+        found = cb.dft_codebook_search(chs, cb.SinrContext(np.ones(2), 1.0), "mmse")
+        assert all(x.base is None for x in (found.theta1, found.theta2, found.w))
 
 
 class TestAlgorithm1:
