@@ -393,8 +393,9 @@ class ChannelSet:
 
         h_k = G2 diag(theta2) (D diag(theta1) u1_k + u2_k) + G1 diag(theta1) u1_k,
 
-    which `compose` evaluates for both reflect vectors.  It is affine in either
-    reflect vector once the other is fixed; `affine` returns that map.
+    which `compose` evaluates for both reflect vectors.  It is linear in
+    [theta_block; 1] once the other reflect vector is fixed; `affine` returns
+    that map, and `dehomogenize` turns a homogeneous vector back into theta.
     Immutable by convention after construction; safe to share across threads.
     """
 
@@ -449,11 +450,11 @@ class ChannelSet:
         return self.g2 @ (t2[..., :, None] * (self.d @ x1 + self.u2)) + self.g1 @ x1
 
     def affine(self, block, theta_other):
-        """(A, c) with h_k = A[k] @ theta_block + c[:, k], the other IRS fixed.
+        """A~ (..., K, N, M_block + 1) with h_k = A~_k @ [theta_block; 1], the other IRS fixed.
 
-        A has shape (..., K, N, M_block) and c (..., N, K), batched like theta_other:
-          block 2: A_k = G2 diag(D Phi1 u1_k + u2_k),  c_k = G1 Phi1 u1_k;
-          block 1: A_k = (G2 Phi2 D + G1) diag(u1_k),  c_k = G2 Phi2 u2_k.
+        Batched like theta_other; the last column is what does not pass through IRS `block`:
+          block 2: A~_k = [G2 diag(D Phi1 u1_k + u2_k),  G1 Phi1 u1_k];
+          block 1: A~_k = [(G2 Phi2 D + G1) diag(u1_k),  G2 Phi2 u2_k].
         """
         if block not in (1, 2):
             raise ValueError(f"block must be 1 or 2, got {block!r}")
@@ -462,10 +463,18 @@ class ChannelSet:
             raise ValueError(f"theta{3 - block} length does not match the channel set")
         if block == 2:
             x1 = t[..., :, None] * self.u1
-            a = self.g2 * np.swapaxes(self.d @ x1 + self.u2, -1, -2)[..., :, None, :]
-            return a, self.g1 @ x1
-        b = self.g2 @ (t[..., :, None] * self.d) + self.g1
-        return b[..., None, :, :] * self.u1.T[:, None, :], self.g2 @ (t[..., :, None] * self.u2)
+            a, c = self.g2 * np.swapaxes(self.d @ x1 + self.u2, -1, -2)[..., :, None, :], self.g1 @ x1
+        else:
+            b = self.g2 @ (t[..., :, None] * self.d) + self.g1
+            a, c = b[..., None, :, :] * self.u1.T[:, None, :], self.g2 @ (t[..., :, None] * self.u2)
+        return np.concatenate([a, np.swapaxes(c, -1, -2)[..., None]], axis=-1)
+
+
+def dehomogenize(x):
+    """theta (..., M) from x (..., M + 1) standing for [theta; 1]: x projected entrywise to unit
+    modulus (a zero entry to 1), its first M entries times the conjugate of its last."""
+    u = np.exp(1j * np.angle(x))
+    return np.conj(u[..., -1:]) * u[..., :-1]
 
 
 def build_double_irs_scenario(scenario: SystemScenario, rng) -> ChannelSet:

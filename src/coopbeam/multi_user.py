@@ -94,20 +94,18 @@ def _receivers(h, ctx: SinrContext, mode):
 def _build_instance(chs: ChannelSet, block, theta_other, w, powers, noise) -> MaxMinSdpInstance:
     """Subproblem data over theta_block for the other IRS fixed and receivers W.
 
-    With h_j = A_j theta_block + c_j from `ChannelSet.affine`,
-    q_{k,j} = sqrt(P_j) A_j^H w_k and qbar_{k,j} = sqrt(P_j) w_k^H c_j; plugging
-    any unit-modulus theta_block into the instance reproduces the exact
-    per-user SINRs.
+    With h_j = A~_j [theta_block; 1] from `ChannelSet.affine`,
+    v_{k,j} = sqrt(P_j) A~_j^H w_k, so the user-j term at receiver k is
+    |v_{k,j}^H [theta_block; 1]|^2: any unit-modulus theta_block reproduces the
+    exact per-user SINRs.
     """
     w = np.asarray(w, dtype=complex)
-    a, c = chs.affine(block, theta_other)
+    a = chs.affine(block, theta_other)
     if w.shape != (chs.n_bs, chs.n_users):
         raise ValueError("receive matrix does not match the channel set")
     sqrt_p = np.sqrt(np.atleast_1d(np.asarray(powers, dtype=float)))
-    q = np.einsum("jnm,nk->kjm", a.conj(), w) * sqrt_p[None, :, None]
-    qbar = (w.conj().T @ c) * sqrt_p[None, :]
-    sig = noise * np.sum(np.abs(w) ** 2, axis=0)
-    return MaxMinSdpInstance(q, qbar, sig)
+    v = np.einsum("jnm,nk->kjm", a.conj(), w) * sqrt_p[None, :, None]
+    return MaxMinSdpInstance(v, noise * np.sum(np.abs(w) ** 2, axis=0))
 
 
 def build_p31_instance(chs: ChannelSet, theta1, w, powers, noise) -> MaxMinSdpInstance:

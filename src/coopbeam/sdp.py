@@ -22,15 +22,15 @@ target it returns is one its Psi reaches.
 Instances are tiny (dimension M'+1 up to a few dozen) and one bisection runs
 many checks, so on the smallest ones an interior-point iteration costs numpy
 call overhead more than arithmetic, and it is written to make few calls.  The
-homogenized blocks B_{k,j} of an instance are built once, in one vectorized
-pass, and the K margin matrices C_k are flattened to the rows of one
-(K, n*n) array, so every trace tr(C_k X) and every weighted sum
+own and interference Grams of an instance are built once, each in one
+vectorized pass, and the K margin matrices C_k are flattened to the rows of
+one (K, n*n) array, so every trace tr(C_k X) and every weighted sum
 sum_k mu_k C_k is one matrix product.  The primal and dual step lengths of a
 Newton direction come from one eigvalsh of a stacked (2, n, n) array.  A
 target's constraint data (C_k, e_k) is a pure function of the instance and
 the target, built wherever it is needed; only a plain check takes sigma_k.
 
-An instance holds only (q, qbar, noise) and is a pure function of the channel
+An instance holds only (v, noise) and is a pure function of the channel
 realization and the fixed variables it was built from, so it has no file
 form and no state: code that needs one again rebuilds it from the seed.
 """
@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import dehomogenize
+
 FEAS_TOL = 1e-6  # constraints satisfied within this relative slack count as feasible
 MAX_ITER = 100  # interior-point iterations (Newton systems) per check
 GAP_TOL = 1e-9  # duality gap at which a check without a certificate ends
@@ -51,83 +53,64 @@ STEP_FRACTION = 0.95  # share of the way to the cone boundary a step may go
 
 @dataclass
 class MaxMinSdpInstance:
-    """Data of one reflect-vector subproblem in homogenized form.
+    """Data of one reflect-vector subproblem in homogeneous form.
 
-    q[k, j] is the length-M' vector and qbar[k, j] the scalar such that the
-    user-j term seen by receiver k equals |q^H theta + qbar|^2; noise[k] is
-    the receiver-k noise power.  The homogenization matrices B_{k,j} are
-    derived on demand.
+    With theta~ = [theta; 1], the user-j term seen by receiver k is
+    |v[k, j]^H theta~|^2 for the length-(M'+1) vector v[k, j]; noise[k] is the
+    receiver-k noise power.  At a unit-diagonal Psi, standing for
+    theta~ theta~^H, that term is tr(v v^H Psi), so the constraint data are
+    the Grams of `grams`, derived on demand.
     """
 
-    q: np.ndarray      # (K, K, M') complex
-    qbar: np.ndarray   # (K, K) complex
+    v: np.ndarray      # (K, K, M'+1) complex
     noise: np.ndarray  # (K,) float
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=complex)
-        self.qbar = np.asarray(self.qbar, dtype=complex)
+        self.v = np.asarray(self.v, dtype=complex)
         self.noise = np.asarray(self.noise, dtype=float)
-        k = self.q.shape[0]
-        if self.q.ndim != 3 or self.q.shape[1] != k:
-            raise ValueError("q must have shape (K, K, M')")
-        if self.qbar.shape != (k, k) or self.noise.shape != (k,):
-            raise ValueError("qbar/noise inconsistent with q")
+        k = self.v.shape[0]
+        if self.v.ndim != 3 or self.v.shape[1] != k or self.v.shape[2] < 1:
+            raise ValueError("v must have shape (K, K, M'+1)")
+        if self.noise.shape != (k,):
+            raise ValueError("noise inconsistent with v")
         if np.any(self.noise <= 0):
             raise ValueError("noise terms must be positive")
 
     @property
     def n_users(self):
-        return self.q.shape[0]
+        return self.v.shape[0]
 
     @property
     def dim(self):
-        return self.q.shape[2]
+        return self.v.shape[2] - 1
 
     @functools.cached_property
-    def _margin_parts(self):
-        """(B_kk, sum_{j!=k} B_kj, |qbar_kk|^2, sum_{j!=k} |qbar_kj|^2 + noise_k) over k."""
-        b = _homogenized(self.q, self.qbar)  # every B_kj, shape (K, K, M'+1, M'+1)
-        k = self.n_users
-        users = np.arange(k)
-        others = users[:, None] != users[None, :]  # row k picks j != k in index order
-        qb2 = np.abs(self.qbar) ** 2
-        interf = b[others].reshape((k, k - 1) + b.shape[2:]).sum(axis=1)
-        e_interf = qb2[others].reshape(k, k - 1).sum(axis=1) + self.noise
-        return b[users, users], interf, qb2[users, users], e_interf
+    def grams(self):
+        """(v_kk v_kk^H, sum_{j!=k} v_kj v_kj^H) over k.  The interference Gram is one product of
+        v with its j = k entries zeroed: a total minus the much larger own term would cancel it."""
+        users = np.arange(self.n_users)
+        own = self.v[users, users]
+        others = self.v.copy()
+        others[users, users] = 0.0
+        return own[:, :, None] * own.conj()[:, None, :], others.swapaxes(1, 2) @ others.conj()
 
     def sinr_values(self, theta):
         """Per-user SINRs of one unit-modulus theta or a batch (C, M')."""
         theta = np.asarray(theta, dtype=complex)
-        batched = theta.ndim == 2
-        th = theta if batched else theta[None, :]
-        # p[c, k, j] = |q_{k,j}^H theta_c + qbar_{k,j}|^2
-        p = np.abs(np.einsum("kjp,cp->ckj", self.q.conj(), th) + self.qbar[None, :, :]) ** 2
-        sig = np.einsum("ckk->ck", p)
-        interf = p.sum(axis=2) - sig
-        out = sig / (interf + self.noise[None, :])
-        return out if batched else out[0]
+        tilde = np.concatenate([theta, np.ones(theta.shape[:-1] + (1,))], axis=-1)
+        p = np.abs(np.einsum("kjp,...p->...kj", self.v.conj(), tilde)) ** 2  # |v_kj^H theta~|^2
+        sig = np.einsum("...kk->...k", p)
+        return sig / (p.sum(axis=-1) - sig + self.noise)
 
     def min_sinr(self, theta):
-        vals = self.sinr_values(theta)
-        return vals.min(axis=-1)
+        return self.sinr_values(theta).min(axis=-1)
 
     def powers(self, psi):
         """(N_k, D_k): signal and interference-plus-noise power of each user at a
-        unit-diagonal Psi; [theta; 1][theta; 1]^H gives the exact SINRs of theta."""
-        b_own, b_interf, e_own, e_interf = self._margin_parts
-        return (np.einsum("kij,ji->k", b_own, psi).real + e_own,
-                np.einsum("kij,ji->k", b_interf, psi).real + e_interf)
-
-
-def _homogenized(q, qbar):
-    """[[q q^H, qbar q], [conj(qbar) q^H, 0]] for q (..., M') and qbar (...)."""
-    n = q.shape[-1] + 1
-    qc = q.conj()
-    b = np.zeros(q.shape[:-1] + (n, n), dtype=complex)
-    b[..., :-1, :-1] = q[..., :, None] * qc[..., None, :]
-    b[..., :-1, -1] = qbar[..., None] * q
-    b[..., -1, :-1] = np.conj(qbar)[..., None] * qc
-    return b
+        unit-diagonal Psi; theta~ theta~^H gives the exact SINRs of theta."""
+        own, interf = self.grams
+        return (np.einsum("kij,ji->k", own, psi).real,
+                np.einsum("kij,ji->k", interf, psi).real + self.noise)
 
 
 @dataclass
@@ -150,8 +133,8 @@ class PsdSolution:
 
 def _constraint_data(inst: MaxMinSdpInstance, delta):
     """Pure (C_k, e_k) over k at target delta: constraint k reads tr(C_k Psi) + e_k >= 0."""
-    b_own, b_interf, e_own, e_interf = inst._margin_parts
-    return b_own - delta * b_interf, e_own - delta * e_interf
+    own, interf = inst.grams
+    return own - delta * interf, -delta * inst.noise
 
 
 def feasibility_check(inst: MaxMinSdpInstance, delta, scales=None, gap_tol=None) -> PsdSolution:
@@ -311,10 +294,19 @@ def _solve_max_margin(delta, c_mats, e, scales, gap_tol=None):
 
 def matched_filter_bound(inst: MaxMinSdpInstance):
     """Interference-free upper bound on the achievable min SINR:
-    min_k ((M'+1) max(lambda_max(B_kk), 0) + |qbar_kk|^2) / noise_k."""
-    b_own, _, e_own, _ = inst._margin_parts
-    lam = np.linalg.eigvalsh(b_own)[:, -1]  # lambda_max(B_kk) of every user
-    return float((((inst.dim + 1) * np.maximum(lam, 0.0) + e_own) / inst.noise).min())
+    min_k ((M'+1) max(lambda_max(B_kk), 0) + |v_kk,M'|^2) / noise_k, with B_kk the
+    own Gram v_kk v_kk^H with its corner set to 0.
+
+    The exact interference-free optimum (sum_i |v_kk,i|)^2 / noise_k is tighter
+    and needs no eigvalsh, but it is not used: the bisection stops once lo + eps
+    reaches this bound, and with an exact bound a K = 1 bisection stops before
+    its last solve, the one whose Psi raises lo (fig4's sdr loses about 0.06 bits
+    at every power)."""
+    own = inst.grams[0].copy()
+    own[:, -1, -1] = 0.0
+    lam = np.linalg.eigvalsh(own)[:, -1]  # lambda_max(B_kk) of every user
+    corner = np.abs(np.diagonal(inst.v[:, :, -1])) ** 2
+    return float((((inst.dim + 1) * np.maximum(lam, 0.0) + corner) / inst.noise).min())
 
 
 def _dual_bound(c_mats, e, scales, mu, nu):
@@ -421,8 +413,8 @@ class RandomizationResult:
 def gaussian_randomization(psi, inst: MaxMinSdpInstance, n_rand, rng) -> RandomizationResult:
     """Recover a unit-modulus solution from a PSD relaxation solution.
 
-    Draws `n_rand` Gaussian vectors with covariance Psi, projects entrywise
-    to unit modulus, de-homogenizes via the auxiliary entry, and returns the
+    Draws `n_rand` Gaussian vectors with covariance Psi, turns each into a
+    reflect vector with `dehomogenize`, and returns the
     candidate with the best true min SINR.  The dominant eigenvector is
     always included as a candidate, which makes rank-one relaxations exact.
     """
@@ -438,8 +430,7 @@ def gaussian_randomization(psi, inst: MaxMinSdpInstance, n_rand, rng) -> Randomi
     z = (rng.standard_normal((n_rand, n)) + 1j * rng.standard_normal((n_rand, n))) / math.sqrt(2)
     draws = z @ factor.T.conj()
     cands = np.concatenate([vec[:, -1][None, :], draws], axis=0)
-    cands = np.exp(1j * np.angle(cands))
-    thetas = np.conj(cands[:, -1])[:, None] * cands[:, :-1]
+    thetas = dehomogenize(cands)
     objs = inst.min_sinr(thetas)
     best = int(np.argmax(objs))
     return RandomizationResult(thetas[best], float(objs[best]), cands.shape[0])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelSet, ReflectPattern
+from .channels import ChannelSet, ReflectPattern, dehomogenize
 from .metrics import SinrContext, effective_channel
 from .multi_user import mrc_receivers
 from .reports import SolveReport
@@ -68,19 +68,18 @@ def snr_value(chs: ChannelSet, w, theta1, theta2, ctx: SinrContext):
 def opt_theta_closed_form(chs: ChannelSet, block, theta_other, w):
     """Globally optimal theta_block for the other IRS and w fixed.
 
-    With h = A theta_block + c (`ChannelSet.affine`), w^H h = (A^H w)^H theta_block
-    + w^H c.  Aligning every term of the first part with the reference w^H c
-    (phase 0 when it vanishes) attains the triangle-inequality upper bound:
-    theta_block = exp(j(angle(w^H c) + angle(A^H w))).  Leading batch axes of
-    theta_other and w (..., N) give one theta_block per entry.
+    With h = A~ [theta_block; 1] (`ChannelSet.affine`), w^H h = x^H [theta_block; 1]
+    for x = A~^H w.  Aligning every term with the last one (phase 0 when it
+    vanishes) attains the triangle-inequality upper bound: theta_block =
+    `dehomogenize`(x).  Leading batch axes of theta_other and w (..., N) give one
+    theta_block per entry.
     """
     _require_single_user(chs)
     w = np.asarray(w, dtype=complex)
     if w.shape[-1] != chs.n_bs:
         raise ValueError("dimension mismatch")
-    a, c = chs.affine(block, theta_other)
-    ref = np.angle(w.conj()[..., None, :] @ c)[..., 0]  # angle of w^H c, shape (..., 1)
-    return np.exp(1j * (ref + np.angle(a[..., 0, :, :].conj().swapaxes(-1, -2) @ w[..., None])[..., 0]))
+    a = chs.affine(block, theta_other)[..., 0, :, :]
+    return dehomogenize((a.conj().swapaxes(-1, -2) @ w[..., None])[..., 0])
 
 
 def _random_starts(chs: ChannelSet, rng, restarts):

@@ -2,6 +2,10 @@
 
 import os
 
+# one BLAS thread, as the benchmark and the worker processes run; must precede the numpy import
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, Verbosity, settings
@@ -55,12 +59,9 @@ def random_init(chs, rng):
 
 
 def constraint_matrix(inst, k, j):
-    """Homogenized B_{k,j} = [[q q^H, qbar q], [conj(qbar) q^H, 0]] of an instance, written out."""
-    q, qb = inst.q[k, j], inst.qbar[k, j]
-    b = np.zeros((q.size + 1, q.size + 1), dtype=complex)
-    b[:-1, :-1] = np.outer(q, q.conj())
-    b[:-1, -1], b[-1, :-1] = qb * q, np.conj(qb) * q.conj()
-    return b
+    """The Gram v_kj v_kj^H of an instance's v[k, j], written out."""
+    v = inst.v[k, j]
+    return np.outer(v, v.conj())
 
 
 def zf_min_sinr_formula(h, power, noise):

@@ -10,7 +10,6 @@ import pytest
 
 import coopbeam as cb
 from coopbeam.experiments import mu_scenario, su_scenario
-from coopbeam.sdp import _homogenized
 from conftest import explicit_su_terms, random_channel_set, zf_min_sinr_formula
 
 RESULTS = {}
@@ -293,15 +292,15 @@ def test_criterion_6_sdr_machinery(saturation_suite, tiny_suite, capsys):
     ident_failures = 0
     for _ in range(1000):
         k, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
-        q = rng.standard_normal((k, k, m)) + 1j * rng.standard_normal((k, k, m))
-        qb = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        inst = cb.MaxMinSdpInstance(q, qb, np.ones(k))
+        v = rng.standard_normal((k, k, m)) + 1j * rng.standard_normal((k, k, m))
+        last = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        inst = cb.MaxMinSdpInstance(np.concatenate([v, last[..., None]], axis=-1), np.ones(k))
         tt = np.exp(1j * rng.uniform(0, 2 * np.pi, m + 1))
         a, b = int(rng.integers(0, k)), int(rng.integers(0, k))
-        b_ab = _homogenized(inst.q[a, b], inst.qbar[a, b])
-        lhs = np.real(tt.conj() @ b_ab @ tt) + abs(inst.qbar[a, b]) ** 2
-        rec = np.conj(tt[-1]) * tt[:-1]
-        rhs = abs(inst.q[a, b].conj() @ rec + inst.qbar[a, b]) ** 2
+        v_ab = inst.v[a, b]
+        lhs = np.real(tt.conj() @ np.outer(v_ab, v_ab.conj()) @ tt)
+        rec = cb.dehomogenize(tt)
+        rhs = abs(v_ab[:-1].conj() @ rec + np.conj(v_ab[-1])) ** 2
         ident_failures += abs(lhs - rhs) > 1e-10 * max(rhs, 1.0)
 
     boundary_failures = 0
@@ -309,9 +308,7 @@ def test_criterion_6_sdr_machinery(saturation_suite, tiny_suite, capsys):
         qv = rng.standard_normal() + 1j * rng.standard_normal()
         qbv = rng.standard_normal() + 1j * rng.standard_normal()
         noise = abs(rng.standard_normal()) + 0.1
-        inst = cb.MaxMinSdpInstance(
-            qv * np.ones((1, 1, 1)), qbv * np.ones((1, 1)), np.array([noise])
-        )
+        inst = cb.MaxMinSdpInstance(np.array([[[qv, qbv]]]), np.array([noise]))
         true_opt = (abs(qv) + abs(qbv)) ** 2 / noise
         eps = 1e-4 * true_opt
         res = cb.bisection_maxmin(inst, np.ones(inst.dim), 2 * true_opt, eps=eps)

@@ -200,10 +200,10 @@ class TestScenarioBuild:
         chs = random_channel_set(rng, n=3, m1=m1, m2=m2, k=2)
         pat = cb.ReflectPattern.random(m1, m2, rng)
         own, other = (pat.theta2, pat.theta1) if block == 2 else (pat.theta1, pat.theta2)
-        a, c = chs.affine(block, other)
-        assert a.shape == (2, 3, own.size) and c.shape == (3, 2)
+        a = chs.affine(block, other)
+        assert a.shape == (2, 3, own.size + 1)
         direct = explicit_channel(chs, pat.theta1, pat.theta2)
-        affine = np.stack([a[k] @ own + c[:, k] for k in range(2)], axis=1)
+        affine = np.stack([a[k] @ np.append(own, 1.0) for k in range(2)], axis=1)
         scale = max(np.max(np.abs(direct)), 1e-30)
         assert np.max(np.abs(affine - direct)) <= 1e-10 * scale
         assert np.max(np.abs(affine - chs.compose(pat.theta1, pat.theta2))) <= 1e-10 * scale
@@ -220,9 +220,7 @@ class TestScenarioBuild:
         for i, j in np.ndindex(2, 5):
             assert np.array_equal(h[i, j], chs.compose(t1[i, j], t2[i, j]))
             for block, other in ((2, t1), (1, t2)):
-                a, c = chs.affine(block, other)
-                a1, c1 = chs.affine(block, other[i, j])
-                assert np.array_equal(a[i, j], a1) and np.array_equal(c[i, j], c1)
+                assert np.array_equal(chs.affine(block, other)[i, j], chs.affine(block, other[i, j]))
 
     def test_wrong_length_reflect_vector_rejected(self, rng):
         chs = random_channel_set(rng, n=3, m1=3, m2=2, k=1)

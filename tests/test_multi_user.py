@@ -6,7 +6,7 @@ import pytest
 import coopbeam as cb
 from coopbeam import multi_user
 from coopbeam.multi_user import _receivers
-from conftest import random_channel_set, random_init, zf_min_sinr_formula
+from conftest import explicit_su_terms, random_channel_set, random_init, zf_min_sinr_formula
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ class TestInstanceBuilders:
         chs = random_channel_set(rng, n=3, m1=0, m2=4, k=2)
         w = unit_cols(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
         inst = cb.build_p31_instance(chs, np.zeros(0), w, np.ones(2), 1.0)
-        assert np.allclose(inst.qbar, 0.0)
+        assert np.allclose(inst.v[..., -1], 0.0)
 
     def test_d_zero_p34_comes_from_r1_alone(self, rng):
         chs = random_channel_set(rng, n=3, m1=3, m2=2, k=2)
@@ -49,7 +49,18 @@ class TestInstanceBuilders:
         inst = cb.build_p34_instance(chs, t2, w, np.ones(2), 1.0)
         r1 = [chs.g1 @ np.diag(chs.u1[:, j]) for j in range(2)]
         expect = np.stack([[r1[j].conj().T @ w[:, k] for j in range(2)] for k in range(2)])
-        assert np.allclose(inst.q, expect)
+        assert np.allclose(inst.v[..., :-1], expect)
+
+    @pytest.mark.parametrize("block, m1, m2", [(2, 2, 3), (1, 2, 3), (2, 0, 3)])
+    def test_k1_instance_is_the_written_out_link_terms(self, rng, block, m1, m2):
+        # v_11 = sqrt(P) [b; conj(b0)] with w^H h = b^H theta_block + b0 from the raw links
+        chs = random_channel_set(rng, n=3, m1=m1, m2=m2, k=1)
+        other = np.exp(1j * rng.uniform(0, 2 * np.pi, m1 if block == 2 else m2))
+        w = unit_cols(rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)))
+        build = cb.build_p31_instance if block == 2 else cb.build_p34_instance
+        inst = build(chs, other, w, np.array([2.0]), 0.5)
+        b, b0 = explicit_su_terms(chs, block, other, w[:, 0])
+        assert np.allclose(inst.v[0, 0], np.sqrt(2.0) * np.append(b, np.conj(b0)), rtol=1e-12, atol=1e-14)
 
     def test_k1_instance_has_single_constraint(self, rng):
         chs = random_channel_set(rng, n=3, m1=2, m2=3, k=1)
