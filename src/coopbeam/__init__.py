@@ -11,7 +11,6 @@ from .channels import (
     build_single_irs_baseline_A2,
     db_to_linear,
     dbm_to_watt,
-    dehomogenize,
     geometric_link,
     path_loss_linear,
     rician_link,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import coopbeam as cb
+from coopbeam.channels import dehomogenize
 from coopbeam.experiments import mu_scenario, su_scenario
 from conftest import explicit_su_terms, random_channel_set, zf_min_sinr_formula
 
@@ -299,7 +300,7 @@ def test_criterion_6_sdr_machinery(saturation_suite, tiny_suite, capsys):
         a, b = int(rng.integers(0, k)), int(rng.integers(0, k))
         v_ab = inst.v[a, b]
         lhs = np.real(tt.conj() @ np.outer(v_ab, v_ab.conj()) @ tt)
-        rec = cb.dehomogenize(tt)
+        rec = dehomogenize(tt)
         rhs = abs(v_ab[:-1].conj() @ rec + np.conj(v_ab[-1])) ** 2
         ident_failures += abs(lhs - rhs) > 1e-10 * max(rhs, 1.0)
 

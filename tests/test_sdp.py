@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import coopbeam as cb
 from coopbeam import sdp
+from coopbeam.channels import dehomogenize
 from coopbeam.experiments import mu_scenario
 from coopbeam.sdp import (
     FEAS_TOL, BisectionResult, _constraint_data, _dual_bound,
@@ -127,12 +128,22 @@ def plain_bisection(inst, delta_lo, delta_hi, eps):
     return BisectionResult(lo, best.psi, False, history)
 
 
-def assert_same_verdict(sol, status):
-    """A plain check `sol` agrees with a bisection's verdict `status` on the same target, except
-    that a target the bisection proved infeasible may get a plain 'feasible' inside the slack
-    (-FEAS_TOL <= s < 0).  The plain check divides constraint k by sigma_k and the bisection by
-    D_k, so within FEAS_TOL of the boundary either verdict is proved in its own units."""
-    assert sol.status == status or (status == "infeasible" and -FEAS_TOL <= sol.s < 0)
+def bisection_with_scales(monkeypatch, inst, eps):
+    """`bisection_maxmin` from the all-ones start on [0, matched-filter bound], with the scales
+    (D_k of its best Psi) each visited target was decided in.  A solved target records the
+    scales of its solve; a certified one is always the last target, decided in the returned
+    Psi's D_k."""
+    solved = {}
+
+    def check(inst_, delta, scales=None, gap_tol=None):
+        solved[delta] = scales
+        return cb.feasibility_check(inst_, delta, scales=scales, gap_tol=gap_tol)
+
+    with monkeypatch.context() as m:
+        m.setattr(sdp, "feasibility_check", check)
+        res = cb.bisection_maxmin(inst, np.ones(inst.dim), cb.matched_filter_bound(inst), eps)
+    d_final = inst.powers(res.psi)[1]
+    return res, [solved.get(delta, d_final) for delta, _ in res.history]
 
 
 def assert_same_guarantee(inst, eps):
@@ -150,7 +161,8 @@ def assert_same_guarantee(inst, eps):
     assert max((t for t, _ in got.history), default=0.0) <= got.delta_star + eps
     if not got.saturated:
         assert min(t for t, verdict in got.history if verdict == "infeasible") <= got.delta_star + eps
-        assert_same_verdict(cb.feasibility_check(inst, got.delta_star + eps), "infeasible")
+        d_final = inst.powers(got.psi)[1]  # the bisection's own units at its end
+        assert cb.feasibility_check(inst, got.delta_star + eps, scales=d_final).status == "infeasible"
     return got.certified
 
 
@@ -223,7 +235,7 @@ class TestInstance:
         theta_tilde = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
         k, j = rng.integers(0, 2), rng.integers(0, 2)
         lhs = np.real(theta_tilde.conj() @ constraint_matrix(inst, k, j) @ theta_tilde)
-        recovered = cb.dehomogenize(theta_tilde)
+        recovered = dehomogenize(theta_tilde)
         assert np.allclose(np.append(recovered, 1.0), np.conj(theta_tilde[-1]) * theta_tilde, rtol=0, atol=1e-15)
         rhs = abs(inst.v[k, j, :-1].conj() @ recovered + np.conj(inst.v[k, j, -1])) ** 2
         assert abs(lhs - rhs) <= 1e-10 * max(rhs, 1.0)
@@ -312,8 +324,10 @@ class TestBenchmarkShapes:
         ],
         ids=["2-2", "5-16", "mu-maxmin"],
     )
-    def test_margins_match_oracle_on_bisection_path(self, k, m, build, min_certified):
-        # every target a bisection visits, feasible, infeasible or certified infeasible
+    def test_margins_match_oracle_on_bisection_path(self, k, m, build, min_certified, monkeypatch):
+        # every target a bisection visits, feasible, infeasible or certified infeasible: the plain
+        # check's margins are the oracle's, and a check in the bisection's own scales repeats its
+        # verdict
         cases = []
         if k:
             insts = [random_instance(np.random.default_rng(seed), k=k, m=m) for seed in (3, 0)]
@@ -322,13 +336,12 @@ class TestBenchmarkShapes:
             cases += [(inst, 0.1) for inst in subproblems(MU_MAXMIN, build)]
         certified = 0
         for inst, eps in cases:
-            res = cb.bisection_maxmin(inst, np.ones(inst.dim), cb.matched_filter_bound(inst), eps)
+            res, scales = bisection_with_scales(monkeypatch, inst, eps)
             certified += res.certified
             assert max((t for t, _ in res.history), default=0.0) <= res.delta_star + eps
-            for delta, status in res.history:
-                sol = cb.feasibility_check(inst, delta)
-                assert_same_verdict(sol, status)
-                assert_certified(inst, sol)
+            for (delta, status), d_k in zip(res.history, scales):
+                assert cb.feasibility_check(inst, delta, scales=d_k).status == status
+                assert_certified(inst, cb.feasibility_check(inst, delta))
         assert certified >= min_certified
 
 
