@@ -42,14 +42,22 @@ def mrc_receivers(h):
     return h / norms[..., None, :]
 
 
+def _receiver_powers(powers, k):
+    """powers as a float (K,) array; ValueError unless it holds K finite positive values."""
+    powers = np.asarray(powers, dtype=float)
+    if powers.shape != (k,) or not (0 < powers.min() and powers.max() < np.inf):
+        raise ValueError(f"powers must be {k} finite positive values, got shape {powers.shape}")
+    return powers
+
+
 def zf_receivers(h, powers):
     """Zero-forcing receivers W = H (P H^H H)^{-1} with P = diag(sqrt(P_k)), batched like H (..., N, K).
 
     Requires full column rank of every channel; satisfies W^H H = P^{-1} so
-    all cross-user interference vanishes.
+    all cross-user interference vanishes.  `powers` must be K finite positive values.
     """
     h = np.asarray(h, dtype=complex)
-    powers = np.atleast_1d(np.asarray(powers, dtype=float))
+    powers = _receiver_powers(powers, h.shape[-1])
     if np.any(numerical_rank(h) < h.shape[-1]):
         raise RankDeficiencyError("ZF requires rank(H) = K")
     gram = h.conj().swapaxes(-1, -2) @ h
@@ -57,16 +65,25 @@ def zf_receivers(h, powers):
 
 
 def mmse_receivers(h, powers, noise):
-    """MMSE receivers W = (H P P H^H + noise I)^{-1} H P (per-user optimal), batched like H (..., N, K).
+    """MMSE receivers (per-user optimal) of channels H (..., N, K), batched like H.
 
-    A zero channel column gets the first unit vector, so that user's SINR is 0.
+    With D = diag(P_1, ..., P_K), the covariance form
+        W = (H D H^H + noise I_N)^{-1} H D^{1/2}
+    equals, by the push-through identity (H D H^H + s I)^{-1} H = H (D H^H H + s I)^{-1},
+        W = H (D H^H H + noise I_K)^{-1} D^{1/2},
+    which is what is computed: one K x K Gram and one K x K solve per channel,
+    whatever N.  D H^H H + noise I is invertible for noise > 0, since D H^H H
+    is similar to the PSD D^{1/2} H^H H D^{1/2}.  A zero channel column gets
+    the first unit vector, so that user's SINR is 0.  `powers` must be K finite
+    positive values and `noise` finite and positive.
     """
     h = np.asarray(h, dtype=complex)
-    powers = np.atleast_1d(np.asarray(powers, dtype=float))
-    if noise <= 0:
-        raise ValueError("noise power must be positive")
-    cov = (h * powers) @ h.conj().swapaxes(-1, -2) + noise * np.eye(h.shape[-2])
-    w = np.linalg.solve(cov, h * np.sqrt(powers))
+    k = h.shape[-1]
+    powers = _receiver_powers(powers, k)
+    if not 0 < noise < np.inf:
+        raise ValueError(f"noise power must be finite and positive, got {noise!r}")
+    gram = h.conj().swapaxes(-1, -2) @ h
+    w = h @ np.linalg.solve(powers[:, None] * gram + noise * np.eye(k), np.diag(np.sqrt(powers)))
     dead = ~w.any(axis=-2)
     if dead.any():
         w[..., 0, :][dead] = 1.0
@@ -118,7 +135,11 @@ def build_p34_instance(chs: ChannelSet, theta2, w, powers, noise) -> MaxMinSdpIn
     return _build_instance(chs, 1, theta2, w, powers, noise)
 
 
-_CHUNK_BYTES = 256 * 1024  # bytes of stacked complex N x N MMSE covariances per search chunk
+# bytes per search chunk of its largest per-pair array, 16 max(N, M1, M2) K: a channel,
+# receiver or cascaded-link stack (the receivers' K x K Grams are no larger).  A chunk
+# holds about six such arrays at once; at 128 KiB a mu-maxmin search (N = 40, K = 5)
+# peaks below the N x N covariance search it replaced, and 256 KiB is no faster.
+_CHUNK_BYTES = 128 * 1024
 
 
 def dft_codebook(m):
@@ -153,14 +174,15 @@ def dft_codebook_search(chs: ChannelSet, ctx: SinrContext, rx_mode) -> MuSolveSt
 
     Either codebook collapses to the single trivial empty codeword when its
     IRS has no subsurfaces.  The pairs (theta1 outer) go in chunks of
-    `_CHUNK_BYTES` of N x N covariances, each one channel stack, one receiver
-    solve of `rx_mode` and one SINR call.  Returns the best pair (the first on
-    a tie) with its receivers and min SINR (SNR for K = 1); under ZF only the
-    rank-deficient pairs get MMSE, and `zf_substituted` flags that any did.
+    `_CHUNK_BYTES` of the largest per-pair array (16 max(N, M1, M2) K bytes),
+    each one channel stack, one receiver solve of `rx_mode` and one SINR call.
+    Returns the best pair (the first on a tie) with its receivers and min SINR
+    (SNR for K = 1); under ZF only the rank-deficient pairs get MMSE, and
+    `zf_substituted` flags that any did.
     """
     c1, c2 = dft_codebook(chs.m1), dft_codebook(chs.m2)
     theta1, theta2 = np.repeat(c1, len(c2), 0), np.tile(c2, (len(c1), 1))
-    chunk = max(1, _CHUNK_BYTES // (16 * chs.n_bs**2))
+    chunk = max(1, _CHUNK_BYTES // (16 * max(chs.n_bs, chs.m1, chs.m2) * chs.n_users))
     best, substituted = None, False
     for start in range(0, len(theta1), chunk):
         h = chs.compose(theta1[start:start + chunk], theta2[start:start + chunk])

@@ -161,6 +161,23 @@ class TestReceivers:
         with pytest.raises(cb.RankDeficiencyError):
             cb.zf_receivers(h[1], ctx.powers)
 
+    @pytest.mark.parametrize("fn", ["zf", "mmse"])
+    @pytest.mark.parametrize("powers", [[2.0], [1.0, -1.0, 1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0],
+                                        [[1.0, 1.0, 1.0]]], ids=["length-1", "negative", "nan", "inf", "2-d"])
+    def test_rejects_powers_that_are_not_k_finite_positive_values(self, rng, fn, powers):
+        h = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        with pytest.raises(ValueError, match="powers must be 3 finite positive values"):
+            if fn == "zf":
+                cb.zf_receivers(h, powers)
+            else:
+                cb.mmse_receivers(h, powers, 0.5)
+
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_mmse_rejects_noise_that_is_not_finite_positive(self, rng, noise):
+        h = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        with pytest.raises(ValueError, match="noise power must be finite and positive"):
+            cb.mmse_receivers(h, np.ones(3), noise)
+
     def test_mmse_dominates_zf_and_random(self, rng):
         for _ in range(10):
             h = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
@@ -172,6 +189,53 @@ class TestReceivers:
                 w = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
                 gr = cb.sinr_per_user(h, w, ctx)
                 assert np.all(gm >= gr - 1e-10 * np.maximum(gr, 1.0))
+
+
+def covariance_mmse(h, powers, noise):
+    """MMSE receivers in covariance form, solve(H P H^H + noise I_N, H sqrt(P)): the reference
+    for the push-through form that `mmse_receivers` computes (zero-column rule not applied)."""
+    cov = (h * powers) @ h.conj().swapaxes(-1, -2) + noise * np.eye(h.shape[-2])
+    return np.linalg.solve(cov, h * np.sqrt(powers))
+
+
+# the two forms agree to about 1e-13 to 1e-12 relative on these well-conditioned channels;
+# the bound leaves two orders of magnitude for other BLAS builds
+PUSH_THROUGH_RTOL = 1e-10
+
+
+def assert_close_per_channel(w, ref, rtol=PUSH_THROUGH_RTOL):
+    """||W - ref||_F <= rtol ||ref||_F for every channel of a stack (..., N, K)."""
+    err = np.linalg.norm(w - ref, axis=(-2, -1))
+    assert np.all(err <= rtol * np.linalg.norm(ref, axis=(-2, -1))), np.max(err)
+
+
+class TestPushThroughMmse:
+    @pytest.mark.parametrize("shape", [(6, 3), (4, 4), (3, 5), (8, 6, 3), (2, 3, 5, 4)],
+                             ids=["n>k", "n=k", "n<k", "stack", "two-axis"])
+    def test_equals_covariance_form(self, rng, shape):
+        k = shape[-1]
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        powers, noise = np.linspace(0.5, 2.0, k), 0.3
+        assert_close_per_channel(cb.mmse_receivers(h, powers, noise), covariance_mmse(h, powers, noise))
+
+    def test_zero_column_gets_first_unit_vector(self, rng):
+        h = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal((4, 5, 3))
+        h[2, :, 1] = 0
+        powers, noise = np.array([1.0, 2.0, 0.5]), 0.4
+        w, ref = cb.mmse_receivers(h, powers, noise), covariance_mmse(h, powers, noise)
+        assert (w[2, :, 1] == [1, 0, 0, 0, 0]).all()
+        assert (ref[2, :, 1] == 0).all()
+        ref[2, 0, 1] = 1.0
+        assert_close_per_channel(w, ref)
+
+    def test_zf_fallback_on_rank_deficient_stack(self, rng):
+        ctx = cb.SinrContext(np.array([1.0, 2.0, 0.5]), 0.3)
+        h = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
+        h[[1, 3], :, 2] = h[[1, 3], :, 0]
+        w, substituted = _receivers(h, ctx, "zf")
+        assert substituted
+        assert_close_per_channel(w[[1, 3]], covariance_mmse(h[[1, 3]], ctx.powers, ctx.noise))
+        assert (w[[0, 2, 4]] == cb.zf_receivers(h[[0, 2, 4]], ctx.powers)).all()
 
 
 class TestDftCodebook:
@@ -263,9 +327,20 @@ class TestChunkedSearch:
     def test_equals_per_pair_loop(self, rng, monkeypatch, rx_mode, make):
         chs = make(rng)
         ctx = cb.SinrContext(np.linspace(1.0, 2.0, chs.n_users), 0.3)
-        monkeypatch.setattr(multi_user, "_CHUNK_BYTES", 16 * chs.n_bs**2 * 3)  # 3 pairs per chunk
-        assert max(chs.m1, 1) * max(chs.m2, 1) > 3
-        got, want = cb.dft_codebook_search(chs, ctx, rx_mode), per_pair_search(chs, ctx, rx_mode)
+        pair_bytes = 16 * max(chs.n_bs, chs.m1, chs.m2) * chs.n_users
+        monkeypatch.setattr(multi_user, "_CHUNK_BYTES", pair_bytes * 3)  # 3 pairs per chunk
+        sizes = []
+
+        def sinr(h, w, ctx):
+            sizes.append(len(h))
+            return cb.sinr_per_user(h, w, ctx)
+
+        monkeypatch.setattr(multi_user, "sinr_per_user", sinr)
+        pairs = max(chs.m1, 1) * max(chs.m2, 1)
+        assert pairs > 3
+        got = cb.dft_codebook_search(chs, ctx, rx_mode)
+        assert sizes == [3] * (pairs // 3) + [pairs % 3] * (pairs % 3 > 0)
+        want = per_pair_search(chs, ctx, rx_mode)
         for name in ("theta1", "theta2", "w"):
             assert getattr(got, name).shape == getattr(want, name).shape
             assert (getattr(got, name) == getattr(want, name)).all(), name
