@@ -109,7 +109,8 @@ def report(summary):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[1],
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent_checkout", type=Path)
     parser.add_argument("change_checkout", type=Path)
     parser.add_argument("--workload", required=True)

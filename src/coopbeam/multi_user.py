@@ -83,7 +83,9 @@ def mmse_receivers(h, powers, noise):
     if not 0 < noise < np.inf:
         raise ValueError(f"noise power must be finite and positive, got {noise!r}")
     gram = h.conj().swapaxes(-1, -2) @ h
-    w = h @ np.linalg.solve(powers[:, None] * gram + noise * np.eye(k), np.diag(np.sqrt(powers)))
+    # b gets as many axes as the Grams: numpy < 2 reads a b with one axis fewer as a stack of vectors
+    rhs = np.diag(np.sqrt(powers))[(None,) * (gram.ndim - 2)]
+    w = h @ np.linalg.solve(powers[:, None] * gram + noise * np.eye(k), rhs)
     dead = ~w.any(axis=-2)
     if dead.any():
         w[..., 0, :][dead] = 1.0
@@ -137,8 +139,8 @@ def build_p34_instance(chs: ChannelSet, theta2, w, powers, noise) -> MaxMinSdpIn
 
 # bytes per search chunk of its largest per-pair array, 16 max(N, M1, M2) K: a channel,
 # receiver or cascaded-link stack (the receivers' K x K Grams are no larger).  A chunk
-# holds about six such arrays at once; at 128 KiB a mu-maxmin search (N = 40, K = 5)
-# peaks below the N x N covariance search it replaced, and 256 KiB is no faster.
+# holds about six such arrays at once; on a mu-maxmin search (N = 40, K = 5) 256 KiB is
+# no faster than 128 KiB and nearly doubles the peak memory (BENCH_27.json).
 _CHUNK_BYTES = 128 * 1024
 
 

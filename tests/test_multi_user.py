@@ -146,6 +146,19 @@ class TestReceivers:
         np.testing.assert_array_equal(call(h, w), [call(h[b], w[b]) for b in range(len(h))])
         assert call(h[None, None], w[None, None]).shape[:2] == (1, 1)
 
+    @pytest.mark.parametrize("batch", [1, 3], ids=["one", "k"])
+    def test_stack_of_one_or_k_channels_equals_per_slice_calls(self, rng, batch):
+        # a stack as long as K, or of one channel, is where a K x K right-hand side read as a
+        # stack of vectors would pass unnoticed; the ZF -> MMSE fallback gets such a stack too
+        ctx = cb.SinrContext(np.array([1.0, 2.0, 0.5]), 0.3)
+        h = rng.standard_normal((batch, 5, 3)) + 1j * rng.standard_normal((batch, 5, 3))
+        w = cb.mmse_receivers(h, ctx.powers, ctx.noise)
+        np.testing.assert_array_equal(w, [cb.mmse_receivers(c, ctx.powers, ctx.noise) for c in h])
+        h[0, :, 2] = h[0, :, 0]
+        w, substituted = _receivers(h, ctx, "zf")
+        assert substituted
+        np.testing.assert_array_equal(w[0], cb.mmse_receivers(h[0], ctx.powers, ctx.noise))
+
     def test_stack_keeps_the_2d_contracts(self, rng):
         ctx = cb.SinrContext(np.ones(2), 0.5)
         h = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
