@@ -179,7 +179,9 @@ def _solve_max_margin(delta, c_mats, e, scales, gap_tol=None):
     (mu / sigma, nu) is below -FEAS_TOL.  With `gap_tol` set, either verdict
     also waits for a duality gap of at most max(gap_tol, 0.1 s), so the Psi
     it returns is near the max-margin optimum on both sides, and returns the
-    exit dual.  `iterations` counts Newton systems.
+    exit dual; the bound is then evaluated only once that gap test passes
+    with s < -FEAS_TOL, the one place its value can end the solve.
+    `iterations` counts Newton systems.
     """
     kk, n = c_mats.shape[0], c_mats.shape[1]
     c_hat = c_mats / scales[:, None, None]
@@ -222,6 +224,10 @@ def _solve_max_margin(delta, c_mats, e, scales, gap_tol=None):
     def done(status, message, dual=None):
         return PsdSolution(psi, status, margins, s, delta, it, message, dual)
 
+    def proved():
+        """`_dual_bound` at the current (mu / sigma, nu) is below -FEAS_TOL."""
+        return _dual_bound(c_mats, e, scales, (mu / scales)[None], nu[None])[0] < -FEAS_TOL
+
     for it in range(MAX_ITER + 1):
         g = margins - s
         if (g <= 0).any():  # safeguard, should not happen
@@ -230,18 +236,18 @@ def _solve_max_margin(delta, c_mats, e, scales, gap_tol=None):
             l_inv[0] = np.linalg.inv(np.linalg.cholesky(psi))
         except np.linalg.LinAlgError:
             return done("numerical-failure", "primal iterate left the PSD cone")
-        if s >= -FEAS_TOL and gap_tol is None:
-            return done("feasible", "feasible margin")
         dual = (mu / scales, nu)
-        proved = _dual_bound(c_mats, e, scales, dual[0][None], nu[None])[0] < -FEAS_TOL
-        if proved and gap_tol is None:
-            return done("infeasible", "dual bound certificate", dual)
+        if gap_tol is None:
+            if s >= -FEAS_TOL:
+                return done("feasible", "feasible margin")
+            if proved():
+                return done("infeasible", "dual bound certificate", dual)
         z = np.diag(nu) - np.dot(mu, c_flat).reshape(n, n)
         gap = mu @ g + np.vdot(z, psi).real
         if gap_tol is not None and gap <= max(gap_tol, 0.1 * s):  # either verdict waits for the gap
             if s >= -FEAS_TOL:
                 return done("feasible", "duality gap closed", dual)
-            if proved:
+            if proved():  # the certificate is tested only where a verdict can use it
                 return done("infeasible", "dual bound certificate", dual)
         if gap <= GAP_TOL:  # no certificate either way, and s < -FEAS_TOL
             return done("infeasible", "duality gap closed", dual)
