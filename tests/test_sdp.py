@@ -135,9 +135,9 @@ def bisection_with_scales(monkeypatch, inst, eps):
     Psi's D_k."""
     solved = {}
 
-    def check(inst_, delta, scales=None, gap_tol=None):
+    def check(inst_, delta, scales=None, gap_tol=None, start=None):
         solved[delta] = scales
-        return cb.feasibility_check(inst_, delta, scales=scales, gap_tol=gap_tol)
+        return cb.feasibility_check(inst_, delta, scales=scales, gap_tol=gap_tol, start=start)
 
     with monkeypatch.context() as m:
         m.setattr(sdp, "feasibility_check", check)
@@ -390,6 +390,102 @@ class TestKernelTrajectory:
         assert res.margins == pytest.approx(margins, rel=1e-12, abs=0)
 
 
+class TestWarmStart:
+    """A solve started from an earlier solve's exit (Psi, dual) instead of Psi = I."""
+
+    @staticmethod
+    def exit_and_bracket(inst, rng, rank_one):
+        """An exit (Psi, dual) of a Dinkelbach-type solve at the all-ones start's min SINR, or
+        that dual with the rank-one Psi of a random unit-modulus vector; and a bracket [lo, up]
+        of the relaxation's optimum from a bisection."""
+        start = np.ones(inst.dim)
+        prev = cb.feasibility_check(inst, float(inst.min_sinr(start)), gap_tol=1e-3)
+        psi = prev.psi
+        if rank_one:
+            tilde = np.exp(1j * rng.uniform(0, 2 * np.pi, inst.dim + 1))
+            psi = np.outer(tilde, tilde.conj())
+        hi = cb.matched_filter_bound(inst)
+        eps = 1e-3 * hi
+        lo = cb.bisection_maxmin(inst, start, hi, eps).delta_star
+        return (psi, prev.dual), lo, lo + eps
+
+    @pytest.mark.parametrize("k, m", [(2, 2), (5, 16)])
+    @given(seed=st.integers(0, 2**31), frac=st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 1.5)),
+           rank_one=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_same_verdict_as_cold_with_its_proof(self, k, m, seed, frac, rank_one):
+        # targets at least 10% inside or outside the optimum's bracket, so no verdict is a
+        # tie at the FEAS_TOL slack
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, k=k, m=m)
+        start, lo, up = self.exit_and_bracket(inst, rng, rank_one)
+        delta = frac * (lo if frac < 1 else up)
+        cold = cb.feasibility_check(inst, delta)
+        warm = cb.feasibility_check(inst, delta, start=start)
+        assert warm.status == cold.status, (warm.message, cold.message)
+        assert_certified(inst, warm)
+
+    @pytest.mark.parametrize("k, m", [(2, 2), (5, 16)])
+    @given(seed=st.integers(0, 2**31), rank_one=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_start_is_interior(self, k, m, seed, rank_one):
+        # Psi0 has unit diagonal and is positive definite, mu0 > 0 sums to one, and
+        # Z0 = Diag nu0 - sum mu0 C^ has lambda_min >= WARM_BLEND, here at a new target and
+        # in new scales
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, k=k, m=m)
+        start, lo, _ = self.exit_and_bracket(inst, rng, rank_one)
+        c_mats, e, sigma = plain_data(inst, 1.05 * lo)
+        n = inst.dim + 1
+        c_flat = (c_mats / sigma[:, None, None]).reshape(k, n * n)
+        mu_cold = np.full(k, 1.0 / k)
+        nu_cold = np.full(n, np.linalg.eigvalsh(np.dot(mu_cold, c_flat).reshape(n, n))[-1] + 1.0)
+        psi, mu, nu = sdp._warm_start(start, c_flat, sigma, mu_cold, nu_cold)
+        assert np.array_equal(np.diag(psi), np.ones(n))
+        assert np.allclose(psi, psi.conj().T, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(psi).min() > 0.5 * sdp.WARM_BLEND
+        assert np.all(mu > 0) and mu.sum() == pytest.approx(1.0, rel=1e-12)
+        z = np.diag(nu) - np.dot(mu, c_flat).reshape(n, n)
+        assert np.linalg.eigvalsh(z).min() >= sdp.WARM_BLEND * (1 - 1e-9)
+
+    def test_start_of_wrong_shape_rejected(self, rng):
+        inst = random_instance(rng, k=2, m=3)
+        n = inst.dim + 1
+        good = (np.eye(n), (np.full(2, 0.5), np.ones(n)))
+        cb.feasibility_check(inst, 0.1, start=good)
+        bad = [
+            (np.eye(n + 1), good[1]),
+            (np.eye(n), (np.full(3, 0.5), np.ones(n))),
+            (np.eye(n), (np.full(2, 0.5), np.ones(n - 1))),
+            (np.ones(n), good[1]),
+        ]
+        for start in bad:
+            with pytest.raises(ValueError, match="start"):
+                cb.feasibility_check(inst, 0.1, start=start)
+
+    def test_bisection_passes_each_exit_to_its_next_solve(self, monkeypatch):
+        # within one call the first solve is cold and each later one starts from the previous
+        # solve's exit; a new call starts cold again
+        real = sdp.feasibility_check
+        calls = []
+
+        def check(inst_, delta, scales=None, gap_tol=None, start=None):
+            res = real(inst_, delta, scales=scales, gap_tol=gap_tol, start=start)
+            calls.append((start, res))
+            return res
+
+        monkeypatch.setattr(sdp, "feasibility_check", check)
+        warm = 0
+        for inst in subproblems(MU_MAXMIN):
+            calls.clear()
+            cb.bisection_maxmin(inst, np.ones(inst.dim), cb.matched_filter_bound(inst), 0.1)
+            assert calls[0][0] is None
+            for (_, before), (start, _) in zip(calls, calls[1:]):
+                assert start[0] is before.psi and start[1] is before.dual
+                warm += 1
+        assert warm > 0
+
+
 class TestDualBound:
     """The weak-duality bound that lets the bisection skip provably infeasible targets."""
 
@@ -451,18 +547,41 @@ class TestDualBound:
 
 
 class TestBisection:
-    def test_fig9_steps_that_once_failed_end_with_a_verdict(self):
+    def test_fig9_steps_that_once_failed_end_with_a_verdict(self, monkeypatch):
         # the 8 bisections of fig9 at its shipped 10 draws whose Dinkelbach step once ended in
-        # "numerical-failure", stored with the delta* they ended at then (the certified low end)
+        # "numerical-failure", stored with the delta* they ended at then (the certified low end).
+        # Each now ends with a proved verdict: its Psi reaches delta*, and its last target, at
+        # most delta* + eps, is infeasible by a dual bound in the units it was decided in.  The
+        # stored delta* is reached by a verified Psi, so it lies below that target, and
+        # delta* > stored - eps, the bisection's eps contract
         data = np.load(Path(__file__).parent / "data" / "fig9_failed_steps.npz", allow_pickle=False)
         count = sum(name.startswith("v_") for name in data.files)
         assert count == 8
+        real = sdp.feasibility_check
+        solves = {}  # target -> (scales, exit dual) of each solve
+
+        def check(inst_, delta, scales=None, gap_tol=None, start=None):
+            res = real(inst_, delta, scales=scales, gap_tol=gap_tol, start=start)
+            solves[delta] = (scales, res.dual)
+            return res
+
+        monkeypatch.setattr(sdp, "feasibility_check", check)
         for i in range(count):
             inst = cb.MaxMinSdpInstance(data[f"v_{i}"], data[f"noise_{i}"])
-            res = cb.bisection_maxmin(inst, data[f"theta_{i}"], float(data[f"delta_hi_{i}"]),
-                                      float(data[f"eps_{i}"]))
+            eps = float(data[f"eps_{i}"])
+            solves.clear()
+            res = cb.bisection_maxmin(inst, data[f"theta_{i}"], float(data[f"delta_hi_{i}"]), eps)
             assert all(status != "numerical-failure" for _, status in res.history)
-            assert res.delta_star >= float(data[f"delta_star_{i}"])
+            n_k, d_k = inst.powers(res.psi)
+            assert (n_k / d_k).min() >= res.delta_star - FEAS_TOL
+            last, verdict = res.history[-1]
+            assert verdict == "infeasible" and last <= res.delta_star + eps
+            # a solved target is proved by its own exit dual, a certified one by an earlier
+            # solve's, in the final Psi's D_k
+            proofs = [solves[last]] if last in solves else [(d_k, dual) for _, dual in solves.values()]
+            assert any(_dual_bound(*_constraint_data(inst, last), scales, mu[None], nu[None])[0]
+                       < -FEAS_TOL for scales, (mu, nu) in proofs)
+            assert res.delta_star > float(data[f"delta_star_{i}"]) - eps
 
     def test_saturated_bracket_flagged(self, rng):
         inst, true_opt = scalar_instance(rng)
@@ -569,6 +688,24 @@ class TestBisection:
                 reused += len(earlier) > 0
         assert reused > 0
 
+    def test_newton_is_the_sum_of_its_solves_iterations(self, monkeypatch):
+        real = sdp.feasibility_check
+        steps = []
+
+        def check(*args, **kwargs):
+            res = real(*args, **kwargs)
+            steps.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(sdp, "feasibility_check", check)
+        insts = [random_instance(np.random.default_rng(seed), k=2, m=2) for seed in range(4)]
+        cases = [(inst, 1e-3 * cb.matched_filter_bound(inst)) for inst in insts]
+        cases += [(inst, 1e-3) for inst in subproblems(MU_TINY)]
+        for inst, eps in cases:
+            steps.clear()
+            res = cb.bisection_maxmin(inst, np.ones(inst.dim), cb.matched_filter_bound(inst), eps)
+            assert steps and res.newton == sum(steps)
+
     @staticmethod
     def failing_solves(monkeypatch, passes=0):
         """Make every solve after the first `passes` fail numerically; returns the list of
@@ -576,8 +713,8 @@ class TestBisection:
         real = cb.feasibility_check
         solved = []
 
-        def failing(inst, delta, scales=None, gap_tol=None):
-            res = real(inst, delta, scales, gap_tol)
+        def failing(inst, delta, scales=None, gap_tol=None, start=None):
+            res = real(inst, delta, scales, gap_tol, start)
             solved.append(delta)
             if len(solved) > passes:
                 res.status, res.message = "numerical-failure", "synthetic failure"
