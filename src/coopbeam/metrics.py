@@ -31,8 +31,8 @@ class SinrContext:
 
     def __post_init__(self):
         object.__setattr__(self, "powers", np.atleast_1d(np.asarray(self.powers, dtype=float)))
-        if np.any(self.powers <= 0) or self.noise <= 0:
-            raise ValueError("powers and noise must be strictly positive")
+        if not (np.all((self.powers > 0) & np.isfinite(self.powers)) and 0 < self.noise < np.inf):
+            raise ValueError("powers and noise must be finite and strictly positive")
 
     @classmethod
     def from_scenario(cls, scenario):

@@ -97,6 +97,16 @@ class TestSinr:
         again = cb.sinr_per_user(h, scaled, ctx)
         assert np.all(np.abs(again - base) <= 1e-12 * np.maximum(base, 1.0))
 
+    @pytest.mark.parametrize(
+        "powers, noise",
+        [([1.0, 1.0], np.nan), ([1.0, np.inf], 1.0), ([1.0, np.nan], 1.0), ([1.0, 1.0], np.inf)],
+        ids=["noise-nan", "power-inf", "power-nan", "noise-inf"],
+    )
+    def test_context_rejects_non_finite_values(self, powers, noise):
+        # each was accepted and gave NaN SINRs downstream
+        with pytest.raises(ValueError, match="finite"):
+            cb.SinrContext(np.array(powers), noise)
+
     def test_zero_receiver_rejected(self):
         h = np.ones((2, 1), dtype=complex)
         ctx = cb.SinrContext(np.array([1.0]), 1.0)
