@@ -3,9 +3,12 @@ the single-IRS baseline optimizer, and the baseline-derived initialization
 that provably matches or beats the baseline SNR.
 
 `_ao` is the one AO loop.  It runs R starts at once as w (R, N), theta1 (R, M1)
-and theta2 (R, M2), composing the channel once per sub-step with
-`ChannelSet.compose` and taking the MRC receiver (`multi_user.mrc_receivers`)
-and the SNR from it; a zero channel gets a unit receiver and SNR 0.
+and theta2 (R, M2).  Each theta sub-step builds the affine map A~ of its block
+(`ChannelSet.affine`) once and takes both the closed-form theta and the channel
+h = A~ [theta; 1] from it (`_align`); on the single-IRS baseline (m1 = 0) A~ is
+the same for every iterate and is built once per call.  The MRC sub-step takes
+the receiver h / ||h|| and the SNR P ||h||^2 / noise from one norm; a zero
+channel gets the first unit vector and SNR 0, as in `multi_user.mrc_receivers`.
 `ao_single_user` is its R = 1 case.  `single_irs_opt` draws its R starts with
 `_random_starts` and keeps the first best restart.
 The single-user SDR benchmark is `multi_user.algorithm1` with K = 1 and MRC."""
@@ -13,13 +16,13 @@ The single-user SDR benchmark is `multi_user.algorithm1` with K = 1 and MRC."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import ChannelSet, ReflectPattern, dehomogenize
 from .metrics import SinrContext, effective_channel
-from .multi_user import mrc_receivers
 from .reports import SolveReport
 
 AO_TOL = 1e-8  # relative SNR gain of a full AO cycle below which it stops
@@ -53,16 +56,28 @@ def _require_single_user(chs: ChannelSet):
         raise ValueError("single-user operation called on a multi-user channel set")
 
 
+def _require_count(name, value, low):
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _snr(ctx: SinrContext, w, h):
-    """P |w^H h|^2 / (noise ||w||^2) of receivers w (..., N) on channels h (..., N, 1)."""
-    wh = (w.conj()[..., None, :] @ h)[..., 0, 0]
-    return ctx.powers[0] * np.abs(wh) ** 2 / (ctx.noise * (w.conj() * w).real.sum(axis=-1))
+    """P |w^H h|^2 / (noise ||w||^2) of receivers w (..., N) on channels h (..., N)."""
+    wc = w.conj()
+    return ctx.powers[0] * np.abs((wc * h).sum(axis=-1)) ** 2 / (ctx.noise * (wc * w).real.sum(axis=-1))
 
 
 def snr_value(chs: ChannelSet, w, theta1, theta2, ctx: SinrContext):
     """P |w^H h|^2 / (noise ||w||^2) for the single user."""
     _require_single_user(chs)
-    return float(_snr(ctx, np.asarray(w, dtype=complex), chs.compose(theta1, theta2)))
+    return float(_snr(ctx, np.asarray(w, dtype=complex), chs.compose(theta1, theta2)[..., 0]))
+
+
+def _align(a, w):
+    """(theta, h) of the closed-form step on A~ (..., N, M + 1) for receivers w (..., N):
+    theta = `dehomogenize`(A~^H w) and the channel h (..., N) = A~ [theta; 1]."""
+    theta = dehomogenize((w[..., None, :] @ a.conj())[..., 0, :])
+    return theta, (a[..., :-1] @ theta[..., None])[..., 0] + a[..., -1]
 
 
 def opt_theta_closed_form(chs: ChannelSet, block, theta_other, w):
@@ -71,15 +86,14 @@ def opt_theta_closed_form(chs: ChannelSet, block, theta_other, w):
     With h = A~ [theta_block; 1] (`ChannelSet.affine`), w^H h = x^H [theta_block; 1]
     for x = A~^H w.  Aligning every term with the last one (phase 0 when it
     vanishes) attains the triangle-inequality upper bound: theta_block =
-    `dehomogenize`(x).  Leading batch axes of theta_other and w (..., N) give one
-    theta_block per entry.
+    `dehomogenize`(x), as `_align` computes it.  Leading batch axes of theta_other
+    and w (..., N) give one theta_block per entry.
     """
     _require_single_user(chs)
     w = np.asarray(w, dtype=complex)
     if w.shape[-1] != chs.n_bs:
         raise ValueError("dimension mismatch")
-    a = chs.affine(block, theta_other)[..., 0, :, :]
-    return dehomogenize((a.conj().swapaxes(-1, -2) @ w[..., None])[..., 0])
+    return _align(chs.affine(block, theta_other)[..., 0, :, :], w)[0]
 
 
 def _random_starts(chs: ChannelSet, rng, restarts):
@@ -100,26 +114,34 @@ def _ao(chs: ChannelSet, ctx: SinrContext, w, t1, t2, max_iters):
     """Run the AO from the R starts w (R, N), t1 (R, M1), t2 (R, M2) at once and return the best.
 
     Each cycle gives every running restart the closed-form theta2, then theta1,
-    then MRC, so each follows its own trajectory.  A restart stops, frozen, once
-    a cycle raises its SNR by at most AO_TOL relative, or after `max_iters`.  The
-    best final SNR wins (the first restart on a tie); its trace has the SNR
-    after every sub-step, 3 * iteration + 1 entries."""
+    then MRC, so each follows its own trajectory.  Every theta sub-step builds its
+    block's A~ once (`_align`), except on the single-IRS baseline (m1 = 0), whose
+    A~ = [Rbar, 0] is built once per call; there the absent theta1 sub-step repeats
+    the theta2 SNR.  A restart stops, frozen, once a cycle raises its SNR by at most
+    AO_TOL relative, or after `max_iters`.  The best final SNR wins (the first
+    restart on a tie); its trace has the SNR after every sub-step, 3 * iteration + 1
+    entries."""
     w, t1, t2 = (np.array(x, dtype=complex) for x in (w, t1, t2))  # the caller's stay as they are
     trace = np.empty((3 * max_iters + 1, len(w)))  # row 3i: after cycle i
-    trace[0] = _snr(ctx, w, chs.compose(t1, t2))
+    trace[0] = _snr(ctx, w, chs.compose(t1, t2)[..., 0])
+    fixed = None if chs.m1 else chs.affine(2, np.empty(0))[0]  # theta2's A~ when no theta1 moves it
     iters = np.full(len(w), max_iters)
     converged = np.zeros(len(w), dtype=bool)
     run, rw, r1, r2 = np.arange(len(w)), w, t1, t2  # the restarts still running
     for it in range(1, max_iters + 1):
-        r2 = opt_theta_closed_form(chs, 2, r1, rw)
-        h = chs.compose(r1, r2)
-        trace[3 * it - 2, run] = _snr(ctx, rw, h)
-        if chs.m1:  # a single-IRS baseline (m1 = 0) has no theta1 to update
-            r1 = opt_theta_closed_form(chs, 1, r2, rw)
-            h = chs.compose(r1, r2)
-        trace[3 * it - 1, run] = _snr(ctx, rw, h)
-        rw = mrc_receivers(h)[..., 0]
-        trace[3 * it, run] = snr = _snr(ctx, rw, h)
+        r2, h = _align(chs.affine(2, r1)[..., 0, :, :] if fixed is None else fixed, rw)
+        trace[3 * it - 2, run] = snr = _snr(ctx, rw, h)
+        if fixed is None:
+            r1, h = _align(chs.affine(1, r2)[..., 0, :, :], rw)
+            snr = _snr(ctx, rw, h)
+        trace[3 * it - 1, run] = snr
+        norm2 = (h.conj() * h).real.sum(axis=-1)
+        trace[3 * it, run] = snr = ctx.powers[0] * norm2 / ctx.noise
+        norm = np.sqrt(norm2)
+        if not norm.all():  # a zero channel gets the first unit vector, as in mrc_receivers
+            zero = norm == 0
+            h[zero, 0] = norm[zero] = 1.0
+        rw = h / norm[:, None]
         prev = trace[3 * it - 3, run]
         done = snr - prev <= AO_TOL * np.maximum(prev, 1e-300)
         if done.any():
@@ -141,6 +163,7 @@ def ao_single_user(chs: ChannelSet, ctx: SinrContext, init: SuSolveState, max_it
     Every sub-step is a global optimum of its block, so the SNR trace is non-decreasing.
     Stops as `_ao` says.  Returns (SuSolveState, SolveReport)."""
     _require_single_user(chs)
+    _require_count("max_iters", max_iters, 0)
     state = _ao(chs, ctx, init.w[None], init.theta1[None], init.theta2[None], max_iters)
     return state, SolveReport(objective=state.snr, trace=state.trace,
                               converged=state.converged, iterations=state.iteration)
@@ -155,8 +178,8 @@ def single_irs_opt(baseline: ChannelSet, ctx: SinrContext, rng, restarts=20, max
     all run through `_ao` together.  Returns the best restart's SuSolveState, the
     first one on a tie."""
     _require_single_user(baseline)
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    _require_count("restarts", restarts, 1)
+    _require_count("max_iters", max_iters, 0)
     return _ao(baseline, ctx, *_random_starts(baseline, rng, restarts), max_iters)
 
 

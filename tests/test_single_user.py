@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import coopbeam as cb
+from coopbeam.single_user import AO_TOL, _ao, _random_starts
 from conftest import explicit_channel, explicit_su_terms, random_channel_set, random_init
 
 
@@ -46,6 +47,45 @@ def one_by_one_single_irs_opt(chs, ctx, restarts, rng):
         if best is None or state.snr > best.snr:
             best = state
     return best
+
+
+def reference_ao(chs, ctx, w, t1, t2, max_iters):
+    """The AO loop written out from the public steps, as `_ao` once ran it.
+
+    Each theta sub-step calls `opt_theta_closed_form`, then composes h with
+    `ChannelSet.compose` and takes P |w^H h|^2 / (noise ||w||^2); the MRC sub-step
+    calls `mrc_receivers` and takes the SNR again.  Same starts and stopping rule as
+    `_ao`.  Returns every restart's (trace, iteration, w, theta1, theta2), in start order.
+    """
+
+    def snr(w, h):
+        wh = (w.conj()[..., None, :] @ h)[..., 0, 0]
+        return ctx.powers[0] * np.abs(wh) ** 2 / (ctx.noise * (w.conj() * w).real.sum(axis=-1))
+
+    w, t1, t2 = (np.array(x, dtype=complex) for x in (w, t1, t2))
+    trace = np.empty((3 * max_iters + 1, len(w)))
+    trace[0] = snr(w, chs.compose(t1, t2))
+    iters = np.full(len(w), max_iters)
+    run, rw, r1, r2 = np.arange(len(w)), w, t1, t2
+    for it in range(1, max_iters + 1):
+        r2 = cb.opt_theta_closed_form(chs, 2, r1, rw)
+        h = chs.compose(r1, r2)
+        trace[3 * it - 2, run] = snr(rw, h)
+        if chs.m1:
+            r1 = cb.opt_theta_closed_form(chs, 1, r2, rw)
+            h = chs.compose(r1, r2)
+        trace[3 * it - 1, run] = snr(rw, h)
+        rw = cb.mrc_receivers(h)[..., 0]
+        trace[3 * it, run] = now = snr(rw, h)
+        prev = trace[3 * it - 3, run]
+        done = now - prev <= AO_TOL * np.maximum(prev, 1e-300)
+        end = run[done]
+        w[end], t1[end], t2[end], iters[end] = rw[done], r1[done], r2[done], it
+        run, rw, r1, r2 = run[~done], rw[~done], r1[~done], r2[~done]
+        if not run.size:
+            break
+    w[run], t1[run], t2[run] = rw, r1, r2
+    return [(trace[: 3 * iters[r] + 1, r], int(iters[r]), w[r], t1[r], t2[r]) for r in range(len(w))]
 
 
 def conditional_bound(chs, ctx, state, eps=1e-3):
@@ -170,6 +210,48 @@ class TestMrc:
         assert np.allclose(w, [[1, 0.6], [0, 0.8j]], rtol=0, atol=1e-15)
 
 
+class TestReferenceLoop:
+    """`_ao` against `reference_ao`: the same trajectory up to rounding, sub-step by sub-step."""
+
+    @staticmethod
+    def assert_same_run(state, runs):
+        # the restart _ao kept, told apart by its start SNR; it must be the first best
+        # restart, where restarts whose final SNRs agree to rounding may trade places
+        finals = np.array([run[0][-1] for run in runs])
+        r = int(np.argmin([abs(run[0][0] - state.trace[0]) for run in runs]))
+        assert np.all(finals[:r] < finals[r] * (1 + 1e-12))
+        assert finals[r] >= finals.max() * (1 - 1e-12)
+        trace, iteration, w, theta1, theta2 = runs[r]
+        assert state.iteration == iteration
+        assert len(state.trace) == len(trace)
+        np.testing.assert_allclose(state.trace, trace, rtol=1e-12, atol=0)
+        for got, want in ((state.w, w), (state.theta1, theta1), (state.theta2, theta2)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("restarts", [1, 20])
+    @pytest.mark.parametrize("n, m1, m2", [(1, 0, 4), (5, 0, 32), (3, 4, 4), (5, 16, 16)])
+    def test_matches_reference_loop(self, ctx, n, m1, m2, restarts):
+        rng = np.random.default_rng(1000 * n + 10 * m1 + m2)
+        for _ in range(3):
+            chs = random_channel_set(rng, n=n, m1=m1, m2=m2, k=1)
+            starts = _random_starts(chs, rng, restarts)
+            state = _ao(chs, ctx, *starts, 100)
+            self.assert_same_run(state, reference_ao(chs, ctx, *starts, 100))
+
+    @pytest.mark.parametrize("restarts", [1, 20])
+    @pytest.mark.parametrize("m1", [0, 3])
+    def test_zero_channel_matches_reference_loop(self, ctx, m1, restarts):
+        zero = cb.ChannelSet.from_links(
+            np.zeros((m1, 1)), np.zeros((4, 1)), np.zeros((4, m1)), np.zeros((3, m1)), np.zeros((3, 4))
+        )
+        starts = _random_starts(zero, np.random.default_rng(5), restarts)
+        state = _ao(zero, ctx, *starts, 100)
+        self.assert_same_run(state, reference_ao(zero, ctx, *starts, 100))
+        assert state.snr == 0.0 and state.trace == [0.0] * 4
+        assert np.array_equal(state.w, [1, 0, 0]) and state.iteration == 1
+
+
 class TestReflectVectorLength:
     def test_wrong_length_rejected(self, rng, ctx):
         # a length-1 theta1 used to broadcast over M1 = 3 and give a finite SNR
@@ -277,6 +359,33 @@ class TestSingleIrsOpt:
         chs = random_channel_set(rng, n=2, m1=0, m2=3, k=1)
         with pytest.raises(ValueError, match="restarts"):
             cb.single_irs_opt(chs, ctx, restarts=0, rng=rng)
+
+    @pytest.mark.parametrize("restarts", [-1, 2.5, True])
+    def test_non_count_restarts_rejected(self, rng, ctx, restarts):
+        # 2.5 used to raise a TypeError
+        chs = random_channel_set(rng, n=2, m1=0, m2=3, k=1)
+        with pytest.raises(ValueError, match="restarts"):
+            cb.single_irs_opt(chs, ctx, restarts=restarts, rng=rng)
+
+    @pytest.mark.parametrize("max_iters", [-1, 2.5, True, "3", None])
+    def test_bad_max_iters_rejected(self, rng, ctx, max_iters):
+        # -1 used to fail inside numpy ("negative dimensions are not allowed"), 2.5 with a TypeError
+        base = random_channel_set(rng, n=2, m1=0, m2=3, k=1)
+        chs = random_channel_set(rng, n=2, m1=2, m2=2, k=1)
+        state = np.random.default_rng(3).bit_generator.state
+        gen = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="max_iters"):
+            cb.single_irs_opt(base, ctx, max_iters=max_iters, rng=gen)
+        assert gen.bit_generator.state == state  # rejected before any start is drawn
+        with pytest.raises(ValueError, match="max_iters"):
+            cb.ao_single_user(chs, ctx, random_init(chs, rng), max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_accepted(self, rng, ctx):
+        chs = random_channel_set(rng, n=2, m1=2, m2=2, k=1)
+        init = random_init(chs, rng)
+        state, _ = cb.ao_single_user(chs, ctx, init, max_iters=np.int64(2))
+        assert state.iteration <= 2
+        assert cb.ao_single_user(chs, ctx, init, max_iters=0)[0].trace == state.trace[:1]
 
 
 class TestBatchedRestarts:
