@@ -560,23 +560,25 @@ def load_spec(path) -> ExperimentSpec:
 def _run_one_draw(args):
     """Evaluate every sweep point of one draw; a solver failure stays with its point.
 
-    Each point restarts the draw's realization stream and draws, per scenario, the
-    channels and then, if asked for, the A2 baseline, whatever its sweep position.
+    ``point_scenarios[i]`` lists the scenarios of sweep point i, resolved once per
+    run by ``ExperimentSpec.scenarios``.  Each point restarts the draw's realization
+    stream and draws, per scenario, the channels and then, if asked for, the A2
+    baseline, whatever its sweep position.
 
     Returns ``(draw_index, rows, errors)``: ``rows[i]`` is point i's row, or
     None when it failed, and ``errors`` lists ``(point_index, message)``.
     """
-    spec, draw_index, seed_seq = args
+    spec, point_scenarios, draw_index, seed_seq = args
     exp = EXPERIMENTS[spec.experiment]
     opts = spec.merged_options
     point_rngs = [np.random.default_rng(sq) for sq in seed_seq.spawn(len(spec.sweep))]
     a2 = exp.builds_a2(opts)
     rows, errors = [], []
-    for value, rng in zip(spec.sweep, point_rngs):
+    for scenarios, rng in zip(point_scenarios, point_rngs):
         stream = np.random.default_rng(seed_seq)
         try:
             systems = []
-            for scn in spec.scenarios(opts, value):
+            for scn in scenarios:
                 chs = build_double_irs_scenario(scn, stream)
                 base = build_single_irs_baseline_A2(scn, *_a2_ranks(scn), stream) if a2 else None
                 systems.append((scn, chs, base))
@@ -617,9 +619,11 @@ def run_experiment(spec: ExperimentSpec, threads=1):
     failed (draw, point).  A point that failed in every draw has no rows.
     """
     t_start = time.perf_counter()
+    opts = spec.merged_options
+    point_scenarios = [spec.scenarios(opts, value) for value in spec.sweep]
     master = np.random.SeedSequence(spec.seed)
     children = master.spawn(spec.draws)
-    tasks = [(spec, i, children[i]) for i in range(spec.draws)]
+    tasks = [(spec, point_scenarios, i, children[i]) for i in range(spec.draws)]
     outcomes = in_workers(_run_one_draw, tasks, threads) if threads > 1 else list(map(_run_one_draw, tasks))
     outcomes.sort(key=lambda o: o[0])
 

@@ -214,6 +214,39 @@ class TestRunExperiment:
         assert seen == [("1", 1)] * 2 or seen == [("1", None)] * 2
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2" and "MKL_NUM_THREADS" not in os.environ
 
+    def test_scenarios_resolved_once_per_sweep_value(self, tmp_path, monkeypatch):
+        # run_experiment resolves each point's scenarios once and hands them to every draw
+        real = ex.ExperimentSpec.scenarios
+        calls = []
+
+        def counted(self, opts, value):
+            calls.append(value)
+            return real(self, opts, value)
+
+        monkeypatch.setattr(ex.ExperimentSpec, "scenarios", counted)
+        kw = dict(sweep=[-10.0, 0.0], seed=2, scenario={"n_bs": 3, "m1": 2, "m2": 2},
+                  options={"restarts": 2})
+        artifacts = {}
+        for draws, threads in ((1, 1), (3, 1), (3, 2)):
+            out = tmp_path / f"{draws}-{threads}"
+            spec = ex.ExperimentSpec("prop1-property", draws=draws, out_dir=str(out), **kw)
+            calls.clear()
+            ex.run_experiment(spec, threads=threads)
+            assert calls == spec.sweep
+            summary = json.loads((out / "prop1-property_summary.json").read_text())
+            del summary["csv"]
+            artifacts[draws, threads] = (out / "prop1-property.csv").read_bytes(), summary
+        assert artifacts[3, 1] == artifacts[3, 2]
+
+    def test_rejected_override_fails_before_any_draw(self, tmp_path, monkeypatch):
+        spec = ex.ExperimentSpec("prop1-property", sweep=[0.0], draws=2, out_dir=str(tmp_path))
+        spec.scenario = {"n_users": 2}  # prop1 sets n_users itself
+        drawn = []
+        monkeypatch.setattr(ex, "build_double_irs_scenario", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="n_users"):
+            ex.run_experiment(spec)
+        assert drawn == [] and not (tmp_path / "prop1-property.csv").exists()
+
     def test_fig5_double_never_below_single(self, tmp_path):
         spec = ex.ExperimentSpec(
             "fig5-rate-vs-M1-split",
