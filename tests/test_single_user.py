@@ -372,11 +372,11 @@ class TestSingleIrsOpt:
         # -1 used to fail inside numpy ("negative dimensions are not allowed"), 2.5 with a TypeError
         base = random_channel_set(rng, n=2, m1=0, m2=3, k=1)
         chs = random_channel_set(rng, n=2, m1=2, m2=2, k=1)
-        state = np.random.default_rng(3).bit_generator.state
         gen = np.random.default_rng(3)
+        before = gen.bit_generator.state
         with pytest.raises(ValueError, match="max_iters"):
             cb.single_irs_opt(base, ctx, max_iters=max_iters, rng=gen)
-        assert gen.bit_generator.state == state  # rejected before any start is drawn
+        assert gen.bit_generator.state == before  # rejected before any start is drawn
         with pytest.raises(ValueError, match="max_iters"):
             cb.ao_single_user(chs, ctx, random_init(chs, rng), max_iters=max_iters)
 
